@@ -7,10 +7,10 @@
 // exact per-edge stepping vs the fast path — verifying bit-exact egress and
 // reporting cycles/sec for both plus the speedup. `--saturated` instead pins
 // the loadgen at line rate (default one frame per 10 cycles, so fast-forward
-// never fires) and runs the workload three ways — exact, dynamic dispatch,
-// and the flat scheduled loop (Simulator::EnableFlatSchedule) — verifying
-// bit-exact egress across all three and reporting the flat-over-exact
-// speedup, the busy-path number emu-speed gates. `--json <path>` writes the
+// rarely fires) and runs the same two modes in five back-to-back rounds —
+// verifying bit-exact egress and edge totals and reporting the median
+// fast-over-exact speedup, the busy-path number emu-speed gates.
+// `--json <path>` writes the
 // result as BENCH_kernel.json; `--check <baseline.json>` compares the
 // speedup ratio (machine-independent) against a committed baseline and fails
 // on a >20% regression (`--saturated --check` reads the baseline's
@@ -24,6 +24,7 @@
 // on" true.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,6 +32,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_json.h"
 #include "src/common/wide_word.h"
@@ -163,10 +165,8 @@ struct ThroughputResult {
 
 // Scheduler flavor for one workload run. kExact is the reference semantics
 // (per-edge stepping, every parked predicate evaluated every edge); kFast is
-// the quiescence fast path with dynamic dispatch; kFlat additionally adopts
-// the statically elaborated schedule and routed wakes
-// (Simulator::EnableFlatSchedule).
-enum class RunMode { kExact, kFast, kFlat };
+// the default kernel with the quiescence fast path.
+enum class RunMode { kExact, kFast };
 
 // The soak shape: frames through the learning switch every `frame_gap`
 // cycles. A large gap is the idle-heavy pattern chaos soaks spend their
@@ -176,15 +176,7 @@ ThroughputResult RunSoakWorkload(RunMode mode, u64 total_cycles, u64 frame_gap,
                                  ProfilingMode profiling = ProfilingMode::kOff) {
   LearningSwitch service;
   FpgaTarget target(service);
-  if (mode == RunMode::kExact) {
-    target.sim().SetFastPath(false);
-  } else if (mode == RunMode::kFlat) {
-    if (!target.EnableFlatSchedule()) {
-      std::fprintf(stderr,
-                   "microbench_kernel: EnableFlatSchedule() failed on the stock pipeline\n");
-      std::abort();
-    }
-  }
+  target.sim().SetFastPath(mode == RunMode::kFast);
   target.sim().SetProfilingMode(profiling);
   const MacAddress a = MacAddress::FromU48(0x020000000001);
   const MacAddress b = MacAddress::FromU48(0x020000000002);
@@ -251,12 +243,12 @@ std::string ThroughputJson(const ThroughputResult& exact, const ThroughputResult
          "  \"speedup\": " + bench::FormatJsonNumber(speedup) + "\n}\n";
 }
 
-// The saturated busy-path flavor: same schema shape, one section per
-// scheduler mode, keyed so a combined baseline file can hold both the idle
+// The saturated busy-path flavor: same schema shape, nested under a
+// "saturated" key so a combined baseline file can hold both the idle
 // ("kernel_throughput") and saturated sections side by side.
-std::string SaturatedJson(const ThroughputResult& exact, const ThroughputResult& dynamic,
-                          const ThroughputResult& flat, u64 total_cycles, u64 frame_gap) {
-  const double speedup = exact.cycles_per_sec > 0 ? flat.cycles_per_sec / exact.cycles_per_sec : 0;
+std::string SaturatedJson(const ThroughputResult& exact, const ThroughputResult& fast,
+                          u64 total_cycles, u64 frame_gap) {
+  const double speedup = exact.cycles_per_sec > 0 ? fast.cycles_per_sec / exact.cycles_per_sec : 0;
   return "{\n"
          "  \"benchmark\": \"kernel_throughput_saturated\",\n"
          "  \"saturated\": {\n"
@@ -265,9 +257,7 @@ std::string SaturatedJson(const ThroughputResult& exact, const ThroughputResult&
          "},\n"
          "    \"exact\": " + ResultJson(exact, false) +
          ",\n"
-         "    \"dynamic\": " + ResultJson(dynamic, true) +
-         ",\n"
-         "    \"flat\": " + ResultJson(flat, true) +
+         "    \"fast\": " + ResultJson(fast, true) +
          ",\n"
          "    \"speedup\": " + bench::FormatJsonNumber(speedup) +
          "\n  }\n}\n";
@@ -381,48 +371,63 @@ bool DigestsMatch(const char* name, const ThroughputResult& got, const Throughpu
   return false;
 }
 
+// One exact/fast pair of ~0.25 s runs reads anywhere from 0.8x to 1.5x on a
+// shared 4-thread host, so the gate takes the pair with the median ratio out
+// of this many back-to-back pairs.
+constexpr int kSaturatedRounds = 5;
+
 int SaturatedMain(u64 total_cycles, u64 frame_gap, const std::string& json_path,
                   const std::string& baseline_path) {
-  std::printf("kernel saturated throughput: %llu cycles, one frame per %llu cycles\n",
+  std::printf("kernel saturated throughput: %llu cycles, one frame per %llu cycles, "
+              "median of %d rounds\n",
               static_cast<unsigned long long>(total_cycles),
-              static_cast<unsigned long long>(frame_gap));
-  const ThroughputResult exact = RunSoakWorkload(RunMode::kExact, total_cycles, frame_gap);
-  const ThroughputResult dynamic = RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap);
-  const ThroughputResult flat = RunSoakWorkload(RunMode::kFlat, total_cycles, frame_gap);
-
-  if (!DigestsMatch("dynamic fast path", dynamic, exact) ||
-      !DigestsMatch("flat scheduled loop", flat, exact)) {
-    return 1;
+              static_cast<unsigned long long>(frame_gap), kSaturatedRounds);
+  struct Round {
+    ThroughputResult exact;
+    ThroughputResult fast;
+    double speedup = 0;
+  };
+  std::vector<Round> rounds;
+  for (int i = 0; i < kSaturatedRounds; ++i) {
+    Round round;
+    round.exact = RunSoakWorkload(RunMode::kExact, total_cycles, frame_gap);
+    round.fast = RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap);
+    if (!DigestsMatch("fast path", round.fast, round.exact)) {
+      return 1;
+    }
+    // Executed-edge accounting must also agree: every cycle is either run or
+    // provably quiescent.
+    if (round.fast.edges_run + round.fast.cycles_fast_forwarded != round.exact.edges_run) {
+      std::printf("FAIL: edge accounting diverged (exact %llu, fast %llu+%llu)\n",
+                  static_cast<unsigned long long>(round.exact.edges_run),
+                  static_cast<unsigned long long>(round.fast.edges_run),
+                  static_cast<unsigned long long>(round.fast.cycles_fast_forwarded));
+      return 1;
+    }
+    round.speedup = round.exact.cycles_per_sec > 0
+                        ? round.fast.cycles_per_sec / round.exact.cycles_per_sec
+                        : 0;
+    rounds.push_back(round);
   }
-  // Executed-edge accounting must also agree: every cycle is either run or
-  // provably quiescent, in every mode.
-  if (dynamic.edges_run + dynamic.cycles_fast_forwarded != exact.edges_run ||
-      flat.edges_run + flat.cycles_fast_forwarded != exact.edges_run) {
-    std::printf("FAIL: edge accounting diverged (exact %llu, dynamic %llu+%llu, flat %llu+%llu)\n",
-                static_cast<unsigned long long>(exact.edges_run),
-                static_cast<unsigned long long>(dynamic.edges_run),
-                static_cast<unsigned long long>(dynamic.cycles_fast_forwarded),
-                static_cast<unsigned long long>(flat.edges_run),
-                static_cast<unsigned long long>(flat.cycles_fast_forwarded));
-    return 1;
-  }
-
-  const double speedup =
-      exact.cycles_per_sec > 0 ? flat.cycles_per_sec / exact.cycles_per_sec : 0;
-  std::printf("  exact:   %.3g cycles/sec (%llu edges)\n", exact.cycles_per_sec,
+  std::sort(rounds.begin(), rounds.end(),
+            [](const Round& a, const Round& b) { return a.speedup < b.speedup; });
+  const Round& median = rounds[rounds.size() / 2];
+  const ThroughputResult& exact = median.exact;
+  const ThroughputResult& fast = median.fast;
+  const double speedup = median.speedup;
+  std::printf("  exact: %.3g cycles/sec (%llu edges)\n", exact.cycles_per_sec,
               static_cast<unsigned long long>(exact.edges_run));
-  std::printf("  dynamic: %.3g cycles/sec (%llu edges + %llu fast-forwarded)\n",
-              dynamic.cycles_per_sec, static_cast<unsigned long long>(dynamic.edges_run),
-              static_cast<unsigned long long>(dynamic.cycles_fast_forwarded));
-  std::printf("  flat:    %.3g cycles/sec (%llu edges + %llu fast-forwarded)\n",
-              flat.cycles_per_sec, static_cast<unsigned long long>(flat.edges_run),
-              static_cast<unsigned long long>(flat.cycles_fast_forwarded));
-  std::printf("  speedup: %.2fx flat over exact (egress bit-exact, %llu frames)\n", speedup,
-              static_cast<unsigned long long>(flat.egress_count));
+  std::printf("  fast:  %.3g cycles/sec (%llu edges + %llu fast-forwarded)\n",
+              fast.cycles_per_sec, static_cast<unsigned long long>(fast.edges_run),
+              static_cast<unsigned long long>(fast.cycles_fast_forwarded));
+  std::printf("  speedup: %.2fx fast over exact, rounds %.2f-%.2fx "
+              "(egress bit-exact, %llu frames)\n",
+              speedup, rounds.front().speedup, rounds.back().speedup,
+              static_cast<unsigned long long>(fast.egress_count));
 
   if (!json_path.empty()) {
     std::ofstream file(json_path);
-    file << SaturatedJson(exact, dynamic, flat, total_cycles, frame_gap);
+    file << SaturatedJson(exact, fast, total_cycles, frame_gap);
     if (!file) {
       std::printf("FAIL: could not write %s\n", json_path.c_str());
       return 1;
@@ -445,7 +450,7 @@ int SaturatedMain(u64 total_cycles, u64 frame_gap, const std::string& json_path,
       return 1;
     }
     // Same machine-independent gate as --check for the idle workload: the
-    // flat-over-exact ratio, held within 20% of the committed baseline.
+    // fast-over-exact ratio, held within 20% of the committed baseline.
     const double floor = baseline_speedup * 0.8;
     std::printf("  baseline saturated speedup %.2fx, regression floor %.2fx\n", baseline_speedup,
                 floor);

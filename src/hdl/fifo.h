@@ -79,9 +79,8 @@ class SyncFifo : public Clocked {
     // The stall ends by the clock, not by any process's action: schedule a
     // forced wake so parked consumers/producers re-evaluate at expiry.
     sim_.RequestWakeAt(stall_until_);
-    // Only predicates over this FIFO's occupancy can observe the stall
-    // (expiry re-wakes globally via the forced wake above).
-    sim_.NotifyWakeFor(this);
+    // Predicates over this FIFO's occupancy observe the stall right away.
+    sim_.NotifyWake();
   }
   bool Stalled() const { return sim_.now() < stall_until_; }
 
@@ -162,7 +161,7 @@ class SyncFifo : public Clocked {
     }
     // Space freed by a pop is visible to CanPush in the same cycle: a parked
     // producer registered after this consumer must re-evaluate this edge.
-    sim_.NotifyWakeFor(this);
+    sim_.NotifyWake();
     return value;
   }
 
@@ -173,7 +172,7 @@ class SyncFifo : public Clocked {
       // Pushed items become visible to consumers at this edge's commit; wake
       // parked consumers for the next edge. (Pops need no commit-time wake:
       // Size/CanPush already accounted for them at Pop() time.)
-      sim_.NotifyWakeFor(this);
+      sim_.NotifyWake();
     }
     for (auto& value : pending_push_) {
       items_.push_back(std::move(value));

@@ -111,7 +111,7 @@ class Reg : public Clocked {
       // NotifyWake). Registers a quiescent design never writes stay clean,
       // so idle windows remain fast-forwardable.
       dirty_ = false;
-      sim_.NotifyWakeFor(this);
+      sim_.NotifyWake();
     }
     current_ = next_;
   }
@@ -173,7 +173,7 @@ class Wire {
     if (sim_ != nullptr) {
       // Combinational value changed within the cycle: parked predicates of
       // later-registered processes must observe it this edge.
-      sim_->NotifyWakeFor(this);
+      sim_->NotifyWake();
     }
   }
 

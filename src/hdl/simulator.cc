@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <ostream>
 
-#include "src/analysis/elab/elab_graph.h"
 #include "src/analysis/elab/elaboration.h"
 #include "src/analysis/hazard_monitor.h"
 #include "src/core/metrics.h"
@@ -53,67 +52,31 @@ usize Simulator::AddProcess(HwProcess process, std::string name) {
     // their own registration order.
     order_.push_back(index);
   }
-  // A process registered now has (by definition) no IO declaration the route
-  // table was built from: routed wakes can no longer prove watcher
-  // completeness, so fall back to global wake epochs. The flat span itself
-  // stays armed — it is bit-exact either way.
-  DisableWakeRouting();
   return index;
 }
 
-void Simulator::AdoptSchedule(std::vector<usize> order) {
-  assert(order.size() == processes_.size());
-#ifndef NDEBUG
-  // Must be a permutation of the registration indices.
-  std::vector<bool> seen(processes_.size(), false);
+Status Simulator::AdoptSchedule(std::vector<usize> order) {
+  // Checked in every build: SweepProcesses indexes the slot table through
+  // the order unchecked, so anything but a permutation of the registration
+  // indices would read out of bounds or resume one process twice per edge.
+  const usize count = processes_.size();
+  if (order.size() != count) {
+    return InvalidArgument("schedule has " + std::to_string(order.size()) + " entries for " +
+                           std::to_string(count) + " processes");
+  }
+  std::vector<bool> seen(count, false);
   for (usize index : order) {
-    assert(index < processes_.size() && !seen[index]);
+    if (index >= count) {
+      return InvalidArgument("schedule names process " + std::to_string(index) + " of " +
+                             std::to_string(count));
+    }
+    if (seen[index]) {
+      return InvalidArgument("schedule names process " + std::to_string(index) + " twice");
+    }
     seen[index] = true;
   }
-#endif
   order_ = std::move(order);
-}
-
-bool Simulator::EnableFlatSchedule() {
-  const elab::ElabGraph graph = elab::ElabGraph::FromSimulator(*this);
-  if (!graph.fully_declared()) {
-    return false;
-  }
-  elab::ScheduleResult schedule = graph.StaticSchedule();
-  if (!schedule.ok) {
-    return false;
-  }
-  AdoptSchedule(std::move(schedule.order));
-  // Element -> watcher processes: the union of every declared role. Any
-  // process that reads, writes, pushes or pops an element may have a parked
-  // predicate over its state, so a mutation marks them all; over-marking
-  // costs a predicate poll, never a missed resume.
-  wake_routes_.clear();
-  wake_routes_.reserve(graph.nodes().size());
-  for (const elab::ElabNode& node : graph.nodes()) {
-    if (node.id == nullptr) {
-      continue;  // name-only implicit node: no address identity to route
-    }
-    std::vector<u32>& watchers = wake_routes_[node.id];
-    auto add_role = [&watchers](const std::vector<usize>& role) {
-      for (usize process : role) {
-        const u32 index = static_cast<u32>(process);
-        if (std::find(watchers.begin(), watchers.end(), index) == watchers.end()) {
-          watchers.push_back(index);
-        }
-      }
-    };
-    add_role(node.readers);
-    add_role(node.writers);
-    add_role(node.poppers);
-    add_role(node.pushers);
-  }
-  flat_schedule_ = true;
-  wake_routes_active_ = true;
-  // Force one global re-evaluation so predicates parked before adoption are
-  // not skipped on a stale epoch under the new routing regime.
-  ++wake_epoch_;
-  return true;
+  return Status::Ok();
 }
 
 void Simulator::RunPreFlight() {
@@ -186,7 +149,6 @@ void Simulator::Reclassify(usize index) {
     slot.wait_pred = promise.wait_pred;
     slot.wait_ctx = promise.wait_ctx;
     slot.wait_epoch = kWaitEpochStale;   // force at least one evaluation
-    slot.routed_stale = true;
     promise.wait_pred = nullptr;
     promise.wait_ctx = nullptr;
     return;
@@ -200,6 +162,7 @@ void Simulator::Reclassify(usize index) {
     return;
   }
   slot.state = Slot::kRunnable;
+  edge_left_runnable_ = true;
 }
 
 namespace {
@@ -212,8 +175,7 @@ inline u64 ElapsedNs(std::chrono::steady_clock::time_point start,
 
 }  // namespace
 
-u64 Simulator::SweepProcesses(bool lazy, bool timed) {
-  u64 activity = 0;
+void Simulator::SweepProcesses(bool lazy, bool timed) {
   const usize count = processes_.size();
   const usize* order = order_.empty() ? nullptr : order_.data();
   for (usize pos = 0; pos < count; ++pos) {
@@ -227,15 +189,13 @@ u64 Simulator::SweepProcesses(bool lazy, bool timed) {
         continue;
       }
     } else if (slot.state == Slot::kParked) {
-      if (lazy && !slot.routed_stale && slot.wait_epoch == wake_epoch_) {
-        continue;  // no watched (or, routing off, any) state changed since the last evaluation
+      if (lazy && slot.wait_epoch == wake_epoch_) {
+        continue;  // no wake-tracked state changed since the last evaluation
       }
       ProcessStats& stats = stats_[i];
       ++stats.polls;
-      ++activity;
       if (!slot.wait_pred(slot.wait_ctx)) {
         slot.wait_epoch = wake_epoch_;
-        slot.routed_stale = false;
         ++stats.cycles_awake;
         continue;
       }
@@ -243,7 +203,6 @@ u64 Simulator::SweepProcesses(bool lazy, bool timed) {
     ProcessStats& stats = stats_[i];
     ++stats.resumes;
     ++stats.cycles_awake;
-    ++activity;
     HwProcess& process = processes_[i].process;
     if (timed) [[unlikely]] {
       const auto start = std::chrono::steady_clock::now();
@@ -254,21 +213,20 @@ u64 Simulator::SweepProcesses(bool lazy, bool timed) {
     }
     Reclassify(i);
   }
-  return activity;
 }
 
-u64 Simulator::ProfiledSweepAndCommit(bool lazy) {
+void Simulator::ProfiledSweepAndCommit(bool lazy) {
   ++phase_resume_.calls;
   ++phase_commit_.calls;
   const bool timed =
       profiling_mode_ == ProfilingMode::kFull || (++edge_tick_ % sample_stride_) == 0;
   if (!timed) {
-    const u64 activity = SweepProcesses(lazy, /*timed=*/false);
+    SweepProcesses(lazy, /*timed=*/false);
     CommitEdge();
-    return activity;
+    return;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const u64 activity = SweepProcesses(lazy, /*timed=*/true);
+  SweepProcesses(lazy, /*timed=*/true);
   const auto t1 = std::chrono::steady_clock::now();
   CommitEdge();
   const auto t2 = std::chrono::steady_clock::now();
@@ -277,7 +235,6 @@ u64 Simulator::ProfiledSweepAndCommit(bool lazy) {
   ++phase_commit_.timed_calls;
   phase_commit_.wall_ns += ElapsedNs(t1, t2);
   ++edges_timed_;
-  return activity;
 }
 
 void Simulator::CommitEdge() {
@@ -307,6 +264,9 @@ void Simulator::Step() {
   if (!forced_wakes_.empty()) [[unlikely]] {
     ConsumeForcedWakes();
   }
+  // Every runnable process resumes on this edge, and Reclassify sets the
+  // flag again for each one that stays runnable.
+  edge_left_runnable_ = false;
 #ifdef EMU_ANALYSIS
   // Keep the uninstrumented path identical to the non-analysis build: with
   // no monitor attached (and no tombstoned elements) there is exactly one
@@ -446,7 +406,7 @@ Cycle Simulator::QuiescentWindow(Cycle budget) {
         window = std::min(window, slot.wake_at - now_);
         continue;
       case Slot::kParked:
-        if (!slot.routed_stale && slot.wait_epoch == wake_epoch_) {
+        if (slot.wait_epoch == wake_epoch_) {
           continue;  // predicate provably unchanged: sleeps through any window
         }
         return 0;  // parked with a stale predicate that needs evaluation
@@ -533,105 +493,35 @@ void Simulator::FastForward(Cycle cycles) {
   }
 }
 
-void Simulator::RunFlatSpan(Cycle end, const std::function<bool()>* done) {
-  // Phase attribution: the whole span is timed as one flat_span entry
-  // (inclusive of the sweeps/commits inside it), so the flat loop's dispatch
-  // saving shows up as flat_span.wall minus the inner phases.
-  struct SpanTimer {
-    PhaseProfile* phase;
-    std::chrono::steady_clock::time_point start;
-    explicit SpanTimer(PhaseProfile* p)
-        : phase(p), start(p != nullptr ? std::chrono::steady_clock::now()
-                                       : std::chrono::steady_clock::time_point{}) {}
-    ~SpanTimer() {
-      if (phase != nullptr) {
-        ++phase->calls;
-        ++phase->timed_calls;
-        phase->wall_ns += ElapsedNs(start, std::chrono::steady_clock::now());
-      }
-    }
-  };
-  SpanTimer span_timer(profiling_mode_ != ProfilingMode::kOff ? &phase_flat_ : nullptr);
-  while (now_ < end) {
-    if (fault_registry_ != nullptr) [[unlikely]] {
-      fault_registry_->Tick(now_);
-    }
-    if (!forced_wakes_.empty()) [[unlikely]] {
-      ConsumeForcedWakes();
-    }
-    u64 activity;
-    if (profiling_mode_ != ProfilingMode::kOff) [[unlikely]] {
-      activity = ProfiledSweepAndCommit(/*lazy=*/true);
-    } else {
-      activity = SweepProcesses(/*lazy=*/true, /*timed=*/false);
-      CommitEdge();
-    }
-    ++now_;
-    ++edges_run_;
-    if (!edge_observers_.empty()) [[unlikely]] {
-      // Attached mid-span (e.g. by a fault callback): this edge ran with the
-      // observer live, so it sees the edge, and the caller's loop falls back
-      // to dynamic per-edge dispatch for the rest of the run.
-      for (EdgeObserver* observer : edge_observers_) {
-        observer->OnEdge(now_);
-      }
-      return;
-    }
-#ifdef EMU_ANALYSIS
-    if (monitor_ != nullptr || dead_clocked_ > 0) [[unlikely]] {
-      return;  // fall back to StepInstrumented dispatch
-    }
-#endif
-    if (done != nullptr && (*done)()) {
-      return;
-    }
-    if (activity == 0) {
-      // Quiescent edge: hand control back so Run can fast-forward the rest
-      // of the window instead of idling through it edge by edge.
-      return;
-    }
-  }
-}
-
-void Simulator::Run(Cycle cycles) {
+bool Simulator::RunLoop(Cycle end, const std::function<bool()>* done) {
   if (elaboration_ != nullptr && !preflight_done_) [[unlikely]] {
     RunPreFlight();
   }
-  const Cycle end = now_ + cycles;
   while (now_ < end) {
-    const Cycle window = ProfiledQuiescentWindow(end - now_);
-    if (window > 0) {
-      FastForward(window);
-    } else if (FlatSpanEligible()) {
-      RunFlatSpan(end, nullptr);
-    } else {
-      Step();
-    }
-  }
-}
-
-bool Simulator::RunUntil(const std::function<bool()>& done, Cycle limit) {
-  if (elaboration_ != nullptr && !preflight_done_) [[unlikely]] {
-    RunPreFlight();
-  }
-  const Cycle end = now_ + limit;
-  while (now_ < end) {
-    if (done()) {
-      return true;
-    }
     // `done` is a pure function of simulation state (header contract), so it
     // cannot flip inside a quiescent window: checking once per executed edge
     // or jump is exactly equivalent to checking every cycle.
-    const Cycle window = ProfiledQuiescentWindow(end - now_);
-    if (window > 0) {
-      FastForward(window);
-    } else if (FlatSpanEligible()) {
-      RunFlatSpan(end, &done);
-    } else {
-      Step();
+    if (done != nullptr && (*done)()) {
+      return true;
     }
+    // A process the last edge left runnable makes the next edge due: the
+    // scan would return 0, so skip it while the design is busy.
+    if (!edge_left_runnable_) {
+      const Cycle window = ProfiledQuiescentWindow(end - now_);
+      if (window > 0) {
+        FastForward(window);
+        continue;
+      }
+    }
+    Step();
   }
-  return done();
+  return done != nullptr && (*done)();
+}
+
+void Simulator::Run(Cycle cycles) { RunLoop(now_ + cycles, nullptr); }
+
+bool Simulator::RunUntil(const std::function<bool()>& done, Cycle limit) {
+  return RunLoop(now_ + limit, &done);
 }
 
 usize Simulator::live_process_count() const {
@@ -657,7 +547,6 @@ SimProfile Simulator::ProfileReport() const {
   profile.commit_sweep = phase_commit_;
   profile.quiescence_scan = phase_scan_;
   profile.fast_forward = phase_fast_forward_;
-  profile.flat_span = phase_flat_;
   profile.processes.reserve(processes_.size());
   for (usize i = 0; i < processes_.size(); ++i) {
     ProcessProfile entry;

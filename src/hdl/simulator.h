@@ -33,14 +33,12 @@
 //     construction is wrapped in a CoroFrameArenaScope (NetFpgaPipeline does
 //     this), packing a pipeline's frames contiguously.
 //
-// EnableFlatSchedule() pre-elaborates a static design (every process IO-
-// declared, ElabGraph::StaticSchedule succeeds) into a flat scheduled edge
-// loop: Run/RunUntil then execute RunFlatSpan — the same sweep/commit pair
-// without the per-edge dispatch overhead — and wake notifications route to
-// the declared watcher set of the mutated element (NotifyWakeFor) instead of
-// invalidating every parked predicate. Anything that demands per-edge
-// observation (EdgeObservers, HazardMonitor, SetFastPath(false)) falls back
-// to dynamic dispatch, including mid-run attachment.
+// Run() and RunUntil() share one loop. An edge that leaves any process
+// runnable (it suspended on Pause()) makes the next edge due, so the loop
+// steps straight into it; only after an edge that left every process
+// sleeping, parked or done does it consult the quiescence scan below. The
+// skip is exact, not a heuristic: the scan returns 0 whenever a process is
+// runnable, so every edge, predicate poll and fast-forward is unchanged.
 //
 // --- Quiescence-aware fast path ---
 //
@@ -66,13 +64,9 @@
 // mutation of wake-tracked state (SyncFifo push-commits/pops/stalls,
 // explicit NotifyWake calls) bumps the epoch, and a parked process whose
 // predicate was last evaluated at the current epoch is skipped without
-// re-evaluation. With wake routing active a mutation instead marks only the
-// element's declared watchers stale — extra marks cost a predicate poll,
-// never a missed resume, because watcher sets come from the same IO
-// declarations the equivalence suite validates. With the fast path off (or
-// a monitor attached) predicates are evaluated on every edge — the
-// reference semantics the equivalence suite (tests/kernel_equiv_test.cc)
-// checks the fast path against.
+// re-evaluation. With the fast path off (or a monitor attached) predicates
+// are evaluated on every edge — the reference semantics the equivalence
+// suite (tests/kernel_equiv_test.cc) checks the fast path against.
 #ifndef SRC_HDL_SIMULATOR_H_
 #define SRC_HDL_SIMULATOR_H_
 
@@ -80,9 +74,9 @@
 #include <iosfwd>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/core/arena.h"
 #include "src/hdl/elab_catalog.h"
@@ -193,15 +187,14 @@ struct SimProfile {
   PhaseProfile commit_sweep;      // CommitEdge: unconditional list + dirty queue
   PhaseProfile quiescence_scan;   // QuiescentWindow calls from Run/RunUntil
   PhaseProfile fast_forward;      // FastForward jumps (always timed when enabled)
-  PhaseProfile flat_span;         // RunFlatSpan bodies, inclusive of their sweeps/commits
+  PhaseProfile flat_span;         // always zero: no kernel phase writes it (e2ebench reads it)
   std::vector<ProcessProfile> processes;
   // True when the report carries actual wall-clock phase data (profiling was
   // on AND at least one phase was timed) — callers printing a phase table
   // should check this instead of printing all-zero rows.
   bool populated() const {
     return profiling_enabled &&
-           (edges_timed > 0 || quiescence_scan.timed_calls > 0 ||
-            fast_forward.timed_calls > 0 || flat_span.timed_calls > 0);
+           (edges_timed > 0 || quiescence_scan.timed_calls > 0 || fast_forward.timed_calls > 0);
   }
 };
 
@@ -271,32 +264,9 @@ class Simulator {
   // --- Quiescence control ---
 
   // Announces a mutation of wake-tracked state: every parked WaitUntil
-  // predicate becomes eligible for re-evaluation. Call this form when the
-  // mutated state has no cataloged identity (or from testbench context);
-  // element mutators use NotifyWakeFor so routed mode can scope the wake.
+  // predicate becomes eligible for re-evaluation.
   void NotifyWake() { ++wake_epoch_; }
   u64 wake_epoch() const { return wake_epoch_; }
-
-  // Announces a mutation of element `element` (its catalog identity — the
-  // address it registered under, e.g. `this` for a SyncFifo, the
-  // CamInterface subobject for a Cam). With wake routing active only the
-  // processes that declared IO on that element are marked for predicate
-  // re-evaluation; otherwise (routing off, or an identity the route table
-  // has never seen) this degrades to a global NotifyWake.
-  void NotifyWakeFor(const void* element) {
-    if (!wake_routes_active_) {
-      ++wake_epoch_;
-      return;
-    }
-    auto it = wake_routes_.find(element);
-    if (it == wake_routes_.end()) {
-      ++wake_epoch_;
-      return;
-    }
-    for (u32 watcher : it->second) {
-      sched_[watcher].routed_stale = true;
-    }
-  }
 
   // Schedules a wake at `cycle` for time-dependent state changes that no
   // process announces (a FIFO stall expiring): the scheduler will execute
@@ -305,8 +275,7 @@ class Simulator {
 
   // Toggles the quiescence fast path (default on). With it off Run/RunUntil
   // execute every edge and evaluate every parked predicate per edge — the
-  // reference semantics the equivalence suite compares against. Also
-  // disables the flat-scheduled loop (which is lazy by construction).
+  // reference semantics the equivalence suite compares against.
   void SetFastPath(bool enabled) { fast_path_ = enabled; }
   bool fast_path() const { return fast_path_; }
 
@@ -342,10 +311,6 @@ class Simulator {
     sample_stride_ = mode == ProfilingMode::kFull ? 1 : (sample_stride == 0 ? 1 : sample_stride);
   }
   ProfilingMode profiling_mode() const { return profiling_mode_; }
-  // Back-compat sugar: EnableProfiling(true) is the historical full mode.
-  void EnableProfiling(bool enabled) {
-    SetProfilingMode(enabled ? ProfilingMode::kFull : ProfilingMode::kOff);
-  }
   SimProfile ProfileReport() const;
 
   static constexpr u64 kDefaultProfilingStride = 64;
@@ -378,25 +343,10 @@ class Simulator {
   // registration order. Produced by ElabGraph::StaticSchedule(); the
   // equivalence suite proves adoption is bit-exact for race-free designs.
   // Processes registered after adoption append to the end of the order.
-  void AdoptSchedule(std::vector<usize> order);
-  void ClearSchedule() {
-    order_.clear();
-    flat_schedule_ = false;
-    DisableWakeRouting();
-  }
+  // Returns InvalidArgument, leaving the current order in place, when
+  // `order` is short, long, out of range or repeats an index.
+  Status AdoptSchedule(std::vector<usize> order);
   bool has_schedule() const { return !order_.empty(); }
-
-  // Pre-elaborates the constructed design into the flat scheduled edge loop:
-  // requires every process IO-declared (fully_declared) and an acyclic
-  // declared comb graph (StaticSchedule().ok). On success adopts the static
-  // order, builds the element→watcher wake route table, and arms the flat
-  // span for Run/RunUntil. Returns false (leaving dynamic dispatch in place)
-  // when the design does not qualify. Registering a process afterwards
-  // conservatively disables wake routing (its IO is undeclared); attaching
-  // an EdgeObserver or HazardMonitor falls back per-edge without disabling.
-  bool EnableFlatSchedule();
-  bool flat_schedule() const { return flat_schedule_; }
-  bool wake_routing_active() const { return wake_routes_active_; }
 
   // Arena backing the design's coroutine frames; wrap process construction
   // in CoroFrameArenaScope(sim.frame_arena()) to pack frames contiguously
@@ -445,9 +395,6 @@ class Simulator {
       kDone,          // coroutine ran to completion
     };
     State state = kRunnable;
-    // Routed-wake mark: a watched element mutated since the last predicate
-    // evaluation (only meaningful while parked).
-    bool routed_stale = false;
     Cycle wake_at = 0;
     bool (*wait_pred)(void*) = nullptr;
     void* wait_ctx = nullptr;
@@ -459,50 +406,24 @@ class Simulator {
   void Reclassify(usize index);
 
   // Resumes/polls every due process once (one edge's worth of process work).
-  // `lazy` enables epoch/route-based parked-predicate skipping; `timed`
-  // wraps each resume in a steady_clock pair (per-process wall attribution).
-  // Returns the number of resumes + predicate polls performed (0 = the edge
-  // was quiescent).
-  u64 SweepProcesses(bool lazy, bool timed);
+  // `lazy` enables epoch-based parked-predicate skipping; `timed` wraps each
+  // resume in a steady_clock pair (per-process wall attribution).
+  void SweepProcesses(bool lazy, bool timed);
 
   // Commits the unconditional list then drains the dirty queue.
   void CommitEdge();
 
   // One edge's sweep + commit with phase accounting (profiling_mode_ !=
-  // kOff): counts every edge, times one in sample_stride_. Returns the
-  // sweep's activity count.
-  u64 ProfiledSweepAndCommit(bool lazy);
+  // kOff): counts every edge, times one in sample_stride_.
+  void ProfiledSweepAndCommit(bool lazy);
 
   // QuiescentWindow with phase accounting; falls through to the plain scan
   // when profiling is off.
   Cycle ProfiledQuiescentWindow(Cycle budget);
 
-  // True when Run/RunUntil may enter the flat scheduled span.
-  bool FlatSpanEligible() const {
-    if (!flat_schedule_ || !fast_path_ || !edge_observers_.empty()) {
-      return false;
-    }
-#ifdef EMU_ANALYSIS
-    if (monitor_ != nullptr || dead_clocked_ > 0) {
-      return false;
-    }
-#endif
-    return true;
-  }
-
-  // Executes edges back-to-back (no per-edge Run dispatch) until `end`,
-  // `done` (when non-null), a quiescent edge (activity == 0 — the caller
-  // then re-consults QuiescentWindow), or a mid-span fallback trigger
-  // (observer/monitor attached during an edge).
-  void RunFlatSpan(Cycle end, const std::function<bool()>* done);
-
-  // Drops the wake route table and forces a global re-evaluation epoch.
-  void DisableWakeRouting() {
-    if (wake_routes_active_) {
-      wake_routes_active_ = false;
-      ++wake_epoch_;
-    }
-  }
+  // The loop behind Run and RunUntil: executes or fast-forwards edges until
+  // `end`, or until `done` (when non-null) holds. Returns whether it held.
+  bool RunLoop(Cycle end, const std::function<bool()>* done);
 
   // Length of the quiescent window starting at now_ (0 = the next edge must
   // be executed), capped at `budget`.
@@ -562,16 +483,15 @@ class Simulator {
 
   // Quiescence state.
   bool fast_path_ = true;
+  // Set by Reclassify when the executed edge left a process runnable, and
+  // cleared as each edge starts, so it never claims a runnable process that
+  // is not there (RunLoop then skips the scan, which would return 0).
+  bool edge_left_runnable_ = false;
   u64 wake_epoch_ = 0;
   std::multiset<Cycle> forced_wakes_;
   FaultRegistry* fault_registry_ = nullptr;
   EventScheduler* event_scheduler_ = nullptr;
   std::vector<EdgeObserver*> edge_observers_;
-
-  // Flat schedule state.
-  bool flat_schedule_ = false;
-  bool wake_routes_active_ = false;
-  std::unordered_map<const void*, std::vector<u32>> wake_routes_;
 
   // Profiler state. Counters (edges_run_ &c.) are always maintained; the
   // phase accumulators only move while profiling_mode_ != kOff.
@@ -584,7 +504,6 @@ class Simulator {
   PhaseProfile phase_commit_;
   PhaseProfile phase_scan_;
   PhaseProfile phase_fast_forward_;
-  PhaseProfile phase_flat_;
   std::vector<ProcessStats> stats_;
   u64 edges_run_ = 0;
   u64 cycles_fast_forwarded_ = 0;

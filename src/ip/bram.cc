@@ -51,7 +51,7 @@ void Bram::Commit() {
   pending_.clear();
   // A parked process may be waiting on Read(addr); the commit is the moment
   // the new contents become observable.
-  sim().NotifyWakeFor(this);
+  sim().NotifyWake();
 }
 
 }  // namespace emu

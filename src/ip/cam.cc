@@ -74,9 +74,8 @@ void Cam::Commit() {
   }
   pending_.clear();
   // Lookup() results change at this edge; a process parked on a hit/miss
-  // predicate must be re-evaluated. The wake identity is the CamInterface
-  // subobject — the same address the catalog registered.
-  sim().NotifyWakeFor(static_cast<const CamInterface*>(this));
+  // predicate must be re-evaluated.
+  sim().NotifyWake();
 }
 
 }  // namespace emu

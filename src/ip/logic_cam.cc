@@ -56,7 +56,7 @@ void LogicCam::Commit() {
   }
   pending_.clear();
   // Same wake rule as the IP CAM: committed lookup results just changed.
-  sim().NotifyWakeFor(static_cast<const CamInterface*>(this));
+  sim().NotifyWake();
 }
 
 }  // namespace emu

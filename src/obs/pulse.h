@@ -27,7 +27,7 @@ namespace emu::obs {
 
 // --- Kernel phase profile export -------------------------------------------
 
-// JSON export of a SimProfile: scalar counters, the five kernel phases
+// JSON export of a SimProfile: scalar counters, the four kernel phases
 // (calls / timed_calls / wall_ns / estimated_total_ns), and the per-process
 // table. `profiling_enabled` is always present so a consumer can tell an
 // all-zero report from a disabled one.

@@ -419,7 +419,7 @@ TEST(StaticSchedule, AdoptedScheduleFixesDeclaredRace) {
     if (adopt) {
       const auto schedule = elab::ElabGraph::FromSimulator(sim, "fix").StaticSchedule();
       EXPECT_TRUE(schedule.ok);
-      sim.AdoptSchedule(schedule.order);
+      EXPECT_TRUE(sim.AdoptSchedule(schedule.order).ok());
       EXPECT_TRUE(sim.has_schedule());
     }
     sim.Run(4);
@@ -429,6 +429,53 @@ TEST(StaticSchedule, AdoptedScheduleFixesDeclaredRace) {
   // Inferred order runs the writer first: the reader sees this cycle's value.
   EXPECT_EQ(run(false), 1 + 2 + 3);      // cycle i reads value written at i-1
   EXPECT_EQ(run(true), 1 + 2 + 3 + 4);   // cycle i reads value written at i
+}
+
+// The race above, undeclared: the order in force shows in the sum after four
+// edges (6 in registration order, 10 with the writer first).
+struct RacedDesign {
+  Simulator sim;
+  Wire<int> w{sim, "raced", 0};
+  Reg<int> sum{sim, "sum", 0};
+  Reg<int> counter{sim, "counter", 0};
+  RacedDesign() {
+    sim.AddProcess(AccumulateWire(w, sum), "reader");
+    sim.AddProcess(CountIntoWire(w, counter), "writer");
+  }
+  int SumAfterFourEdges() {
+    sim.Run(4);
+    return sum.Read();
+  }
+};
+
+// AdoptSchedule checks its input in every build: anything but a permutation
+// of the registration indices is refused, and the order in force stays.
+TEST(StaticSchedule, AdoptScheduleRejectsShortOrder) {
+  RacedDesign design;
+  EXPECT_EQ(design.sim.AdoptSchedule({1}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(design.sim.has_schedule());
+  EXPECT_EQ(design.SumAfterFourEdges(), 1 + 2 + 3);
+}
+
+TEST(StaticSchedule, AdoptScheduleRejectsOutOfRangeIndex) {
+  RacedDesign design;
+  ASSERT_TRUE(design.sim.AdoptSchedule({1, 0}).ok());
+  EXPECT_EQ(design.sim.AdoptSchedule({0, 2}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(design.SumAfterFourEdges(), 1 + 2 + 3 + 4);
+}
+
+TEST(StaticSchedule, AdoptScheduleRejectsRepeatedIndex) {
+  RacedDesign design;
+  ASSERT_TRUE(design.sim.AdoptSchedule({1, 0}).ok());
+  EXPECT_EQ(design.sim.AdoptSchedule({1, 1}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(design.SumAfterFourEdges(), 1 + 2 + 3 + 4);
+}
+
+TEST(StaticSchedule, AdoptScheduleAcceptsPermutation) {
+  RacedDesign design;
+  EXPECT_TRUE(design.sim.AdoptSchedule({1, 0}).ok());
+  EXPECT_TRUE(design.sim.has_schedule());
+  EXPECT_EQ(design.SumAfterFourEdges(), 1 + 2 + 3 + 4);
 }
 
 // --- Schedule adoption on real designs: bit-exact by construction -------------
@@ -467,7 +514,7 @@ void MaybeAdopt(Simulator& sim, const std::string& design, bool adopt) {
   }
   EXPECT_EQ(schedule.order, identity) << design << ": clean design should keep its order";
   if (adopt) {
-    sim.AdoptSchedule(schedule.order);
+    EXPECT_TRUE(sim.AdoptSchedule(schedule.order).ok());
   }
 }
 

@@ -9,6 +9,10 @@
 // counters, fault logs, and resume counts. They also pin the WaitUntil wake
 // contract: parked processes wake in registration order, on exactly the edge
 // the predicate first holds.
+//
+// Idle-heavy workloads exercise fast-forward; saturated ones (small gaps,
+// so nearly every edge leaves a process runnable) exercise the busy path,
+// on which Run steps without consulting the quiescence scan.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -62,8 +66,14 @@ struct RunDigest {
   u64 edges_run = 0;
   u64 cycles_fast_forwarded = 0;
 
-  void CaptureProfile(const Simulator& sim) {
-    const SimProfile profile = sim.ProfileReport();
+  // Takes the target's egress log along with everything else.
+  void Capture(FpgaTarget& target, const MetricsRegistry& registry) {
+    final_now = target.sim().now();
+    const auto egress = target.TakeEgress();
+    egress_count = egress.size();
+    egress_digest = DigestEgress(egress);
+    metrics = registry.Snapshot();
+    const SimProfile profile = target.sim().ProfileReport();
     edges_run = profile.edges_run;
     cycles_fast_forwarded = profile.cycles_fast_forwarded;
     for (const ProcessProfile& process : profile.processes) {
@@ -120,12 +130,7 @@ RunDigest RunLearningSwitch(bool fast_path) {
   }
 
   RunDigest digest;
-  digest.final_now = target.sim().now();
-  const auto egress = target.TakeEgress();
-  digest.egress_count = egress.size();
-  digest.egress_digest = DigestEgress(egress);
-  digest.metrics = metrics.Snapshot();
-  digest.CaptureProfile(target.sim());
+  digest.Capture(target, metrics);
   return digest;
 }
 
@@ -159,12 +164,7 @@ RunDigest RunNat(bool fast_path) {
   target.Run(100'000);
 
   RunDigest digest;
-  digest.final_now = target.sim().now();
-  const auto egress = target.TakeEgress();
-  digest.egress_count = egress.size();
-  digest.egress_digest = DigestEgress(egress);
-  digest.metrics = metrics.Snapshot();
-  digest.CaptureProfile(target.sim());
+  digest.Capture(target, metrics);
   return digest;
 }
 
@@ -201,12 +201,7 @@ RunDigest RunMemcached(bool fast_path) {
   target.Run(100'000);
 
   RunDigest digest;
-  digest.final_now = target.sim().now();
-  const auto egress = target.TakeEgress();
-  digest.egress_count = egress.size();
-  digest.egress_digest = DigestEgress(egress);
-  digest.metrics = metrics.Snapshot();
-  digest.CaptureProfile(target.sim());
+  digest.Capture(target, metrics);
   return digest;
 }
 
@@ -264,12 +259,7 @@ FaultDigest RunNatUnderFaults(bool fast_path) {
   target.Run(150'000);  // drain fast-forwards once disarmed
 
   FaultDigest digest;
-  digest.run.final_now = target.sim().now();
-  const auto egress = target.TakeEgress();
-  digest.run.egress_count = egress.size();
-  digest.run.egress_digest = DigestEgress(egress);
-  digest.run.metrics = metrics.Snapshot();
-  digest.run.CaptureProfile(target.sim());
+  digest.run.Capture(target, metrics);
   digest.faults_fired = registry.fired_total();
   digest.log_digest = registry.LogDigest();
   target.sim().AttachFaultRegistry(nullptr);
@@ -284,6 +274,292 @@ TEST(KernelEquivalence, FaultPlanReplayBitExact) {
   EXPECT_EQ(fast.log_digest, exact.log_digest);
   EXPECT_GT(fast.faults_fired, 0u);  // the plan actually fired
   EXPECT_GT(fast.run.cycles_fast_forwarded, 0u);  // the drain actually jumped
+}
+
+// --- Saturated workloads, default vs exact ---------------------------------------
+//
+// Small inter-frame gaps keep the pipeline busy, so fast-forward windows are
+// rare and the busy path dominates. A third run drives the default kernel
+// through RunUntilEgress(RunOptions{.threads = 4}): accepted for API
+// uniformity on a single clock domain, executed on the serial kernel, and
+// so unable to perturb a pipeline's results.
+
+enum class Mode {
+  kExact,    // SetFastPath(false)
+  kDefault,  // the default fast path, driven through Run
+  kThreads4  // the default fast path, driven through RunUntil with threads = 4
+};
+
+// Advances exactly `cycles`: kThreads4 re-enters RunUntilEgress after every
+// egress until the deadline.
+void Advance(FpgaTarget& target, Mode mode, Cycle cycles) {
+  if (mode != Mode::kThreads4) {
+    target.Run(cycles);
+    return;
+  }
+  const Cycle deadline = target.sim().now() + cycles;
+  while (target.sim().now() < deadline) {
+    target.RunUntilEgress(
+        FpgaTarget::RunOptions{.threads = 4, .limit = deadline - target.sim().now()});
+  }
+}
+
+RunDigest RunLearningSwitchSaturated(Mode mode) {
+  LearningSwitch service;
+  FpgaTarget target(service);
+  target.sim().SetFastPath(mode != Mode::kExact);
+  MetricsRegistry metrics;
+  service.RegisterMetrics(metrics);
+
+  for (u8 port = 0; port < 4; ++port) {
+    target.Inject(port,
+                  MakeUdpPacket({MacAddress::Broadcast(), kHostMacs[port], kHostIps[port],
+                                 Ipv4Address(10, 0, 0, 99), 1, 2},
+                                std::vector<u8>{port}));
+    Advance(target, mode, 400);
+  }
+  // Back-to-back unicast: at most a handful of idle cycles between frames.
+  for (usize i = 0; i < 120; ++i) {
+    const u8 src = static_cast<u8>(i % 4);
+    const u8 dst = static_cast<u8>((i + 1 + i / 4) % 4);
+    target.Inject(src, MakeUdpPacket({kHostMacs[dst], kHostMacs[src], kHostIps[src],
+                                      kHostIps[dst], 1000, 2000},
+                                     std::vector<u8>(1 + i % 16, static_cast<u8>(i))));
+    Advance(target, mode, i % 7 == 0 ? 600 : 90);
+  }
+  Advance(target, mode, 20'000);
+
+  RunDigest digest;
+  digest.Capture(target, metrics);
+  return digest;
+}
+
+RunDigest RunNatSaturated(Mode mode) {
+  NatConfig config;
+  NatService service(config);
+  FpgaTarget target(service);
+  target.sim().SetFastPath(mode != Mode::kExact);
+  MetricsRegistry metrics;
+  service.RegisterMetrics(metrics);
+
+  const MacAddress host_mac = MacAddress::FromU48(0x02'00'00'00'11'10);
+  for (usize i = 0; i < 80; ++i) {
+    Packet frame = MakeUdpPacket(
+        {config.internal_mac, host_mac, Ipv4Address(192, 168, 1, static_cast<u8>(2 + i % 8)),
+         Ipv4Address(8, 8, 8, 8), static_cast<u16>(5000 + i), 53},
+        std::vector<u8>{'q', static_cast<u8>(i)});
+    frame.set_src_port(1);
+    target.Inject(1, std::move(frame));
+    Advance(target, mode, i % 9 == 0 ? 800 : 110);  // back-pressure most frames
+  }
+  Advance(target, mode, 20'000);
+
+  RunDigest digest;
+  digest.Capture(target, metrics);
+  return digest;
+}
+
+RunDigest RunMemcachedSaturated(Mode mode) {
+  MemcachedConfig config;
+  config.cores = 4;
+  MemcachedService service(config);
+  FpgaTarget target(service);
+  target.sim().SetFastPath(mode != Mode::kExact);
+  MetricsRegistry metrics;
+  service.RegisterMetrics(metrics);
+
+  MemaslapConfig workload;
+  workload.server_mac = config.mac;
+  workload.server_ip = config.ip;
+  workload.key_space = 40;
+  MemaslapLoadgen loadgen(workload);
+  for (usize i = 0; i < loadgen.prewarm_count(); ++i) {
+    target.Inject(0, loadgen.PrewarmFrame(i));
+    Advance(target, mode, 250);
+  }
+  for (usize i = 0; i < 100; ++i) {
+    target.Inject(static_cast<u8>(i % 4), loadgen.WorkloadFrame(i));
+    Advance(target, mode, i % 11 == 0 ? 900 : 130);
+  }
+  Advance(target, mode, 20'000);
+
+  RunDigest digest;
+  digest.Capture(target, metrics);
+  return digest;
+}
+
+FaultDigest RunNatUnderFaultsSaturated(Mode mode) {
+  NatConfig config;
+  config.max_mappings = 64;
+  NatService service(config);
+  FpgaTarget target(service);
+  target.sim().SetFastPath(mode != Mode::kExact);
+  MetricsRegistry metrics;
+  service.RegisterMetrics(metrics);
+
+  FaultRegistry registry(7);
+  service.RegisterFaultPoints(registry);
+  target.sim().AttachFaultRegistry(&registry);
+  const auto plan =
+      ParseFaultPlan("nat.table_full burst 2000 9000 0.5; nat.flows bernoulli 0.001");
+  if (!plan.ok()) {
+    ADD_FAILURE() << "bad fault plan: " << plan.status().ToString();
+    return FaultDigest{};
+  }
+  registry.ArmPlan(*plan);
+
+  const MacAddress host_mac = MacAddress::FromU48(0x02'00'00'00'11'10);
+  for (usize i = 0; i < 70; ++i) {
+    Packet frame = MakeUdpPacket(
+        {config.internal_mac, host_mac,
+         Ipv4Address(192, 168, 1, static_cast<u8>(2 + i % 100)), Ipv4Address(8, 8, 8, 8),
+         static_cast<u16>(1024 + i), 53},
+        std::vector<u8>{'p'});
+    frame.set_src_port(1);
+    target.Inject(1, std::move(frame));
+    Advance(target, mode, i % 8 == 0 ? 700 : 120);
+  }
+  Advance(target, mode, 20'000);
+
+  FaultDigest digest;
+  digest.run.Capture(target, metrics);
+  digest.faults_fired = registry.fired_total();
+  digest.log_digest = registry.LogDigest();
+  target.sim().AttachFaultRegistry(nullptr);
+  return digest;
+}
+
+constexpr Mode kDefaultModes[] = {Mode::kDefault, Mode::kThreads4};
+
+const char* ModeName(Mode mode) {
+  return mode == Mode::kDefault ? "default vs exact" : "threads=4 vs exact";
+}
+
+void ExpectSaturatedEquivalent(RunDigest (*workload)(Mode)) {
+  const RunDigest exact = workload(Mode::kExact);
+  ASSERT_GT(exact.egress_count, 0u);
+  for (Mode mode : kDefaultModes) {
+    SCOPED_TRACE(ModeName(mode));
+    ExpectEquivalent(workload(mode), exact);
+  }
+}
+
+TEST(KernelEquivalence, LearningSwitchSaturatedBitExact) {
+  ExpectSaturatedEquivalent(RunLearningSwitchSaturated);
+}
+
+TEST(KernelEquivalence, NatSaturatedBitExact) { ExpectSaturatedEquivalent(RunNatSaturated); }
+
+TEST(KernelEquivalence, MemcachedSaturatedBitExact) {
+  ExpectSaturatedEquivalent(RunMemcachedSaturated);
+}
+
+TEST(KernelEquivalence, NatUnderFaultPlanSaturatedBitExact) {
+  const FaultDigest exact = RunNatUnderFaultsSaturated(Mode::kExact);
+  ASSERT_GT(exact.run.egress_count, 0u);
+  ASSERT_GT(exact.faults_fired, 0u);
+  for (Mode mode : kDefaultModes) {
+    SCOPED_TRACE(ModeName(mode));
+    const FaultDigest got = RunNatUnderFaultsSaturated(mode);
+    ExpectEquivalent(got.run, exact.run);
+    EXPECT_EQ(got.faults_fired, exact.faults_fired);
+    EXPECT_EQ(got.log_digest, exact.log_digest);
+  }
+}
+
+// RunOptions{threads = N} on a single clock domain executes on the serial
+// kernel: any N must produce the identical exchange.
+TEST(KernelEquivalence, RunOptionsThreadCountIsUniform) {
+  auto exchange = [](usize threads) {
+    LearningSwitch service;
+    FpgaTarget target(service);
+    target.Inject(0, MakeUdpPacket({MacAddress::Broadcast(), kHostMacs[0], kHostIps[0],
+                                    Ipv4Address(10, 0, 0, 99), 1, 2},
+                                   std::vector<u8>{42}));
+    EXPECT_TRUE(target.RunUntilEgress(FpgaTarget::RunOptions{.threads = threads,
+                                                             .limit = 100'000}));
+    const auto egress = target.TakeEgress();
+    return std::make_pair(target.sim().now(), DigestEgress(egress));
+  };
+  EXPECT_EQ(exchange(1), exchange(4));
+}
+
+// Counts edges: while one is attached every cycle must execute.
+class EdgeCounter : public EdgeObserver {
+ public:
+  void OnEdge(Cycle now) override {
+    if (count_ == 0) {
+      first_ = now;
+    }
+    last_ = now;
+    ++count_;
+  }
+  u64 count() const { return count_; }
+  Cycle first() const { return first_; }
+  Cycle last() const { return last_; }
+
+ private:
+  u64 count_ = 0;
+  Cycle first_ = 0;
+  Cycle last_ = 0;
+};
+
+// Attaching an EdgeObserver mid-run must switch the kernel to gapless
+// per-edge stepping for the observed span, keep digests bit-exact, and
+// resume fast-forwarding after detach.
+TEST(KernelEquivalence, EdgeObserverMidRunStepsGapless) {
+  auto run = [](EdgeCounter* counter) {
+    LearningSwitch service;
+    FpgaTarget target(service);
+    MetricsRegistry metrics;
+    service.RegisterMetrics(metrics);
+
+    for (usize i = 0; i < 40; ++i) {
+      const u8 src = static_cast<u8>(i % 4);
+      target.Inject(src, MakeUdpPacket({MacAddress::Broadcast(), kHostMacs[src],
+                                        kHostIps[src], Ipv4Address(10, 0, 0, 99), 1, 2},
+                                       std::vector<u8>{static_cast<u8>(i)}));
+      target.Run(150);
+    }
+    if (counter != nullptr) {
+      target.sim().AttachEdgeObserver(counter);
+    }
+    for (usize i = 0; i < 40; ++i) {
+      const u8 src = static_cast<u8>(i % 4);
+      const u8 dst = static_cast<u8>((i + 1) % 4);
+      target.Inject(src, MakeUdpPacket({kHostMacs[dst], kHostMacs[src], kHostIps[src],
+                                        kHostIps[dst], 7, 9},
+                                       std::vector<u8>{static_cast<u8>(i)}));
+      target.Run(150);
+    }
+    if (counter != nullptr) {
+      target.sim().DetachEdgeObserver(counter);
+    }
+    target.Run(30'000);
+
+    RunDigest digest;
+    digest.Capture(target, metrics);
+    return digest;
+  };
+
+  EdgeCounter counter;
+  const RunDigest observed = run(&counter);
+  const RunDigest unobserved = run(nullptr);
+
+  // The observer saw every single edge of its span: 40 injections * 150
+  // cycles, gapless — proof fast-forward stood down.
+  EXPECT_EQ(counter.count(), 40u * 150u);
+  EXPECT_EQ(counter.last() - counter.first() + 1, counter.count());
+
+  // And observation changed nothing observable.
+  EXPECT_EQ(observed.final_now, unobserved.final_now);
+  EXPECT_EQ(observed.egress_count, unobserved.egress_count);
+  EXPECT_EQ(observed.egress_digest, unobserved.egress_digest);
+  EXPECT_EQ(observed.metrics, unobserved.metrics);
+  EXPECT_EQ(observed.resumes_total, unobserved.resumes_total);
+  EXPECT_EQ(observed.edges_run + observed.cycles_fast_forwarded,
+            unobserved.edges_run + unobserved.cycles_fast_forwarded);
+  EXPECT_GT(observed.cycles_fast_forwarded, 0u);  // fast-forward resumed after detach
 }
 
 // --- VCD equivalence --------------------------------------------------------------
@@ -627,12 +903,7 @@ FaultDigest RunImpairedSwitch(bool fast_path) {
   target.Run(100'000);
 
   FaultDigest digest;
-  digest.run.final_now = target.sim().now();
-  const auto egress = target.TakeEgress();
-  digest.run.egress_count = egress.size();
-  digest.run.egress_digest = DigestEgress(egress);
-  digest.run.metrics = metrics.Snapshot();
-  digest.run.CaptureProfile(target.sim());
+  digest.run.Capture(target, metrics);
   digest.faults_fired = registry.fired_total();
   digest.log_digest = registry.LogDigest();
   digest.log_digest = digest.log_digest * kFnvPrime ^ tap.delayed();
@@ -749,7 +1020,7 @@ TEST(ProfileReportTest, CountsResumesAndJumps) {
   SyncFifo<int> fifo(sim, "f", 8, 32);
   std::vector<int> log;
   sim.AddProcess(Consumer(fifo, log, 1), "consumer");
-  sim.EnableProfiling(true);
+  sim.SetProfilingMode(ProfilingMode::kFull);
   fifo.Push(1);
   sim.Run(10'000);
 
@@ -761,6 +1032,34 @@ TEST(ProfileReportTest, CountsResumesAndJumps) {
   EXPECT_GT(profile.cycles_fast_forwarded, 0u);  // parked consumer quiesces
   EXPECT_GT(profile.jumps, 0u);
   EXPECT_EQ(profile.edges_run + profile.cycles_fast_forwarded, 10'000u);
+}
+
+HwProcess CountEveryEdge(Reg<u64>& counter) {
+  for (;;) {
+    counter.Write(counter.Read() + 1);
+    co_await Pause();
+  }
+}
+
+// A process that suspends on Pause() leaves itself runnable, so every edge
+// is due: Run scans for a quiescent window only before the first edge, and
+// still matches the exact reference edge for edge.
+TEST(ProfileReportTest, RunnableProcessSkipsQuiescenceScan) {
+  const auto run = [](bool fast_path) {
+    Simulator sim;
+    sim.SetFastPath(fast_path);
+    sim.SetProfilingMode(ProfilingMode::kFull);
+    Reg<u64> counter(sim, 0);
+    sim.AddProcess(CountEveryEdge(counter), "counter");
+    sim.Run(10'000);
+    return std::make_pair(counter.Read(), sim.ProfileReport());
+  };
+  const auto [fast_count, fast] = run(true);
+  const auto [exact_count, exact] = run(false);
+  EXPECT_EQ(fast.quiescence_scan.calls, 1u);
+  EXPECT_EQ(fast_count, exact_count);
+  EXPECT_EQ(fast.edges_run, exact.edges_run);
+  EXPECT_EQ(fast.edges_run, 10'000u);
 }
 
 }  // namespace
