@@ -11,8 +11,9 @@
 //
 // Invariants checked per service run (any violation exits nonzero):
 //   - no crash and, under a sanitizer build, no sanitizer finding;
-//   - no hazard report from the attached HazardMonitor (faults must surface
-//     as degradation or counted drops, never as kernel-rule violations);
+//   - no hazard report from the attached HazardMonitor, COMBLOOP over the
+//     observed graph included (faults must surface as degradation or counted
+//     drops, never as kernel-rule violations);
 //   - counters balance: frames injected == egressed + pipeline drops +
 //     service drops (nothing vanishes unaccounted);
 //   - bounded recovery: after the plan is disarmed and the pipeline drains,
@@ -425,6 +426,7 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
   out.recovered = probe_ok >= 8;
 
 #ifdef EMU_ANALYSIS
+  monitor.AnalyzeCombinationalGraph();
   out.hazards = monitor.reports().size();
   if (out.hazards != 0) {
     out.detail = monitor.Summary();

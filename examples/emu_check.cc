@@ -3,16 +3,17 @@
 //
 //   ./build/examples/emu_check             # run all designs, exit 1 on findings
 //   ./build/examples/emu_check --list      # list designs and checks
-//   ./build/examples/emu_check --dot nat   # also dump nat's dependency graph
+//   ./build/examples/emu_check --dot nat   # also dump nat's observed graph
 //
 // Each scenario instantiates a real design (the same construction as the
 // corresponding example binary), attaches a HazardMonitor to its Simulator,
-// drives representative traffic, then runs the static combinational-ordering
-// analysis over the observed dependency graph. Findings — multi-driven
-// register, combinational race, read-of-uninitialized, lost backpressure,
-// runaway process, post-mortem Step, combinational loop — are reported in
-// the shared emu-lint finding shape. A clean exit is the repo's design-rule
-// gate, wired into CI.
+// drives representative traffic, then lowers the IO each process was seen to
+// perform into an ElabGraph and runs emu-lint's COMBLOOP check on it
+// (HazardMonitor::ObservedGraph; --dot prints it in emu-lint's DOT format).
+// Findings — multi-driven register, combinational race, read-of-
+// uninitialized, lost backpressure, runaway process, post-mortem Step,
+// combinational loop — are reported in the shared emu-lint finding shape. A
+// clean exit is the repo's design-rule gate, wired into CI.
 //
 // Exit codes (the shared lint contract, src/analysis/finding.h):
 //   0  clean — no Severity::kError finding anywhere
@@ -33,6 +34,7 @@
 
 #ifdef EMU_ANALYSIS
 
+#include "src/analysis/elab/elab_graph.h"
 #include "src/core/targets.h"
 #include "src/debug/controller.h"
 #include "src/fault/fault_registry.h"
@@ -67,7 +69,7 @@ ScenarioResult Observe(const std::string& design, Simulator& sim, bool dot,
   drive();
   monitor.AnalyzeCombinationalGraph();
   if (dot) {
-    monitor.DumpDot(std::cout);
+    monitor.ObservedGraph(design).DumpDot(std::cout);
   }
   std::string summary = monitor.Summary();
   while (!summary.empty() && summary.back() == '\n') {

@@ -66,19 +66,7 @@ std::vector<Finding> Elaborate(const Simulator& sim, const std::string& design, 
   if (dot) {
     graph.DumpDot(std::cout);
   }
-  std::vector<Finding> findings = graph.Check();
-  // A design that cannot be statically scheduled is COMBLOOP territory and
-  // already reported; surface the schedule verdict only if it disagrees.
-  const elab::ScheduleResult schedule = graph.StaticSchedule();
-  if (!schedule.ok && findings.empty()) {
-    Finding f;
-    f.check = HazardKindName(HazardKind::kCombLoop);
-    f.severity = Severity::kError;
-    f.design = design;
-    f.message = schedule.error;
-    findings.push_back(std::move(f));
-  }
-  return findings;
+  return graph.Check();
 }
 
 // --- Designs -----------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <queue>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -35,9 +33,9 @@ std::string JoinNames(const std::vector<usize>& indices,
   return out;
 }
 
-// Iterative Tarjan SCC (the same shape the runtime monitor uses — recursion-
-// free so deep pipelines cannot overflow the stack). Returns SCCs with
-// members sorted ascending, ordered by smallest member.
+// Iterative Tarjan SCC (recursion-free so deep pipelines cannot overflow the
+// stack). Returns SCCs with members sorted ascending, ordered by smallest
+// member.
 std::vector<std::vector<usize>> StronglyConnected(
     const std::vector<std::vector<usize>>& adjacency) {
   const usize n = adjacency.size();
@@ -109,6 +107,11 @@ std::vector<std::vector<usize>> StronglyConnected(
 }  // namespace
 
 ElabGraph ElabGraph::FromSimulator(const Simulator& sim, std::string design) {
+  return FromIo(sim, sim.catalog().io(), std::move(design));
+}
+
+ElabGraph ElabGraph::FromIo(const Simulator& sim, const std::vector<ProcessIo>& io,
+                            std::string design) {
   ElabGraph graph;
   graph.design_ = std::move(design);
 
@@ -162,7 +165,6 @@ ElabGraph ElabGraph::FromSimulator(const Simulator& sim, std::string design) {
     return index;
   };
 
-  const std::vector<ProcessIo>& io = catalog.io();
   graph.processes_.resize(sim.process_count());
   for (usize p = 0; p < sim.process_count(); ++p) {
     ElabProcess& process = graph.processes_[p];
@@ -201,7 +203,8 @@ bool ElabGraph::fully_declared() const {
   return true;
 }
 
-std::vector<std::vector<usize>> ElabGraph::CombEdges() const {
+void ElabGraph::CheckCombLoops(std::vector<Finding>& out) const {
+  // Comb dependency edges: writer process -> reader process through a wire.
   std::vector<std::vector<usize>> adjacency(processes_.size());
   for (const ElabNode& node : nodes_) {
     if (node.kind != NodeKind::kWire) {
@@ -216,11 +219,6 @@ std::vector<std::vector<usize>> ElabGraph::CombEdges() const {
       }
     }
   }
-  return adjacency;
-}
-
-void ElabGraph::CheckCombLoops(std::vector<Finding>& out) const {
-  const auto adjacency = CombEdges();
   for (const auto& scc : StronglyConnected(adjacency)) {
     if (scc.size() < 2) {
       continue;
@@ -447,70 +445,6 @@ std::vector<Finding> ElabGraph::Check() const {
   CheckDeadProcesses(out);
   CheckFifoDeadlocks(out);
   return out;
-}
-
-ScheduleResult ElabGraph::StaticSchedule() const {
-  const usize n = processes_.size();
-  std::vector<std::vector<usize>> adjacency = CombEdges();
-  // An undeclared process may touch anything: pin it to its registration
-  // slot by ordering it after every earlier process and before every later
-  // one. Declared processes reorder only where declared dataflow forces it.
-  for (usize u = 0; u < n; ++u) {
-    if (processes_[u].declared) {
-      continue;
-    }
-    for (usize p = 0; p < n; ++p) {
-      if (p < u) {
-        adjacency[p].push_back(u);
-      } else if (p > u) {
-        adjacency[u].push_back(p);
-      }
-    }
-  }
-  std::vector<usize> indegree(n, 0);
-  for (const auto& edges : adjacency) {
-    for (usize to : edges) {
-      ++indegree[to];
-    }
-  }
-  // Kahn with a min-heap on registration index: the minimal-lexicographic
-  // topological order. When registration order is already valid (no
-  // COMBRACE, no COMBLOOP) the result IS registration order, which is what
-  // makes AdoptSchedule bit-exact by construction on clean designs.
-  std::priority_queue<usize, std::vector<usize>, std::greater<>> ready;
-  for (usize p = 0; p < n; ++p) {
-    if (indegree[p] == 0) {
-      ready.push(p);
-    }
-  }
-  ScheduleResult result;
-  result.order.reserve(n);
-  while (!ready.empty()) {
-    const usize p = ready.top();
-    ready.pop();
-    result.order.push_back(p);
-    for (usize to : adjacency[p]) {
-      if (--indegree[to] == 0) {
-        ready.push(to);
-      }
-    }
-  }
-  if (result.order.size() != n) {
-    std::string stuck;
-    for (usize p = 0; p < n; ++p) {
-      if (indegree[p] > 0) {
-        if (!stuck.empty()) {
-          stuck += ", ";
-        }
-        stuck += processes_[p].name;
-      }
-    }
-    result.error = "combinational cycle prevents a static schedule (processes: " + stuck + ")";
-    result.order.clear();
-    return result;
-  }
-  result.ok = true;
-  return result;
 }
 
 void ElabGraph::DumpDot(std::ostream& os) const {

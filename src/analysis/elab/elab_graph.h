@@ -1,5 +1,6 @@
 // Whole-design IR materialized from a constructed (but not yet stepped)
-// design — the static half of emu-check.
+// design — the static half of emu-check, and the one graph implementation in
+// src/analysis.
 //
 // Verilator proves RTL lint can run at elaboration; the same is true here
 // because the HDL layer records everything needed at construction time: the
@@ -8,19 +9,17 @@
 // read/write sets (elab::IoDecl). FromSimulator() resolves those
 // declarations into a bipartite graph — element nodes with
 // writer/reader/pusher/popper process lists, process nodes with resolved
-// element indices — over which the static checks and StaticSchedule() run.
+// element indices — over which the static checks and DumpDot() run.
+// FromIo() builds the same graph from any per-process IO record; the
+// runtime HazardMonitor uses it to lower the IO it observed
+// (HazardMonitor::ObservedGraph), so both passes share one Tarjan and one
+// DOT writer.
 //
 // Checks that only need the declared edges they inspect (COMBLOOP,
 // MULTIDRIVEN, COMBRACE) always run; checks that assert the *absence* of an
 // edge anywhere in the design (DEADSIGNAL, DEADPROCESS, FIFODEADLOCK) are
 // meaningless on a partially-declared design and only run when every
 // process declared its IO (`fully_declared()`).
-//
-// StaticSchedule() is the emu-speed landing pad: a topological order of
-// processes consistent with declared wire dataflow, minimal-lexicographic on
-// registration index, so a design whose registration order is already valid
-// gets back exactly that order — which is what makes Simulator::
-// AdoptSchedule() provably bit-exact for race-free designs.
 #ifndef SRC_ANALYSIS_ELAB_ELAB_GRAPH_H_
 #define SRC_ANALYSIS_ELAB_ELAB_GRAPH_H_
 
@@ -69,12 +68,6 @@ struct ElabProcess {
   std::vector<usize> pushes;
 };
 
-struct ScheduleResult {
-  bool ok = false;
-  std::vector<usize> order;  // permutation of process indices when ok
-  std::string error;         // cycle description when !ok
-};
-
 class ElabGraph {
  public:
   // Materializes the IR from `sim`'s catalog and process table. `design`
@@ -82,6 +75,11 @@ class ElabGraph {
   // element the catalog never saw produce an implicit node (the completeness
   // checks then flag the missing half).
   static ElabGraph FromSimulator(const Simulator& sim, std::string design = "");
+  // Same, with the per-process IO taken from `io` (indexed by registration
+  // index) instead of the catalog's declarations; elements still come from
+  // the catalog.
+  static ElabGraph FromIo(const Simulator& sim, const std::vector<ProcessIo>& io,
+                          std::string design);
 
   const std::vector<ElabNode>& nodes() const { return nodes_; }
   const std::vector<ElabProcess>& processes() const { return processes_; }
@@ -103,23 +101,11 @@ class ElabGraph {
   void CheckDeadProcesses(std::vector<Finding>& out) const;  // DEADPROCESS (gated)
   void CheckFifoDeadlocks(std::vector<Finding>& out) const;  // FIFODEADLOCK (gated)
 
-  // Topological process order consistent with declared wire dataflow.
-  // Undeclared processes are pinned to their registration slots (they may
-  // touch anything, so nothing may move across them); declared processes
-  // reorder only where dataflow requires it. Fails iff the declared comb
-  // graph is cyclic (i.e. CheckCombLoops would report).
-  ScheduleResult StaticSchedule() const;
-
   // Graphviz dump of the elaborated design (processes as boxes, elements as
   // ellipses, edges by role).
   void DumpDot(std::ostream& os) const;
 
  private:
-  // Comb dependency edges: writer process -> reader process through a wire,
-  // self-edges skipped (reading your own wire is a blocking assignment, not
-  // a cycle). Used by both CheckCombLoops and StaticSchedule.
-  std::vector<std::vector<usize>> CombEdges() const;
-
   std::string design_;
   std::vector<ElabNode> nodes_;
   std::vector<ElabProcess> processes_;

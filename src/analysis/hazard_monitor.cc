@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
-#include <ostream>
 #include <sstream>
 
+#include "src/analysis/elab/elab_graph.h"
 #include "src/hdl/simulator.h"
 
 namespace emu {
@@ -73,7 +72,6 @@ HazardMonitor::ElementState& HazardMonitor::Element(ElementKind kind, const void
   ElementState& state = elements_[id];
   if (state.name.empty()) {
     state.name = Label(kind, id, name);
-    state.kind = kind;
   }
   return state;
 }
@@ -198,9 +196,6 @@ void HazardMonitor::OnRegRead(const void* id, const std::string& name, bool unin
 void HazardMonitor::OnWireWrite(const void* id, const std::string& name) {
   ElementState& e = Element(ElementKind::kWire, id, name);
   const isize p = sim_.current_process_index();
-  e.written = true;
-  e.last_writer = p;
-  e.last_write_cycle = sim_.now();
   if (p >= 0) {
     e.writers.insert(p);
   }
@@ -241,9 +236,6 @@ void HazardMonitor::OnFifoPush(const void* id, const std::string& name, bool acc
   const isize p = sim_.current_process_index();
   const Cycle now = sim_.now();
   if (accepted) {
-    e.written = true;
-    e.last_writer = p;
-    e.last_write_cycle = now;
     if (p >= 0) {
       e.writers.insert(p);
     }
@@ -278,171 +270,41 @@ void HazardMonitor::OnPostMortemStep(usize dead_elements) {
   }
 }
 
+elab::ElabGraph HazardMonitor::ObservedGraph(std::string design) const {
+  std::vector<elab::ProcessIo> io(sim_.process_count(), elab::ProcessIo{.declared = true});
+  for (const elab::ElementDecl& decl : sim_.catalog().elements()) {
+    const auto it = elements_.find(decl.id);
+    if (it == elements_.end()) {
+      continue;
+    }
+    const bool fifo = decl.kind == elab::NodeKind::kFifo;
+    for (const isize w : it->second.writers) {
+      elab::ProcessIo& process = io[static_cast<usize>(w)];
+      (fifo ? process.pushes : process.writes).ids.push_back(decl.id);
+    }
+    for (const isize r : it->second.readers) {
+      elab::ProcessIo& process = io[static_cast<usize>(r)];
+      (fifo ? process.pops : process.reads).ids.push_back(decl.id);
+    }
+  }
+  return elab::ElabGraph::FromIo(sim_, io, std::move(design));
+}
+
 usize HazardMonitor::AnalyzeCombinationalGraph() {
-  // Process -> process edges induced by wires: writer w feeds reader r when
-  // some wire has w in writers and r in readers. Regs and FIFOs are clocked
-  // and therefore break combinational paths; only wires create same-cycle
-  // dependencies. A non-trivial strongly connected component means no
-  // registration order can deliver fresh values to every reader.
-  std::map<isize, std::set<isize>> adjacency;
-  std::map<std::pair<isize, isize>, std::string> edge_wire;
-  for (const auto& [id, e] : elements_) {
-    (void)id;
-    if (e.kind != ElementKind::kWire) {
-      continue;
-    }
-    for (const isize w : e.writers) {
-      for (const isize r : e.readers) {
-        if (w == r) {
-          continue;  // same-process scratch use is a blocking assignment, fine
-        }
-        adjacency[w].insert(r);
-        edge_wire.try_emplace({w, r}, e.name);
-      }
-    }
-  }
-
-  // Tarjan SCC, iterative.
-  std::map<isize, usize> index_of;
-  std::map<isize, usize> lowlink;
-  std::map<isize, bool> on_stack;
-  std::vector<isize> stack;
-  usize next_index = 0;
-  std::vector<std::vector<isize>> sccs;
-
-  struct Frame {
-    isize node;
-    std::set<isize>::const_iterator next;
-  };
-  for (const auto& [root, unused] : adjacency) {
-    (void)unused;
-    if (index_of.count(root) != 0) {
-      continue;
-    }
-    std::vector<Frame> frames;
-    index_of[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    frames.push_back({root, adjacency[root].begin()});
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
-      const auto& edges = adjacency[frame.node];
-      if (frame.next != edges.end()) {
-        const isize child = *frame.next;
-        ++frame.next;
-        if (adjacency.count(child) == 0) {
-          // Sink with no outgoing edges: trivially its own SCC.
-          if (index_of.count(child) == 0) {
-            index_of[child] = lowlink[child] = next_index++;
-          }
-          continue;
-        }
-        if (index_of.count(child) == 0) {
-          index_of[child] = lowlink[child] = next_index++;
-          stack.push_back(child);
-          on_stack[child] = true;
-          frames.push_back({child, adjacency[child].begin()});
-        } else if (on_stack[child]) {
-          lowlink[frame.node] = std::min(lowlink[frame.node], index_of[child]);
-        }
-        continue;
-      }
-      if (lowlink[frame.node] == index_of[frame.node]) {
-        std::vector<isize> scc;
-        for (;;) {
-          const isize n = stack.back();
-          stack.pop_back();
-          on_stack[n] = false;
-          scc.push_back(n);
-          if (n == frame.node) {
-            break;
-          }
-        }
-        if (scc.size() >= 2) {
-          sccs.push_back(std::move(scc));
-        }
-      }
-      const isize done = frame.node;
-      frames.pop_back();
-      if (!frames.empty()) {
-        lowlink[frames.back().node] = std::min(lowlink[frames.back().node], lowlink[done]);
-      }
-    }
-  }
-
+  std::vector<Finding> loops;
+  ObservedGraph().CheckCombLoops(loops);
   usize added = 0;
-  for (auto& scc : sccs) {
-    std::sort(scc.begin(), scc.end());
-    std::ostringstream key;
-    std::ostringstream members;
-    std::set<std::string> wires;
-    for (usize i = 0; i < scc.size(); ++i) {
-      key << scc[i] << ",";
-      members << (i == 0 ? "" : " <-> ") << ProcessLabel(scc[i]);
-      for (const isize other : scc) {
-        auto it = edge_wire.find({scc[i], other});
-        if (it != edge_wire.end()) {
-          wires.insert(it->second);
-        }
-      }
-    }
-    if (!comb_cycles_seen_.insert(key.str()).second) {
+  for (Finding& loop : loops) {
+    if (!comb_cycles_seen_.insert(loop.subject).second) {
       continue;
     }
-    std::ostringstream msg;
-    msg << "combinational cycle among processes {" << members.str() << "} via wire(s) {";
-    bool first = true;
-    for (const std::string& w : wires) {
-      msg << (first ? "" : ", ") << w;
-      first = false;
-    }
-    msg << "}: no registration order satisfies every same-cycle read";
-    std::string signal = wires.empty() ? std::string() : *wires.begin();
-    if (Report(HazardKind::kCombLoop, nullptr, scc.front(), scc.back(), sim_.now(),
-               std::move(signal), ProcessLabel(scc.front()), msg.str())) {
+    // Each cycle gets its own dedup key: the count of cycles seen so far.
+    if (Report(HazardKind::kCombLoop, nullptr, static_cast<isize>(comb_cycles_seen_.size()), 0,
+               sim_.now(), "", std::move(loop.subject), std::move(loop.message))) {
       ++added;
     }
   }
   return added;
-}
-
-void HazardMonitor::DumpDot(std::ostream& os) const {
-  os << "digraph emu_design {\n  rankdir=LR;\n";
-  for (usize i = 0; i < process_names_.size(); ++i) {
-    os << "  p" << i << " [shape=box,label=\"" << ProcessLabel(static_cast<isize>(i))
-       << "\"];\n";
-  }
-  // Deterministic element order despite the unordered map.
-  std::vector<const ElementState*> ordered;
-  ordered.reserve(elements_.size());
-  for (const auto& [id, e] : elements_) {
-    (void)id;
-    ordered.push_back(&e);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ElementState* a, const ElementState* b) { return a->name < b->name; });
-  bool testbench_used = false;
-  for (usize i = 0; i < ordered.size(); ++i) {
-    const ElementState& e = *ordered[i];
-    const char* shape = e.kind == ElementKind::kReg    ? "ellipse"
-                        : e.kind == ElementKind::kWire ? "diamond"
-                                                       : "cds";
-    os << "  s" << i << " [shape=" << shape << ",label=\"" << e.name << "\"];\n";
-    for (const isize w : e.writers) {
-      os << "  p" << w << " -> s" << i << ";\n";
-    }
-    if (e.written && e.last_writer < 0) {
-      os << "  tb -> s" << i << " [style=dashed];\n";
-      testbench_used = true;
-    }
-    for (const isize r : e.readers) {
-      os << "  s" << i << " -> p" << r << ";\n";
-    }
-  }
-  if (testbench_used) {
-    os << "  tb [shape=plaintext,label=\"testbench\"];\n";
-  }
-  os << "}\n";
 }
 
 }  // namespace emu

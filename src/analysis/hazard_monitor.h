@@ -3,10 +3,12 @@
 // A monitor attaches to one Simulator and observes kernel events through the
 // hooks the HDL layer emits when built with EMU_ANALYSIS (the default): Reg
 // and Wire accesses, SyncFifo push/pop traffic, process resumes, and
-// post-mortem Step() detection. From that stream it enforces the design
-// rules in hazard.h and accumulates a process/signal dependency graph, which
-// doubles as the input to the static half — combinational-ordering cycle
-// detection (AnalyzeCombinationalGraph) and the DOT dump.
+// post-mortem Step() detection. From that stream it enforces the runtime
+// design rules in hazard.h and records which processes wrote and read each
+// element. ObservedGraph() lowers that record into the same elab::ElabGraph
+// the static pass builds from declarations, so combinational-loop detection
+// (AnalyzeCombinationalGraph) and the DOT dump share one implementation with
+// emu-lint.
 //
 // Cost model: with EMU_ANALYSIS compiled in but no monitor attached, every
 // hook is a single pointer test; with the CMake option OFF the hooks do not
@@ -15,7 +17,6 @@
 #define SRC_ANALYSIS_HAZARD_MONITOR_H_
 
 #include <array>
-#include <iosfwd>
 #include <set>
 #include <string>
 #include <tuple>
@@ -28,6 +29,10 @@
 namespace emu {
 
 class Simulator;
+
+namespace elab {
+class ElabGraph;
+}  // namespace elab
 
 class HazardMonitor {
  public:
@@ -61,15 +66,17 @@ class HazardMonitor {
   // One line per report plus a totals line; "clean" text when empty.
   std::string Summary() const;
 
-  // --- Static half ---
-  // Runs combinational-ordering cycle detection over the observed
-  // process/wire dependency graph; appends one kCombLoop report per cycle
-  // found and returns how many were added. Idempotent across repeat calls.
+  // --- Observed design graph ---
+  // The IO every process has been seen to perform, as an ElabGraph in which
+  // every process counts as declared: element writers become writes (pushes
+  // for FIFOs), readers become reads (pops). Elements follow catalog order,
+  // so the graph and its DumpDot() are deterministic. `design` labels it.
+  elab::ElabGraph ObservedGraph(std::string design = "") const;
+  // Runs ElabGraph::CheckCombLoops over ObservedGraph(); appends one
+  // kCombLoop report per cycle not reported before (process = the cycle's
+  // process names, the same subject emu-lint gives a declared loop) and
+  // returns how many were added. Idempotent across repeat calls.
   usize AnalyzeCombinationalGraph();
-  // Graphviz dump of the observed design: process nodes (boxes), signal
-  // nodes (ellipses/diamonds), write edges process->signal and read edges
-  // signal->process.
-  void DumpDot(std::ostream& os) const;
 
   // --- Kernel hooks (called by src/hdl when EMU_ANALYSIS is compiled) ---
   enum class ElementKind : u8 { kReg, kWire, kFifo };
@@ -87,15 +94,15 @@ class HazardMonitor {
  private:
   struct ElementState {
     std::string name;
-    ElementKind kind = ElementKind::kReg;
-    // Last committed write, for the multi-driver check.
+    // Last Reg write, for the multi-driver check.
     isize last_writer = kTestbench;
     Cycle last_write_cycle = 0;
     bool written = false;
     // Last CanPush query, for the lost-backpressure check.
     Cycle last_canpush_cycle = 0;
     bool canpush_seen = false;
-    // Dependency graph: every process that ever wrote/read this element.
+    // Observed IO (ObservedGraph): every process that ever wrote (pushed) or
+    // read (popped) this element.
     std::set<isize> writers;
     std::set<isize> readers;
   };
@@ -118,7 +125,6 @@ class HazardMonitor {
   std::unordered_map<const void*, ElementState> elements_;
   std::vector<std::string> process_names_;
   std::vector<bool> runaway_reported_;
-  isize resumed_process_ = kTestbench;
   u64 events_this_resume_ = 0;
   bool post_mortem_reported_ = false;
   std::set<std::string> comb_cycles_seen_;

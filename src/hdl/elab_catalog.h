@@ -6,8 +6,8 @@
 // Simulator::AddProcess. The catalog is pure bookkeeping — it enforces
 // nothing. The static half of emu-check (src/analysis/elab) reads it to
 // materialize a whole-design IR *before* a single cycle runs: that is what
-// makes elaboration-time lint and schedule inference possible, where the
-// HazardMonitor only ever sees the edges a workload happens to exercise.
+// makes elaboration-time lint possible, where the HazardMonitor only ever
+// sees the edges a workload happens to exercise.
 //
 // Identity: elements are keyed by object address (the same convention the
 // HazardMonitor uses). IO declarations may also reference elements by their

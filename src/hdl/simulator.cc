@@ -5,9 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <ostream>
 
-#include "src/analysis/elab/elaboration.h"
 #include "src/analysis/hazard_monitor.h"
 #include "src/core/metrics.h"
 #include "src/fault/fault_registry.h"
@@ -47,41 +45,7 @@ usize Simulator::AddProcess(HwProcess process, std::string name) {
   processes_.push_back(NamedProcess{std::move(process), std::move(name)});
   sched_.push_back(Slot{});
   stats_.push_back(ProcessStats{});
-  if (!order_.empty()) {
-    // A schedule was already adopted: late registrations run after it, in
-    // their own registration order.
-    order_.push_back(index);
-  }
   return index;
-}
-
-Status Simulator::AdoptSchedule(std::vector<usize> order) {
-  // Checked in every build: SweepProcesses indexes the slot table through
-  // the order unchecked, so anything but a permutation of the registration
-  // indices would read out of bounds or resume one process twice per edge.
-  const usize count = processes_.size();
-  if (order.size() != count) {
-    return InvalidArgument("schedule has " + std::to_string(order.size()) + " entries for " +
-                           std::to_string(count) + " processes");
-  }
-  std::vector<bool> seen(count, false);
-  for (usize index : order) {
-    if (index >= count) {
-      return InvalidArgument("schedule names process " + std::to_string(index) + " of " +
-                             std::to_string(count));
-    }
-    if (seen[index]) {
-      return InvalidArgument("schedule names process " + std::to_string(index) + " twice");
-    }
-    seen[index] = true;
-  }
-  order_ = std::move(order);
-  return Status::Ok();
-}
-
-void Simulator::RunPreFlight() {
-  preflight_done_ = true;  // set first: PreFlight may Step() via helpers
-  elaboration_->PreFlight(*this);
 }
 
 void Simulator::RegisterClocked(Clocked* element, bool self_announcing) {
@@ -177,9 +141,7 @@ inline u64 ElapsedNs(std::chrono::steady_clock::time_point start,
 
 void Simulator::SweepProcesses(bool lazy, bool timed) {
   const usize count = processes_.size();
-  const usize* order = order_.empty() ? nullptr : order_.data();
-  for (usize pos = 0; pos < count; ++pos) {
-    const usize i = order != nullptr ? order[pos] : pos;
+  for (usize i = 0; i < count; ++i) {
     Slot& slot = sched_[i];
     if (slot.state == Slot::kDone) {
       continue;
@@ -252,9 +214,6 @@ void Simulator::CommitEdge() {
 }
 
 void Simulator::Step() {
-  if (elaboration_ != nullptr && !preflight_done_) [[unlikely]] {
-    RunPreFlight();
-  }
   // Armed fault callback targets sample once per edge, before processes run
   // (the tick at `now_` precedes the edge at `now_`, matching the chaos
   // harness's historical `registry.Tick(now); Run(1);` order).
@@ -311,9 +270,7 @@ void Simulator::StepInstrumented() {
       std::abort();
     }
   }
-  const usize* order = order_.empty() ? nullptr : order_.data();
-  for (usize pos = 0; pos < processes_.size(); ++pos) {
-    const usize i = order != nullptr ? order[pos] : pos;
+  for (usize i = 0; i < processes_.size(); ++i) {
     current_process_ = static_cast<isize>(i);
     if (monitor_ != nullptr) {
       monitor_->OnProcessResume(i, processes_[i].name);
@@ -494,9 +451,6 @@ void Simulator::FastForward(Cycle cycles) {
 }
 
 bool Simulator::RunLoop(Cycle end, const std::function<bool()>* done) {
-  if (elaboration_ != nullptr && !preflight_done_) [[unlikely]] {
-    RunPreFlight();
-  }
   while (now_ < end) {
     // `done` is a pure function of simulation state (header contract), so it
     // cannot flip inside a quiescent window: checking once per executed edge
@@ -566,18 +520,6 @@ void Simulator::RegisterMetrics(MetricsRegistry& metrics, const std::string& pre
   metrics.Register(prefix + ".jumps", &jumps_);
   metrics.RegisterGauge(prefix + ".live_processes",
                         [this] { return static_cast<u64>(live_process_count()); });
-}
-
-void Simulator::DumpDependencyGraph(std::ostream& os) const {
-  if (monitor_ != nullptr) {
-    monitor_->DumpDot(os);
-    return;
-  }
-  os << "digraph emu_design {\n  rankdir=LR;\n";
-  for (usize i = 0; i < processes_.size(); ++i) {
-    os << "  p" << i << " [shape=box,label=\"" << processes_[i].name << "\"];\n";
-  }
-  os << "}\n";
 }
 
 }  // namespace emu

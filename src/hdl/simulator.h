@@ -2,7 +2,9 @@
 //
 // Each Step() models one rising clock edge:
 //   1. every live HwProcess is resumed once, in registration order
-//      (processes observe only pre-edge values of clocked state);
+//      (processes observe only pre-edge values of clocked state; a wire
+//      read before its writer runs sees last cycle's value, which emu-lint
+//      and emu-check report as COMBRACE);
 //   2. every registered Clocked element commits its next-state
 //      (non-blocking-assignment update).
 // This is the substrate the Emu FPGA target runs on; the clock rate (200 MHz
@@ -71,12 +73,10 @@
 #define SRC_HDL_SIMULATOR_H_
 
 #include <functional>
-#include <iosfwd>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/core/arena.h"
 #include "src/hdl/elab_catalog.h"
@@ -89,10 +89,6 @@ class FaultRegistry;
 class HazardMonitor;
 class MetricsRegistry;
 class Simulator;
-
-namespace elab {
-class Elaboration;
-}  // namespace elab
 
 // Anything with per-edge commit semantics (Reg, SyncFifo, CAM write ports...).
 //
@@ -322,31 +318,11 @@ class Simulator {
 
   // --- Elaboration catalog (src/hdl/elab_catalog.h) ---
   // Construction-time record of the design: elements self-register here and
-  // design code declares per-process IO. Read by the static analysis pass
-  // (src/analysis/elab); never consulted by Step() itself.
+  // design code declares per-process IO. Read by src/analysis (the static
+  // ElabGraph and the HazardMonitor's observed graph); never consulted by
+  // Step() itself.
   elab::Catalog& catalog() { return catalog_; }
   const elab::Catalog& catalog() const { return catalog_; }
-
-  // Attaches a pre-flight elaboration (nullptr detaches): its PreFlight()
-  // runs once, at the first Step()/Run() after attachment, against the
-  // fully-constructed design. The elaboration object decides what to do with
-  // findings (collect for a test, echo, abort on errors) and must outlive
-  // the attachment.
-  void AttachElaboration(elab::Elaboration* elaboration) {
-    elaboration_ = elaboration;
-    preflight_done_ = false;
-  }
-  elab::Elaboration* elaboration() const { return elaboration_; }
-
-  // Adopts a static process execution order: Step() resumes processes in
-  // `order` (a permutation of current registration indices) instead of
-  // registration order. Produced by ElabGraph::StaticSchedule(); the
-  // equivalence suite proves adoption is bit-exact for race-free designs.
-  // Processes registered after adoption append to the end of the order.
-  // Returns InvalidArgument, leaving the current order in place, when
-  // `order` is short, long, out of range or repeats an index.
-  Status AdoptSchedule(std::vector<usize> order);
-  bool has_schedule() const { return !order_.empty(); }
 
   // Arena backing the design's coroutine frames; wrap process construction
   // in CoroFrameArenaScope(sim.frame_arena()) to pack frames contiguously
@@ -364,10 +340,6 @@ class Simulator {
   // processes / outside Step() (i.e. testbench context). Only maintained
   // while a monitor is attached.
   isize current_process_index() const { return current_process_; }
-
-  // Graphviz dump of the process/signal dependency graph observed by the
-  // attached monitor (process list only when no monitor is attached).
-  void DumpDependencyGraph(std::ostream& os) const;
 
  private:
   friend class Clocked;
@@ -457,9 +429,6 @@ class Simulator {
     u64 wall_ns = 0;
   };
 
-  // Runs the attached elaboration exactly once before the first edge.
-  void RunPreFlight();
-
   // Declared first so it is destroyed last: coroutine frames allocated from
   // the arena are destroyed (handle.destroy()) when processes_ dies, which
   // must happen while their storage is still alive.
@@ -469,11 +438,8 @@ class Simulator {
   Picoseconds cycle_period_ps_;
   Cycle now_ = 0;
   std::vector<NamedProcess> processes_;
-  std::vector<Slot> sched_;   // parallel to processes_
-  std::vector<usize> order_;  // adopted schedule; empty = registration order
+  std::vector<Slot> sched_;  // parallel to processes_
   elab::Catalog catalog_;
-  elab::Elaboration* elaboration_ = nullptr;
-  bool preflight_done_ = false;
   std::vector<Clocked*> clocked_;         // every registered element (master list)
   std::vector<Clocked*> always_commit_;   // subset committed on every edge
   std::vector<Clocked*> dirty_;           // self-announcing elements pending commit

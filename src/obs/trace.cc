@@ -10,7 +10,7 @@
 namespace emu::obs {
 
 #ifdef EMU_TRACE
-thread_local TraceBuffer* tls_trace_buffer = nullptr;
+thread_local constinit TraceBuffer* tls_trace_buffer = nullptr;
 #endif
 
 namespace {

@@ -26,8 +26,11 @@ class TraceBuffer;
 #ifdef EMU_TRACE
 // The buffer bound to this thread, or nullptr when tracing is detached.
 // Bound by TraceSession::Install() (main thread -> shard 0) and by the
-// parallel runner around each shard epoch.
-extern thread_local TraceBuffer* tls_trace_buffer;
+// parallel runner around each shard epoch. `constinit` tells the compiler the
+// pointer needs no dynamic initialisation, so loads read the variable
+// directly instead of going through the TLS init wrapper (which UBSan's null
+// check flags on parallel-runner worker threads).
+extern thread_local constinit TraceBuffer* tls_trace_buffer;
 
 inline TraceBuffer* ActiveBuffer() { return tls_trace_buffer; }
 #else

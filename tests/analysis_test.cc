@@ -1,10 +1,14 @@
 // emu-check analysis layer: one deliberately-buggy micro-design per hazard
 // class, each asserting the monitor reports it — plus clean designs asserting
-// it stays silent, registry/metadata checks, and the DOT dump.
+// it stays silent, registry/metadata checks, and the observed graph's
+// COMBLOOP finding and DOT dump.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
+#include "src/analysis/elab/elab_graph.h"
+#include "src/analysis/finding.h"
 #include "src/analysis/hazard.h"
 #include "src/analysis/hazard_monitor.h"
 #include "src/hdl/fifo.h"
@@ -310,7 +314,7 @@ TEST(AnalysisHooks, UnregisteredElementDeathIsClean) {
   EXPECT_FALSE(monitor.HasFindings());
 }
 
-// --- Hazard class 7: combinational dependency cycle (static half) ---
+// --- Hazard class 7: combinational dependency cycle (observed graph) ---
 
 HwProcess RelayWire(Wire<int>& in, Wire<int>& out) {
   for (;;) {
@@ -333,6 +337,37 @@ TEST(AnalysisHooks, DetectsCombinationalLoop) {
   // Idempotent: re-analysis does not duplicate the finding.
   EXPECT_EQ(monitor.AnalyzeCombinationalGraph(), 0u);
   EXPECT_EQ(monitor.CountOf(HazardKind::kCombLoop), 1u);
+}
+
+// The monitor lowers what it observed into the ElabGraph emu-lint builds from
+// declarations, so a loop yields the same finding from both passes and one
+// COMBLOOP suppression covers both tools.
+TEST(AnalysisHooks, ObservedAndDeclaredCombLoopAgree) {
+  Simulator sim;
+  HazardMonitor monitor(sim);
+  Wire<int> a(sim, "wire_a", 0);
+  Wire<int> b(sim, "wire_b", 0);
+  const usize p0 = sim.AddProcess(RelayWire(a, b), "a_to_b");
+  const usize p1 = sim.AddProcess(RelayWire(b, a), "b_to_a");
+  elab::IoDecl(sim.catalog(), p0).Reads(&a).Writes(&b);
+  elab::IoDecl(sim.catalog(), p1).Reads(&b).Writes(&a);
+  sim.Run(4);
+
+  std::vector<Finding> declared;
+  elab::ElabGraph::FromSimulator(sim).CheckCombLoops(declared);
+  ASSERT_EQ(declared.size(), 1u);
+  ASSERT_EQ(monitor.AnalyzeCombinationalGraph(), 1u);
+  const HazardReport* loop = nullptr;
+  for (const HazardReport& report : monitor.reports()) {
+    if (report.kind == HazardKind::kCombLoop) {
+      loop = &report;
+    }
+  }
+  ASSERT_NE(loop, nullptr);
+  const Finding observed = FindingFromReport(*loop, "");
+  EXPECT_EQ(observed.check, declared[0].check);
+  EXPECT_EQ(observed.subject, declared[0].subject);
+  EXPECT_EQ(observed.message, declared[0].message);
 }
 
 TEST(AnalysisHooks, AcyclicWirePipelineHasNoLoop) {
@@ -458,7 +493,7 @@ TEST(AnalysisHooks, DotDumpNamesProcessesAndSignals) {
   sim.AddProcess(CleanConsumer(fifo, total), "consumer");
   sim.Run(10);
   std::ostringstream os;
-  sim.DumpDependencyGraph(os);
+  monitor.ObservedGraph().DumpDot(os);
   const std::string dot = os.str();
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("producer"), std::string::npos);

@@ -2,10 +2,10 @@
 //
 // Every check in the static pass gets a deliberately-broken micro-design and
 // a minimally-different clean twin, so each finding is pinned to the exact
-// property it claims to detect. The schedule-inference half is proven the
-// only way that matters: adopt the inferred order on real designs (switch,
-// NAT, memcached) and require bit-exact agreement with registration-order
-// stepping.
+// property it claims to detect. The shipped designs (switch, NAT, memcached)
+// must elaborate with no finding at all and run bit-exact with and without
+// the pass: that is the proof they declare race-free IO in the registration
+// order the kernel steps them in.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -14,9 +14,7 @@
 #include <vector>
 
 #include "src/analysis/elab/elab_graph.h"
-#include "src/analysis/elab/elaboration.h"
 #include "src/analysis/finding.h"
-#include "src/core/metrics.h"
 #include "src/core/targets.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fault_registry.h"
@@ -127,7 +125,6 @@ TEST(ElabCheck, SelfLoopIsNotACombLoop) {
   const auto graph = elab::ElabGraph::FromSimulator(sim, "self");
   graph.CheckCombLoops(findings);
   EXPECT_TRUE(findings.empty());
-  EXPECT_TRUE(graph.StaticSchedule().ok);
 }
 
 // Satellite: two independent cycles are two findings, not one merged blob.
@@ -167,7 +164,6 @@ TEST(ElabCheck, RegisterBreaksCombLoop) {
   const auto graph = elab::ElabGraph::FromSimulator(sim, "feedback");
   graph.CheckCombLoops(findings);
   EXPECT_TRUE(findings.empty());
-  EXPECT_TRUE(graph.StaticSchedule().ok);
 }
 
 // --- MULTIDRIVEN / COMBRACE: declared-edge checks -----------------------------
@@ -331,154 +327,13 @@ TEST(ElabCheck, FaultTargetFlagsUnmatchedPattern) {
   EXPECT_EQ(findings[0].subject, "dns.cache");
 }
 
-// --- StaticSchedule: inference and adoption -----------------------------------
-
-TEST(StaticSchedule, IdentityWhenRegistrationOrderValid) {
-  Simulator sim;
-  Wire<int> w(sim, "pipe_wire", 0);
-  const usize writer = sim.AddProcess(Idle(), "writer");
-  const usize reader = sim.AddProcess(Idle(), "reader");
-  elab::IoDecl(sim.catalog(), writer).Writes(&w);
-  elab::IoDecl(sim.catalog(), reader).Reads(&w);
-
-  const auto schedule = elab::ElabGraph::FromSimulator(sim, "id").StaticSchedule();
-  ASSERT_TRUE(schedule.ok);
-  EXPECT_EQ(schedule.order, (std::vector<usize>{0, 1}));
-}
-
-TEST(StaticSchedule, ReordersDeclaredRace) {
-  Simulator sim;
-  Wire<int> w(sim, "raced", 0);
-  const usize reader = sim.AddProcess(Idle(), "reader");
-  const usize writer = sim.AddProcess(Idle(), "writer");
-  elab::IoDecl(sim.catalog(), reader).Reads(&w);
-  elab::IoDecl(sim.catalog(), writer).Writes(&w);
-
-  const auto schedule = elab::ElabGraph::FromSimulator(sim, "reorder").StaticSchedule();
-  ASSERT_TRUE(schedule.ok);
-  EXPECT_EQ(schedule.order, (std::vector<usize>{1, 0}));
-}
-
-TEST(StaticSchedule, UndeclaredProcessesPinTheirSlots) {
-  Simulator sim;
-  Wire<int> w(sim, "raced", 0);
-  const usize reader = sim.AddProcess(Idle(), "reader");
-  sim.AddProcess(Idle(), "mystery");  // undeclared, slot 1
-  const usize writer = sim.AddProcess(Idle(), "writer");
-  elab::IoDecl(sim.catalog(), reader).Reads(&w);
-  elab::IoDecl(sim.catalog(), writer).Writes(&w);
-
-  // reader must follow writer, but neither may cross the undeclared slot —
-  // the dependencies are unsatisfiable and the schedule must refuse.
-  const auto schedule = elab::ElabGraph::FromSimulator(sim, "pin").StaticSchedule();
-  EXPECT_FALSE(schedule.ok);
-  EXPECT_NE(schedule.error.find("cycle"), std::string::npos);
-}
-
-TEST(StaticSchedule, FailsOnCombLoop) {
-  Simulator sim;
-  Wire<int> a(sim, "a", 0);
-  Wire<int> b(sim, "b", 0);
-  const usize p0 = sim.AddProcess(Idle(), "fwd");
-  const usize p1 = sim.AddProcess(Idle(), "back");
-  elab::IoDecl(sim.catalog(), p0).Reads(&a).Writes(&b);
-  elab::IoDecl(sim.catalog(), p1).Reads(&b).Writes(&a);
-
-  const auto schedule = elab::ElabGraph::FromSimulator(sim, "loop").StaticSchedule();
-  EXPECT_FALSE(schedule.ok);
-  EXPECT_TRUE(schedule.order.empty());
-}
-
-// Adopting a reordering schedule changes semantics exactly as the schedule
-// promises: the reader observes its writer's same-cycle value.
-HwProcess AccumulateWire(Wire<int>& w, Reg<int>& sum) {
-  for (;;) {
-    sum.Write(sum.Read() + w.Read());
-    co_await Pause();
-  }
-}
-
-HwProcess CountIntoWire(Wire<int>& w, Reg<int>& counter) {
-  for (;;) {
-    counter.Write(counter.Read() + 1);
-    w.Write(counter.Read() + 1);
-    co_await Pause();
-  }
-}
-
-TEST(StaticSchedule, AdoptedScheduleFixesDeclaredRace) {
-  const auto run = [](bool adopt) {
-    Simulator sim;
-    Wire<int> w(sim, "raced", 0);
-    Reg<int> sum(sim, "sum", 0);
-    Reg<int> counter(sim, "counter", 0);
-    const usize reader = sim.AddProcess(AccumulateWire(w, sum), "reader");
-    const usize writer = sim.AddProcess(CountIntoWire(w, counter), "writer");
-    elab::IoDecl(sim.catalog(), reader).Reads(&w).Writes(&sum);
-    elab::IoDecl(sim.catalog(), writer).Writes(&w).Writes(&counter);
-    if (adopt) {
-      const auto schedule = elab::ElabGraph::FromSimulator(sim, "fix").StaticSchedule();
-      EXPECT_TRUE(schedule.ok);
-      EXPECT_TRUE(sim.AdoptSchedule(schedule.order).ok());
-      EXPECT_TRUE(sim.has_schedule());
-    }
-    sim.Run(4);
-    return sum.Read();
-  };
-  // Registration order: the reader sees last cycle's wire (one cycle stale).
-  // Inferred order runs the writer first: the reader sees this cycle's value.
-  EXPECT_EQ(run(false), 1 + 2 + 3);      // cycle i reads value written at i-1
-  EXPECT_EQ(run(true), 1 + 2 + 3 + 4);   // cycle i reads value written at i
-}
-
-// The race above, undeclared: the order in force shows in the sum after four
-// edges (6 in registration order, 10 with the writer first).
-struct RacedDesign {
-  Simulator sim;
-  Wire<int> w{sim, "raced", 0};
-  Reg<int> sum{sim, "sum", 0};
-  Reg<int> counter{sim, "counter", 0};
-  RacedDesign() {
-    sim.AddProcess(AccumulateWire(w, sum), "reader");
-    sim.AddProcess(CountIntoWire(w, counter), "writer");
-  }
-  int SumAfterFourEdges() {
-    sim.Run(4);
-    return sum.Read();
-  }
-};
-
-// AdoptSchedule checks its input in every build: anything but a permutation
-// of the registration indices is refused, and the order in force stays.
-TEST(StaticSchedule, AdoptScheduleRejectsShortOrder) {
-  RacedDesign design;
-  EXPECT_EQ(design.sim.AdoptSchedule({1}).code(), ErrorCode::kInvalidArgument);
-  EXPECT_FALSE(design.sim.has_schedule());
-  EXPECT_EQ(design.SumAfterFourEdges(), 1 + 2 + 3);
-}
-
-TEST(StaticSchedule, AdoptScheduleRejectsOutOfRangeIndex) {
-  RacedDesign design;
-  ASSERT_TRUE(design.sim.AdoptSchedule({1, 0}).ok());
-  EXPECT_EQ(design.sim.AdoptSchedule({0, 2}).code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(design.SumAfterFourEdges(), 1 + 2 + 3 + 4);
-}
-
-TEST(StaticSchedule, AdoptScheduleRejectsRepeatedIndex) {
-  RacedDesign design;
-  ASSERT_TRUE(design.sim.AdoptSchedule({1, 0}).ok());
-  EXPECT_EQ(design.sim.AdoptSchedule({1, 1}).code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(design.SumAfterFourEdges(), 1 + 2 + 3 + 4);
-}
-
-TEST(StaticSchedule, AdoptScheduleAcceptsPermutation) {
-  RacedDesign design;
-  EXPECT_TRUE(design.sim.AdoptSchedule({1, 0}).ok());
-  EXPECT_TRUE(design.sim.has_schedule());
-  EXPECT_EQ(design.SumAfterFourEdges(), 1 + 2 + 3 + 4);
-}
-
-// --- Schedule adoption on real designs: bit-exact by construction -------------
+// --- Shipped designs: registration order is the schedule, bit-exact ----------
+//
+// The kernel adopts one schedule, registration order. A clean elaboration
+// (no COMBRACE: no wire reader registered ahead of its writer; no COMBLOOP)
+// is what makes that order the one every same-cycle reader relies on. Each
+// workload runs once with the pass taken before the first edge and once
+// without; the egress must agree bit for bit.
 
 constexpr u64 kFnvOffset = 14695981039346656037ull;
 constexpr u64 kFnvPrime = 1099511628211ull;
@@ -502,26 +357,20 @@ struct EgressDigest {
   bool operator==(const EgressDigest&) const = default;
 };
 
-// Adopts the statically-inferred schedule when `adopt` is set; the inferred
-// order on these clean designs must also BE registration order (that is the
-// minimal-lexicographic guarantee), which makes bit-exactness structural.
-void MaybeAdopt(Simulator& sim, const std::string& design, bool adopt) {
-  const auto schedule = elab::ElabGraph::FromSimulator(sim, design).StaticSchedule();
-  ASSERT_TRUE(schedule.ok) << schedule.error;
-  std::vector<usize> identity(schedule.order.size());
-  for (usize i = 0; i < identity.size(); ++i) {
-    identity[i] = i;
+// Runs the whole static suite on `design` when `elaborate` is set; a shipped
+// design must come back with no finding at all.
+void MaybeElaborate(const Simulator& sim, const std::string& design, bool elaborate) {
+  if (!elaborate) {
+    return;
   }
-  EXPECT_EQ(schedule.order, identity) << design << ": clean design should keep its order";
-  if (adopt) {
-    EXPECT_TRUE(sim.AdoptSchedule(schedule.order).ok());
-  }
+  const std::vector<Finding> findings = elab::ElabGraph::FromSimulator(sim, design).Check();
+  EXPECT_TRUE(findings.empty()) << design << ": " << findings[0].ToString();
 }
 
-EgressDigest RunSwitchWorkload(bool adopt) {
+EgressDigest RunSwitchWorkload(bool elaborate) {
   LearningSwitch service;
   FpgaTarget target(service);
-  MaybeAdopt(target.sim(), "switch", adopt);
+  MaybeElaborate(target.sim(), "switch", elaborate);
   const MacAddress a = MacAddress::FromU48(0x02'00'00'00'00'0a);
   const MacAddress b = MacAddress::FromU48(0x02'00'00'00'00'0b);
   for (usize i = 0; i < 6; ++i) {
@@ -537,17 +386,17 @@ EgressDigest RunSwitchWorkload(bool adopt) {
 }
 
 TEST(StaticSchedule, SwitchBitExactUnderAdoptedSchedule) {
-  const EgressDigest scheduled = RunSwitchWorkload(true);
+  const EgressDigest elaborated = RunSwitchWorkload(true);
   const EgressDigest registration = RunSwitchWorkload(false);
-  ASSERT_GT(scheduled.frames, 0u);
-  EXPECT_EQ(scheduled, registration);
+  ASSERT_GT(elaborated.frames, 0u);
+  EXPECT_EQ(elaborated, registration);
 }
 
-EgressDigest RunNatWorkload(bool adopt) {
+EgressDigest RunNatWorkload(bool elaborate) {
   NatConfig config;
   NatService service(config);
   FpgaTarget target(service);
-  MaybeAdopt(target.sim(), "nat", adopt);
+  MaybeElaborate(target.sim(), "nat", elaborate);
   const MacAddress host_mac = MacAddress::FromU48(0x02'00'00'00'11'10);
   for (usize i = 0; i < 12; ++i) {
     Packet frame = MakeUdpPacket(
@@ -565,18 +414,18 @@ EgressDigest RunNatWorkload(bool adopt) {
 }
 
 TEST(StaticSchedule, NatBitExactUnderAdoptedSchedule) {
-  const EgressDigest scheduled = RunNatWorkload(true);
+  const EgressDigest elaborated = RunNatWorkload(true);
   const EgressDigest registration = RunNatWorkload(false);
-  ASSERT_GT(scheduled.frames, 0u);
-  EXPECT_EQ(scheduled, registration);
+  ASSERT_GT(elaborated.frames, 0u);
+  EXPECT_EQ(elaborated, registration);
 }
 
-EgressDigest RunMemcachedWorkload(bool adopt) {
+EgressDigest RunMemcachedWorkload(bool elaborate) {
   MemcachedConfig config;
   config.cores = 4;
   MemcachedService service(config);
   FpgaTarget target(service);
-  MaybeAdopt(target.sim(), "memcached", adopt);
+  MaybeElaborate(target.sim(), "memcached", elaborate);
   MemaslapConfig workload;
   workload.server_mac = config.mac;
   workload.server_ip = config.ip;
@@ -597,64 +446,41 @@ EgressDigest RunMemcachedWorkload(bool adopt) {
 }
 
 TEST(StaticSchedule, MemcachedBitExactUnderAdoptedSchedule) {
-  const EgressDigest scheduled = RunMemcachedWorkload(true);
+  const EgressDigest elaborated = RunMemcachedWorkload(true);
   const EgressDigest registration = RunMemcachedWorkload(false);
-  ASSERT_GT(scheduled.frames, 0u);
-  EXPECT_EQ(scheduled, registration);
+  ASSERT_GT(elaborated.frames, 0u);
+  EXPECT_EQ(elaborated, registration);
 }
 
-// --- Pre-flight elaboration hook ----------------------------------------------
+// --- Pre-flight: the whole suite on a broken design, before any edge ---------
 
-TEST(Elaboration, PreFlightRunsOnceAtFirstStep) {
+// The two-process wire ring yields COMBLOOP plus the backward edge's COMBRACE
+// on 'a'.
+std::vector<Finding> PreFlightWireRing() {
   Simulator sim;
-  elab::Elaboration lint("preflight");
-  lint.SetEcho(false);
-  sim.AttachElaboration(&lint);
-  Reg<int> reg(sim, "r", 0);
-  sim.AddProcess(Idle(), "worker");
-
-  EXPECT_FALSE(lint.ran());
-  sim.Step();
-  EXPECT_TRUE(lint.ran());
-  EXPECT_TRUE(lint.findings().empty());
-  EXPECT_EQ(lint.graph().processes().size(), 1u);
+  Wire<int> a(sim, "a", 0);
+  Wire<int> b(sim, "b", 0);
+  const usize p0 = sim.AddProcess(Idle(), "fwd");
+  const usize p1 = sim.AddProcess(Idle(), "back");
+  elab::IoDecl(sim.catalog(), p0).Reads(&a).Writes(&b);
+  elab::IoDecl(sim.catalog(), p1).Reads(&b).Writes(&a);
+  return elab::ElabGraph::FromSimulator(sim, "ring").Check();
 }
 
 TEST(Elaboration, PreFlightReportsBrokenDesign) {
-  Simulator sim;
-  elab::Elaboration lint("broken");
-  lint.SetEcho(false);
-  sim.AttachElaboration(&lint);
-  Wire<int> a(sim, "a", 0);
-  Wire<int> b(sim, "b", 0);
-  const usize p0 = sim.AddProcess(Idle(), "fwd");
-  const usize p1 = sim.AddProcess(Idle(), "back");
-  elab::IoDecl(sim.catalog(), p0).Reads(&a).Writes(&b);
-  elab::IoDecl(sim.catalog(), p1).Reads(&b).Writes(&a);
-
-  sim.Run(3);
-  EXPECT_TRUE(lint.ran());
-  EXPECT_EQ(CountCheck(lint.findings(), "COMBLOOP"), 1u);
+  const std::vector<Finding> findings = PreFlightWireRing();
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(CountCheck(findings, "COMBLOOP"), 1u);
+  EXPECT_EQ(CountCheck(findings, "COMBRACE"), 1u);
+  EXPECT_EQ(findings[1].subject, "a");
 }
 
 TEST(Elaboration, SuppressionsApplyDuringPreFlight) {
-  Simulator sim;
-  elab::Elaboration lint("suppressed");
-  lint.SetEcho(false);
-  // The loop yields COMBLOOP plus the backward edge's COMBRACE on 'a';
-  // suppress both so the pre-flight comes back clean.
-  lint.SetSuppressions(ParseSuppressions("COMBLOOP, COMBRACE:a"));
-  sim.AttachElaboration(&lint);
-  Wire<int> a(sim, "a", 0);
-  Wire<int> b(sim, "b", 0);
-  const usize p0 = sim.AddProcess(Idle(), "fwd");
-  const usize p1 = sim.AddProcess(Idle(), "back");
-  elab::IoDecl(sim.catalog(), p0).Reads(&a).Writes(&b);
-  elab::IoDecl(sim.catalog(), p1).Reads(&b).Writes(&a);
-
-  sim.Step();
-  EXPECT_TRUE(lint.findings().empty());
-  EXPECT_EQ(lint.suppressed(), 2u);
+  usize suppressed = 0;
+  const auto kept = ApplySuppressions(PreFlightWireRing(),
+                                      ParseSuppressions("COMBLOOP, COMBRACE:a"), &suppressed);
+  EXPECT_TRUE(kept.empty());
+  EXPECT_EQ(suppressed, 2u);
 }
 
 // --- Shared finding layer: suppressions, formatting, exit codes ----------------
