@@ -13,6 +13,10 @@
 //   --gap-us N        inter-request gap in simulated us (default 25)
 //   --seed N          workload + fault seed (default 1)
 //   --json PATH       additionally write the sweep as BENCH_chain.json
+//   --check           run every cell kCheckRounds times, each round against
+//                     its own serial twin, report median speedups, and fail
+//                     when a parallel cell's median is below kSpeedupFloor
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +62,13 @@ constexpr Pipeline kPipelines[] = {
 };
 
 constexpr usize kPrewarmKeys = 100;
+
+// One serial/parallel pair reads anywhere from 0.6x to 1.8x on a shared
+// 4-vCPU host, so --check judges the median of this many rounds against a
+// floor below that whole range: it catches a runner that loses half its
+// speed to synchronisation, not host noise.
+constexpr int kCheckRounds = 5;
+constexpr double kSpeedupFloor = 0.5;
 
 struct CellResult {
   bool ok = true;
@@ -159,12 +170,18 @@ std::vector<usize> ParseList(const char* text) {
   return values;
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 int Main(int argc, char** argv) {
   std::vector<usize> thread_counts = {1, 2, 4};
   usize requests = 400;
   u64 gap_us = 25;
   u64 seed = 1;
   std::string json_path;
+  bool check = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       thread_counts = ParseList(argv[++i]);
@@ -176,57 +193,69 @@ int Main(int argc, char** argv) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads 1,4] [--requests N] [--gap-us N] [--seed N]"
-                   " [--json PATH]\n",
+                   " [--json PATH] [--check]\n",
                    argv[0]);
       return 2;
     }
   }
+  const int rounds = check ? kCheckRounds : 1;
 
-  std::printf("# chain pipelines, %zu requests (+%zu prewarm), gap %llu us, seed %llu\n",
+  std::printf("# chain pipelines, %zu requests (+%zu prewarm), gap %llu us, seed %llu, "
+              "median of %d round(s)\n",
               requests, kPrewarmKeys, static_cast<unsigned long long>(gap_us),
-              static_cast<unsigned long long>(seed));
+              static_cast<unsigned long long>(seed), rounds);
   std::printf("%-24s %-8s %12s %10s %12s %10s %10s\n", "pipeline", "threads", "events",
               "epochs", "wall_s", "Mev/s", "speedup");
   bool ok = true;
+  bool fast_enough = true;
   std::string cells_json;
   for (const Pipeline& pipeline : kPipelines) {
-    double serial_wall = 0;
-    u64 serial_digest = 0;
-    bool have_serial = false;
-    for (usize threads : thread_counts) {
-      const CellResult cell = RunCell(pipeline, threads, requests, gap_us, seed);
-      ok = ok && cell.ok;
-      if (!have_serial) {
-        if (threads == 1) {
-          serial_wall = cell.wall_seconds;
-          serial_digest = cell.digest;
-        } else {
-          // threads=1 absent from the sweep: measure the serial twin just
-          // for the digest gate and the speedup denominator.
-          const CellResult serial = RunCell(pipeline, 1, requests, gap_us, seed);
-          ok = ok && serial.ok;
-          serial_wall = serial.wall_seconds;
-          serial_digest = serial.digest;
+    std::vector<CellResult> cells(thread_counts.size());
+    std::vector<std::vector<double>> walls(thread_counts.size());
+    std::vector<std::vector<double>> speedups(thread_counts.size());
+    for (int round = 0; round < rounds; ++round) {
+      // Each round runs its own serial twin: the digest gate and the
+      // speedup denominator.
+      const CellResult serial = RunCell(pipeline, 1, requests, gap_us, seed);
+      ok = ok && serial.ok;
+      for (usize j = 0; j < thread_counts.size(); ++j) {
+        const usize threads = thread_counts[j];
+        const CellResult cell =
+            threads == 1 ? serial : RunCell(pipeline, threads, requests, gap_us, seed);
+        ok = ok && cell.ok;
+        if (cell.digest != serial.digest) {
+          std::fprintf(stderr,
+                       "DIGEST DIVERGENCE pipeline=%s threads=%zu: %016llx != serial %016llx\n",
+                       pipeline.name, threads, static_cast<unsigned long long>(cell.digest),
+                       static_cast<unsigned long long>(serial.digest));
+          ok = false;
         }
-        have_serial = true;
+        cells[j] = cell;
+        walls[j].push_back(cell.wall_seconds);
+        speedups[j].push_back(cell.wall_seconds > 0 ? serial.wall_seconds / cell.wall_seconds
+                                                    : 0.0);
       }
-      if (cell.digest != serial_digest) {
-        std::fprintf(stderr,
-                     "DIGEST DIVERGENCE pipeline=%s threads=%zu: %016llx != serial %016llx\n",
-                     pipeline.name, threads, static_cast<unsigned long long>(cell.digest),
-                     static_cast<unsigned long long>(serial_digest));
-        ok = false;
-      }
-      const double events_per_sec =
-          cell.wall_seconds > 0 ? static_cast<double>(cell.events) / cell.wall_seconds : 0.0;
-      const double speedup = cell.wall_seconds > 0 ? serial_wall / cell.wall_seconds : 0.0;
+    }
+    for (usize j = 0; j < thread_counts.size(); ++j) {
+      const usize threads = thread_counts[j];
+      const CellResult& cell = cells[j];
+      const double wall = Median(walls[j]);
+      const double speedup = Median(speedups[j]);
+      const double events_per_sec = wall > 0 ? static_cast<double>(cell.events) / wall : 0.0;
       std::printf("%-24s %-8zu %12llu %10llu %12.4f %10.2f %10.2f\n", pipeline.name,
                   threads, static_cast<unsigned long long>(cell.events),
-                  static_cast<unsigned long long>(cell.epochs), cell.wall_seconds,
-                  events_per_sec / 1e6, speedup);
+                  static_cast<unsigned long long>(cell.epochs), wall, events_per_sec / 1e6,
+                  speedup);
+      if (check && threads > 1 && speedup < kSpeedupFloor) {
+        std::fprintf(stderr, "SLOW pipeline=%s threads=%zu: median speedup %.2fx < %.2fx\n",
+                     pipeline.name, threads, speedup, kSpeedupFloor);
+        fast_enough = false;
+      }
       if (!cells_json.empty()) {
         cells_json += ",\n";
       }
@@ -234,9 +263,16 @@ int Main(int argc, char** argv) {
                     "\", \"threads\": " + std::to_string(threads) +
                     ", \"events\": " + std::to_string(cell.events) +
                     ", \"epochs\": " + std::to_string(cell.epochs) +
-                    ", \"wall_seconds\": " + bench::FormatJsonNumber(cell.wall_seconds) +
+                    ", \"wall_seconds\": " + bench::FormatJsonNumber(wall) +
                     ", \"events_per_sec\": " + bench::FormatJsonNumber(events_per_sec) +
-                    ", \"speedup\": " + bench::FormatJsonNumber(speedup) + "}";
+                    ", \"speedup\": " + bench::FormatJsonNumber(speedup) +
+                    ", \"speedup_min\": " +
+                    bench::FormatJsonNumber(*std::min_element(speedups[j].begin(),
+                                                              speedups[j].end())) +
+                    ", \"speedup_max\": " +
+                    bench::FormatJsonNumber(*std::max_element(speedups[j].begin(),
+                                                              speedups[j].end())) +
+                    "}";
     }
   }
   if (!json_path.empty()) {
@@ -246,7 +282,10 @@ int Main(int argc, char** argv) {
                 std::to_string(requests) + ", \"prewarm\": " + std::to_string(kPrewarmKeys) +
                 ", \"gap_us\": " + std::to_string(gap_us) +
                 ", \"seed\": " + std::to_string(seed) +
-                "},\n  \"cells\": [\n" + cells_json + "\n  ]\n}\n";
+                "},\n  \"rounds\": " + std::to_string(rounds) +
+                ",\n  \"speedup_floor\": " +
+                (check ? bench::FormatJsonNumber(kSpeedupFloor) : std::string("null")) +
+                ",\n  \"cells\": [\n" + cells_json + "\n  ]\n}\n";
     if (!file) {
       std::fprintf(stderr, "FAIL: could not write %s\n", json_path.c_str());
       return 1;
@@ -255,6 +294,11 @@ int Main(int argc, char** argv) {
   }
   if (!ok) {
     std::fprintf(stderr, "FAIL: chain pipeline diverged or lost flow\n");
+    return 1;
+  }
+  if (!fast_enough) {
+    std::fprintf(stderr, "FAIL: a parallel cell's median speedup is below %.2fx\n",
+                 kSpeedupFloor);
     return 1;
   }
   return 0;

@@ -9,15 +9,17 @@
 //   --json <path>    write the 4-node serial-vs-parallel measurement as
 //                    BENCH_parallel.json
 //   --check <path>   perf gate against a committed baseline: on hosts with
-//                    >= 4 hardware threads the threads=4 speedup must reach
-//                    2x (and stay within 20% of the baseline ratio when the
-//                    baseline itself was measured on a multicore host).
-//                    Single-core hosts skip the gate: conservative epochs
-//                    still run there, but wall-clock parallelism cannot.
+//                    >= 4 hardware threads the median threads=4 speedup of
+//                    kGateRounds back-to-back rounds must reach 2x (and stay
+//                    within 20% of the baseline ratio when the baseline
+//                    itself was measured on a multicore host). Hosts with
+//                    fewer threads skip the gate: conservative epochs still
+//                    run there, but wall-clock parallelism cannot.
 //   --soak           3-seed mini chaos soak: the NAT ping-pong topology
 //                    under an armed fault plan, threads=4 vs threads=1,
 //                    requiring identical fault logs and arrival digests.
 //   --requests N     workload requests per host (default 512)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -146,27 +148,44 @@ bool SameResults(const ClusterResult& a, const ClusterResult& b) {
 
 // --- Sweep + JSON + gate -------------------------------------------------------------
 
+// One serial/threads=4 pair reads anywhere from 0.8x to 2.6x on a shared
+// 4-vCPU host, so the gate takes the pair with the median ratio out of this
+// many back-to-back pairs (the microbench_kernel --saturated method).
+constexpr int kGateRounds = 5;
+
 struct Measurement {
   usize nodes = 4;
   usize requests = 512;
-  ClusterResult serial;
+  ClusterResult serial;    // the median round's pair
   ClusterResult parallel;  // threads=4
-  double speedup = 0;
+  double speedup = 0;      // the median round's ratio
+  double min_speedup = 0;  // lowest and highest round
+  double max_speedup = 0;
 };
 
 bool MeasureGatePoint(usize requests, Measurement* out) {
   out->requests = requests;
-  out->serial = RunCluster(out->nodes, 1, requests);
-  out->parallel = RunCluster(out->nodes, 4, requests);
-  if (!SameResults(out->serial, out->parallel)) {
-    std::printf("FAIL: threads=4 diverged from serial (digest %016llx vs %016llx)\n",
-                static_cast<unsigned long long>(out->parallel.digest),
-                static_cast<unsigned long long>(out->serial.digest));
-    return false;
+  std::vector<Measurement> rounds;
+  for (int i = 0; i < kGateRounds; ++i) {
+    Measurement round = *out;
+    round.serial = RunCluster(round.nodes, 1, requests);
+    round.parallel = RunCluster(round.nodes, 4, requests);
+    if (!SameResults(round.serial, round.parallel)) {
+      std::printf("FAIL: threads=4 diverged from serial (digest %016llx vs %016llx)\n",
+                  static_cast<unsigned long long>(round.parallel.digest),
+                  static_cast<unsigned long long>(round.serial.digest));
+      return false;
+    }
+    round.speedup = round.parallel.wall_seconds > 0
+                        ? round.serial.wall_seconds / round.parallel.wall_seconds
+                        : 0;
+    rounds.push_back(round);
   }
-  out->speedup = out->parallel.wall_seconds > 0
-                     ? out->serial.wall_seconds / out->parallel.wall_seconds
-                     : 0;
+  std::sort(rounds.begin(), rounds.end(),
+            [](const Measurement& a, const Measurement& b) { return a.speedup < b.speedup; });
+  *out = rounds[rounds.size() / 2];
+  out->min_speedup = rounds.front().speedup;
+  out->max_speedup = rounds.back().speedup;
   return true;
 }
 
@@ -194,6 +213,9 @@ std::string MeasurementJson(const Measurement& m) {
          bench::FormatJsonNumber(m.parallel.wall_seconds) +
          ", \"events\": " + std::to_string(m.parallel.events) +
          ", \"epochs\": " + std::to_string(m.parallel.epochs) + "},\n";
+  out += "  \"rounds\": " + std::to_string(kGateRounds) + ",\n";
+  out += "  \"speedup_min\": " + bench::FormatJsonNumber(m.min_speedup) + ",\n";
+  out += "  \"speedup_max\": " + bench::FormatJsonNumber(m.max_speedup) + ",\n";
   out += "  \"speedup\": " + bench::FormatJsonNumber(m.speedup) + "\n}\n";
   return out;
 }
@@ -228,7 +250,7 @@ int SweepMain(usize requests) {
 
 int GateMain(const Measurement& m, const std::string& baseline_path) {
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("  threads=4 speedup %.2fx on %u hardware threads\n", m.speedup, hw);
+  std::printf("  threads=4 median speedup %.2fx on %u hardware threads\n", m.speedup, hw);
   if (GateSkippedOnHost()) {
     // Bit-exactness was still enforced above; only the wall-clock ratio is
     // meaningless without cores to run the shards on. Shout, don't whisper:
@@ -269,7 +291,8 @@ int GateMain(const Measurement& m, const std::string& baseline_path) {
   std::printf("  baseline speedup %.2fx (on %.0f threads), gate floor %.2fx\n",
               baseline_speedup, baseline_hw, floor);
   if (m.speedup < floor) {
-    std::printf("FAIL: parallel speedup %.2fx below gate floor %.2fx\n", m.speedup, floor);
+    std::printf("FAIL: median parallel speedup %.2fx below gate floor %.2fx\n", m.speedup,
+                floor);
     return 1;
   }
   std::printf("  perf gate passed\n");
@@ -402,8 +425,10 @@ int main(int argc, char** argv) {
   if (!emu::MeasureGatePoint(requests, &m)) {
     return 1;
   }
-  std::printf("4-node cluster: serial %.2f ms, threads=4 %.2f ms, speedup %.2fx\n",
-              m.serial.wall_seconds * 1e3, m.parallel.wall_seconds * 1e3, m.speedup);
+  std::printf("4-node cluster: serial %.2f ms, threads=4 %.2f ms, speedup %.2fx "
+              "(median of %d rounds, %.2f-%.2fx)\n",
+              m.serial.wall_seconds * 1e3, m.parallel.wall_seconds * 1e3, m.speedup,
+              emu::kGateRounds, m.min_speedup, m.max_speedup);
   if (!json_path.empty()) {
     std::ofstream file(json_path);
     file << emu::MeasurementJson(m);

@@ -113,13 +113,13 @@ class ElabGraph {
 
 // SHARDCUT: validates every cross-shard link direction registered with
 // `runner` has a positive conservative lookahead. (The runner records each
-// ConnectDirection as a ShardCut; a zero floor makes the epoch horizon
-// degenerate, and the release-build assert that used to be the only guard
-// compiles out under NDEBUG.)
+// ConnectDirection as a ShardCut and aborts on a zero floor, which would
+// make the epoch horizon degenerate; lint reports the same rule as a
+// finding.)
 void CheckShardCuts(const ParallelRunner& runner, const std::string& design,
                     std::vector<Finding>& out);
 // Same check over an explicit cut list (unit tests build degenerate cuts
-// directly: the runner's debug assert would abort before recording one).
+// directly: the runner aborts before recording one).
 void CheckShardCuts(const std::vector<ShardCut>& cuts, const std::string& design,
                     std::vector<Finding>& out);
 

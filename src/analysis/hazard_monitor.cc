@@ -271,7 +271,9 @@ void HazardMonitor::OnPostMortemStep(usize dead_elements) {
 }
 
 elab::ElabGraph HazardMonitor::ObservedGraph(std::string design) const {
-  std::vector<elab::ProcessIo> io(sim_.process_count(), elab::ProcessIo{.declared = true});
+  std::vector<elab::ProcessIo> io(
+      sim_.process_count(),
+      elab::ProcessIo{.declared = true, .reads = {}, .writes = {}, .pops = {}, .pushes = {}});
   for (const elab::ElementDecl& decl : sim_.catalog().elements()) {
     const auto it = elements_.find(decl.id);
     if (it == elements_.end()) {

@@ -47,25 +47,10 @@ class FpgaTarget {
   // Runs until at least `count` frames have egressed (or `limit` elapses).
   bool RunUntilEgressCount(usize count, Cycle limit);
 
-  // Options for RunUntilEgress. `threads` selects the parallel sharded
-  // runner (emu-par) where the target has shardable structure: a sharded
-  // topology (ShardedTopology, src/sim/topology.h) runs one worker thread
-  // per shard group. A lone FpgaTarget pipeline is a single clock domain —
-  // one Simulator whose processes share state every cycle — so values above
-  // 1 are accepted here for API uniformity but execute on the serial
-  // kernel; results are identical for any value.
-  struct RunOptions {
-    usize threads = 1;
-    Cycle limit = 1'000'000;
-  };
-
   // Runs until the next frame egresses (or `limit` elapses). The canonical
   // request/response loop: Inject(); RunUntilEgress();
   bool RunUntilEgress(Cycle limit = 1'000'000) {
     return RunUntilEgressCount(egress_.size() + 1, limit);
-  }
-  bool RunUntilEgress(const RunOptions& opts) {
-    return RunUntilEgressCount(egress_.size() + 1, opts.limit);
   }
 
   // Runs until `done()` holds (or `limit` elapses). `done` must be a pure

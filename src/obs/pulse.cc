@@ -214,6 +214,8 @@ void RunnerPulse::BeginRun(usize shard_count, usize threads) {
   shard_count_ = shard_count;
   threads_ = threads;
   epochs_ = 0;
+  inline_epochs_ = 0;
+  parallel_epochs_ = 0;
   total_events_ = 0;
   run_wall_ns_ = 0;
   dropped_records_ = 0;
@@ -230,7 +232,7 @@ void RunnerPulse::EndRun(u64 total_events) {
 }
 
 void RunnerPulse::RecordPlan(const PlanRecord& record) {
-  epochs_ = record.epoch;
+  ++epochs_;
   plan_aggregate_.wall_ns += record.wall_ns;
   plan_aggregate_.relax_sweeps += record.relax_sweeps;
   plan_aggregate_.relaxations += record.relaxations;
@@ -240,6 +242,10 @@ void RunnerPulse::RecordPlan(const PlanRecord& record) {
     return;
   }
   plans_.push_back(record);
+}
+
+void RunnerPulse::RecordEpochMode(bool parallel) {
+  ++(parallel ? parallel_epochs_ : inline_epochs_);
 }
 
 void RunnerPulse::RecordShardEpoch(const ShardEpochRecord& record) {
@@ -266,6 +272,10 @@ std::string RunnerPulse::SummaryJson() const {
   AppendU64(out, threads_);
   out += ",\"epochs\":";
   AppendU64(out, epochs_);
+  out += ",\"inline_epochs\":";
+  AppendU64(out, inline_epochs_);
+  out += ",\"parallel_epochs\":";
+  AppendU64(out, parallel_epochs_);
   out += ",\"total_events\":";
   AppendU64(out, total_events_);
   out += ",\"run_wall_ns\":";

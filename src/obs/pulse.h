@@ -51,10 +51,10 @@ struct PlanRecord {
 };
 
 // One shard's slice of one epoch. barrier_wait_ns is the wall time between
-// the shard's work finishing and the epoch closing at the done barrier —
-// under threads=1 it measures sequential skew (time spent running the shards
-// after this one), under threads=N it is the idle time the emu-par v2 fix
-// wants to shrink.
+// the shard's work finishing and the epoch closing — in an epoch run inline
+// on the calling thread (every epoch under threads=1) it measures sequential
+// skew (time spent running the shards after this one), in a parallel epoch
+// it is the idle time at the done barrier.
 struct ShardEpochRecord {
   u64 epoch = 0;
   u32 shard = 0;
@@ -85,10 +85,10 @@ struct ShardAggregate {
 };
 
 // Collects wall-clock epoch records from a ParallelRunner (AttachPulse).
-// Recording discipline: BeginRun / RecordPlan / RecordShardEpoch / EndRun
-// are coordinator-only calls (the single-threaded sections between epoch
-// barriers); NowNs() is safe from worker threads (it only reads the base
-// stamp set in BeginRun).
+// Recording discipline: BeginRun / RecordPlan / RecordShardEpoch /
+// RecordEpochMode / EndRun are calling-thread-only calls (the
+// single-threaded sections between epochs); NowNs() is safe from pool
+// threads (it only reads the base stamp set in BeginRun).
 //
 // Detail records are bounded: past `max_records` per-epoch entries the
 // recorder keeps the prefix and counts the rest in dropped_records(), while
@@ -107,10 +107,19 @@ class RunnerPulse {
 
   void RecordPlan(const PlanRecord& record);
   void RecordShardEpoch(const ShardEpochRecord& record);
+  // Counts one closed epoch as run inline on the calling thread or in
+  // parallel on the runner's pool. The choice depends on host timing, so
+  // these counts are host-side data like the wall stamps: no digest or
+  // cross-thread-count comparison may include them.
+  void RecordEpochMode(bool parallel);
 
   usize shard_count() const { return shard_count_; }
   usize threads() const { return threads_; }
+  // Epochs planned since BeginRun; each is counted once more as inline or
+  // parallel when it closes.
   u64 epochs() const { return epochs_; }
+  u64 inline_epochs() const { return inline_epochs_; }
+  u64 parallel_epochs() const { return parallel_epochs_; }
   u64 total_events() const { return total_events_; }
   u64 run_wall_ns() const { return run_wall_ns_; }
   u64 dropped_records() const { return dropped_records_; }
@@ -119,9 +128,10 @@ class RunnerPulse {
   const std::vector<ShardEpochRecord>& shard_epochs() const { return shard_epochs_; }
   const std::vector<ShardAggregate>& shard_aggregates() const { return aggregates_; }
 
-  // Summary JSON: run-level totals, per-shard aggregates (executed, work,
-  // barrier wait, max wait), plan totals (sweeps, relaxations, drained), and
-  // the bounded per-epoch detail arrays.
+  // Summary JSON: run-level totals (epochs split into inline and parallel
+  // ones), per-shard aggregates (executed, work, barrier wait, max wait),
+  // plan totals (sweeps, relaxations, drained), and the bounded per-epoch
+  // detail arrays.
   std::string SummaryJson() const;
 
   // Wall-clock Chrome trace: per-shard rows of "shard.work" + "barrier.wait"
@@ -138,6 +148,8 @@ class RunnerPulse {
   usize shard_count_ = 0;
   usize threads_ = 0;
   u64 epochs_ = 0;
+  u64 inline_epochs_ = 0;
+  u64 parallel_epochs_ = 0;
   u64 total_events_ = 0;
   u64 run_wall_ns_ = 0;
   u64 dropped_records_ = 0;

@@ -1,11 +1,10 @@
 #include "src/sim/parallel_runner.h"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
-#include <cassert>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
-#include <thread>
 #include <tuple>
 
 #include "src/obs/pulse.h"
@@ -16,7 +15,83 @@ namespace {
 
 constexpr Picoseconds kNever = std::numeric_limits<Picoseconds>::max();
 
+// Barrier words (see the header): bit 0 is the parked flag, the count or
+// generation sits above it.
+constexpr u32 kParked = 1;
+constexpr u32 kStep = 2;
+
+// A waiter spins this many `pause` iterations (~70 us on a 4-vCPU Xeon)
+// before it parks: long enough that back-to-back parallel epochs, a plan of
+// a few microseconds apart, never sleep; short enough that a pool idling
+// through inline epochs or an oversubscribed host does not burn a core per
+// waiter.
+constexpr u32 kSpinIterations = 4'000;
+
+// The inline/parallel choice for epochs in which two or more shards have
+// work. A runner's first kWarmupParallelEpochs such epochs run parallel and
+// the next kWarmupInlineEpochs inline, whatever the host, which seeds both
+// estimates (and keeps the pool exercised by every multi-thread test). Then
+// the mode with the lower estimate runs, timed 1 in kSampleEvery epochs and
+// blended in by kBlend. Every probe gap, the losing mode runs once and its
+// sample replaces its estimate; the gap doubles up to kProbeGapMax while the
+// winner holds and falls back to kProbeGapMin when the winner flips.
+constexpr u64 kWarmupParallelEpochs = 8;
+constexpr u64 kWarmupInlineEpochs = 8;
+constexpr u64 kSampleEvery = 16;
+constexpr u64 kProbeGapMin = 64;
+constexpr u64 kProbeGapMax = 1'024;
+constexpr double kBlend = 0.25;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Waits until `done(word)`: spins, then parks with the parked bit set.
+template <typename Done>
+void SpinThenPark(std::atomic<u32>& word, Done done) {
+  u32 cur = word.load(std::memory_order_acquire);
+  for (u32 spin = 0; spin < kSpinIterations && !done(cur); ++spin) {
+    CpuRelax();
+    cur = word.load(std::memory_order_acquire);
+  }
+  while (!done(cur)) {
+    if ((cur & kParked) == 0 &&
+        !word.compare_exchange_weak(cur, cur | kParked, std::memory_order_acquire)) {
+      continue;  // `cur` was reloaded
+    }
+    word.wait(cur | kParked, std::memory_order_acquire);
+    cur = word.load(std::memory_order_acquire);
+  }
+}
+
+// Stores `value` into a barrier word and wakes its waiters if one parked.
+void Publish(std::atomic<u32>& word, u32 value) {
+  if ((word.exchange(value, std::memory_order_release) & kParked) != 0) {
+    word.notify_all();
+  }
+}
+
+u64 HostNowNs() {
+  return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now().time_since_epoch())
+                              .count());
+}
+
+[[noreturn]] void CutFatal(u64 link_id, usize from, usize to, const char* what) {
+  std::fprintf(stderr,
+               "emu: fatal: ParallelRunner::ConnectDirection: link %llu from shard %zu to "
+               "shard %zu: %s\n",
+               static_cast<unsigned long long>(link_id), from, to, what);
+  std::abort();
+}
+
 }  // namespace
+
+ParallelRunner::~ParallelRunner() { StopPool(); }
 
 usize ParallelRunner::AddShard(EventScheduler& scheduler) {
   auto shard = std::make_unique<Shard>();
@@ -27,16 +102,23 @@ usize ParallelRunner::AddShard(EventScheduler& scheduler) {
 }
 
 void ParallelRunner::ConnectDirection(Link& link, bool to_b, usize from, usize to) {
-  assert(from < shards_.size() && to < shards_.size());
-  assert(from != to && "a link direction within one shard needs no routing");
-  assert(!link.shared_impaired() &&
-         "shared impairment and cross-shard routing are mutually exclusive; "
-         "per-direction impairment composes");
+  const u64 link_id = next_link_id_;
+  if (from >= shards_.size() || to >= shards_.size()) {
+    CutFatal(link_id, from, to, "shard not registered");
+  }
+  if (from == to) {
+    CutFatal(link_id, from, to, "a link direction within one shard needs no routing");
+  }
+  if (link.shared_impaired()) {
+    CutFatal(link_id, from, to,
+             "shared impairment and cross-shard routing are mutually exclusive; "
+             "per-direction impairment composes");
+  }
   const Picoseconds lookahead = link.MinTransitPs();
-  assert(lookahead > 0 && "zero-lookahead link admits no conservative window");
-  const u64 link_id = next_link_id_++;
-  // The assert above vanishes in release builds; the recorded cut lets the
-  // static SHARDCUT check (src/analysis/elab) enforce the same rule always.
+  if (lookahead <= 0) {
+    CutFatal(link_id, from, to, "zero-lookahead link admits no conservative window");
+  }
+  ++next_link_id_;
   cuts_.push_back(ShardCut{from, to, link_id, lookahead});
   Shard& receiver = *shards_[to];
   receiver.inbound.push_back(InboundEdge{from, lookahead});
@@ -48,7 +130,7 @@ void ParallelRunner::ConnectDirection(Link& link, bool to_b, usize from, usize t
                    });
 }
 
-bool ParallelRunner::PlanEpoch(usize budget) {
+usize ParallelRunner::PlanEpoch(usize budget) {
   const u64 plan_begin_ns = pulse_ != nullptr ? pulse_->NowNs() : 0;
   u64 drained = 0;
   // Drain every inbox in canonical (arrival, link, seq) order so the
@@ -56,37 +138,40 @@ bool ParallelRunner::PlanEpoch(usize budget) {
   // order worker threads pushed the frames.
   for (auto& entry : shards_) {
     Shard& shard = *entry;
-    std::vector<PendingDelivery> pending;
     {
       std::lock_guard<std::mutex> lock(shard.inbox_mu);
-      pending.swap(shard.inbox);
+      if (shard.inbox.empty()) {
+        continue;
+      }
+      drain_.swap(shard.inbox);
     }
-    std::sort(pending.begin(), pending.end(),
+    std::sort(drain_.begin(), drain_.end(),
               [](const PendingDelivery& a, const PendingDelivery& b) {
                 return std::tie(a.arrival, a.link_id, a.seq) <
                        std::tie(b.arrival, b.link_id, b.seq);
               });
-    drained += pending.size();
-    for (PendingDelivery& delivery : pending) {
+    drained += drain_.size();
+    for (PendingDelivery& delivery : drain_) {
       shard.scheduler->At(delivery.arrival,
                           [link = delivery.link, to_b = delivery.to_b,
                            frame = std::move(delivery.frame)]() mutable {
                             link->CompleteRemote(std::move(frame), to_b);
                           });
     }
+    drain_.clear();
   }
   frames_drained_ += drained;
 
   bool any_pending = false;
-  std::vector<Picoseconds> next(shards_.size(), kNever);
+  next_.assign(shards_.size(), kNever);
   for (usize i = 0; i < shards_.size(); ++i) {
     if (!shards_[i]->scheduler->Empty()) {
-      next[i] = shards_[i]->scheduler->NextEventTime();
+      next_[i] = shards_[i]->scheduler->NextEventTime();
       any_pending = true;
     }
   }
   if (!any_pending) {
-    return false;
+    return 0;
   }
   // Transitive earliest-action bound. A shard with an empty queue is NOT
   // silent for the epoch: a frame arriving mid-epoch can wake it and make it
@@ -95,7 +180,7 @@ bool ParallelRunner::PlanEpoch(usize budget) {
   // Chandy-Misra null messages; positive lookaheads guarantee convergence in
   // at most |shards| sweeps — so lb[i] bounds the earliest time shard i can
   // execute ANY event this epoch, woken or not.
-  std::vector<Picoseconds> lb = next;
+  lb_.assign(next_.begin(), next_.end());
   u64 sweeps = 0;
   u64 relaxations = 0;
   for (bool changed = true; changed;) {
@@ -104,12 +189,12 @@ bool ParallelRunner::PlanEpoch(usize budget) {
     for (auto& entry : shards_) {
       Shard& shard = *entry;
       for (const InboundEdge& edge : shard.inbound) {
-        if (lb[edge.from] == kNever) {
+        if (lb_[edge.from] == kNever) {
           continue;
         }
-        const Picoseconds candidate = lb[edge.from] + edge.lookahead;
-        if (candidate < lb[shard.index]) {
-          lb[shard.index] = candidate;
+        const Picoseconds candidate = lb_[edge.from] + edge.lookahead;
+        if (candidate < lb_[shard.index]) {
+          lb_[shard.index] = candidate;
           changed = true;
           ++relaxations;
         }
@@ -118,18 +203,24 @@ bool ParallelRunner::PlanEpoch(usize budget) {
   }
   relax_sweeps_ += sweeps;
   null_message_relaxations_ += relaxations;
+  // At least the globally earliest shard is busy: every horizon lies a
+  // positive lookahead past some next-event time.
+  usize busy = 0;
   for (auto& entry : shards_) {
     Shard& shard = *entry;
     Picoseconds horizon = kNever;
     for (const InboundEdge& edge : shard.inbound) {
-      if (lb[edge.from] == kNever) {
+      if (lb_[edge.from] == kNever) {
         continue;  // nothing anywhere can ever reach this sender: truly silent
       }
-      horizon = std::min(horizon, lb[edge.from] + edge.lookahead);
+      horizon = std::min(horizon, lb_[edge.from] + edge.lookahead);
     }
     shard.horizon = horizon;
     shard.budget = budget;
     shard.epoch_executed = 0;
+    if (next_[shard.index] < horizon) {
+      ++busy;
+    }
   }
   ++epochs_;
   if (pulse_ != nullptr) {
@@ -142,10 +233,11 @@ bool ParallelRunner::PlanEpoch(usize budget) {
     record.frames_drained = drained;
     pulse_->RecordPlan(record);
   }
-  return true;
+  return busy;
 }
 
-void ParallelRunner::FlushEpochRecords(u64 epoch_end_ns) {
+void ParallelRunner::FlushEpochRecords(u64 epoch_end_ns, bool parallel) {
+  pulse_->RecordEpochMode(parallel);
   for (auto& entry : shards_) {
     Shard& shard = *entry;
     obs::ShardEpochRecord record;
@@ -184,11 +276,112 @@ void ParallelRunner::RunShardEpoch(Shard& shard) {
   }
 }
 
+ParallelRunner::EpochMode ParallelRunner::ChooseMode(usize busy_shards) {
+  // Structural rule, exact and free: with at most one shard holding an
+  // event before its horizon there is nothing to overlap.
+  if (threads_ == 1 || busy_shards <= 1) {
+    return {};
+  }
+  ModeEstimates& e = estimates_;
+  const u64 k = e.multi_epochs++;
+  if (k < kWarmupParallelEpochs + kWarmupInlineEpochs) {
+    return {.parallel = k < kWarmupParallelEpochs, .timed = true};
+  }
+  const bool parallel_wins = e.parallel_ns < e.inline_ns;
+  if (++e.since_probe >= (kProbeGapMin << e.probe_doublings)) {
+    e.since_probe = 0;
+    return {.parallel = !parallel_wins, .timed = true, .probe = true};
+  }
+  return {.parallel = parallel_wins, .timed = k % kSampleEvery == 0};
+}
+
+void ParallelRunner::RecordSample(const EpochMode& mode, u64 wall_ns, u64 events) {
+  ModeEstimates& e = estimates_;
+  const bool parallel_won = e.parallel_ns < e.inline_ns;
+  const double sample =
+      static_cast<double>(wall_ns) / static_cast<double>(std::max<u64>(events, 1));
+  double& estimate = mode.parallel ? e.parallel_ns : e.inline_ns;
+  estimate = mode.probe || estimate == 0 ? sample : estimate + kBlend * (sample - estimate);
+  if (e.multi_epochs <= kWarmupParallelEpochs + kWarmupInlineEpochs) {
+    return;
+  }
+  if ((e.parallel_ns < e.inline_ns) != parallel_won) {
+    e.probe_doublings = 0;
+  } else if (mode.probe && (kProbeGapMin << e.probe_doublings) < kProbeGapMax) {
+    ++e.probe_doublings;
+  }
+}
+
+void ParallelRunner::RunParallelEpoch() {
+  // Ordered before the pool reads it by the start release below.
+  working_.store(static_cast<u32>(threads_ - 1) * kStep, std::memory_order_relaxed);
+  start_word_ += kStep;
+  Publish(start_, start_word_);
+  RunBlock(0, threads_);
+  SpinThenPark(working_, [](u32 w) { return w < kStep; });
+}
+
+// Contiguous block partition: topology builders register each service node
+// right before its hosts, so a block keeps a node and its hosts on one
+// thread while different nodes (the heavy shards) land on different threads.
+void ParallelRunner::RunBlock(usize worker, usize threads) {
+  const usize n = shards_.size();
+  for (usize i = worker * n / threads; i < (worker + 1) * n / threads; ++i) {
+    RunShardEpoch(*shards_[i]);
+  }
+}
+
+void ParallelRunner::PoolLoop(usize worker, usize threads, u32 seen) {
+  for (;;) {
+    SpinThenPark(start_, [seen](u32 s) { return (s & ~kParked) != seen; });
+    seen += kStep;  // the calling thread publishes one generation at a time
+    if (stopping_) {
+      return;
+    }
+    RunBlock(worker, threads);
+    if (working_.fetch_sub(kStep, std::memory_order_acq_rel) == (kStep | kParked)) {
+      working_.notify_all();
+    }
+  }
+}
+
+void ParallelRunner::StartPool() {
+  pool_.reserve(threads_ - 1);
+  try {
+    for (usize w = 1; w < threads_; ++w) {
+      pool_.emplace_back(
+          [this, w, threads = threads_, seen = start_word_] { PoolLoop(w, threads, seen); });
+    }
+  } catch (...) {
+    StopPool();
+    throw;
+  }
+}
+
+void ParallelRunner::StopPool() {
+  if (pool_.empty()) {
+    return;
+  }
+  stopping_ = true;
+  start_word_ += kStep;
+  Publish(start_, start_word_);
+  for (std::thread& thread : pool_) {
+    thread.join();
+  }
+  pool_.clear();
+  stopping_ = false;
+}
+
 u64 ParallelRunner::Run(const ParallelRunOptions& opts) {
   const usize threads =
       std::max<usize>(1, std::min(opts.threads, shards_.size()));
+  if (threads != threads_) {
+    StopPool();
+    threads_ = threads;
+    estimates_ = {};
+  }
   if (obs::TraceSession* session = obs::TraceSession::Current()) {
-    // Grow the shard buffers before workers exist; EnsureShards is
+    // Grow the shard buffers while no epoch runs; EnsureShards is
     // single-threaded by contract.
     session->EnsureShards(shards_.size());
   }
@@ -196,73 +389,33 @@ u64 ParallelRunner::Run(const ParallelRunOptions& opts) {
     pulse_->BeginRun(shards_.size(), threads);
   }
   u64 total = 0;
-  const auto remaining = [&]() -> usize {
-    return opts.max_events > total ? static_cast<usize>(opts.max_events - total) : 0;
-  };
-
-  if (threads == 1) {
-    while (remaining() > 0 && PlanEpoch(remaining())) {
-      for (auto& shard : shards_) {
-        RunShardEpoch(*shard);
-        total += shard->epoch_executed;
-      }
-      if (pulse_ != nullptr) {
-        FlushEpochRecords(pulse_->NowNs());
-      }
-    }
-    if (pulse_ != nullptr) {
-      pulse_->EndRun(total);
-    }
-    return total;
-  }
-
-  std::barrier<> start_gate(static_cast<std::ptrdiff_t>(threads) + 1);
-  std::barrier<> done_gate(static_cast<std::ptrdiff_t>(threads) + 1);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (usize w = 0; w < threads; ++w) {
-    workers.emplace_back([this, w, threads, &start_gate, &done_gate, &stop] {
-      for (;;) {
-        start_gate.arrive_and_wait();
-        if (stop.load(std::memory_order_acquire)) {
-          return;
-        }
-        // Contiguous block partition: topology builders register each
-        // service node right before its hosts, so a block keeps a node and
-        // its hosts on one worker while different nodes (the heavy shards)
-        // land on different workers.
-        const usize begin = w * shards_.size() / threads;
-        const usize end = (w + 1) * shards_.size() / threads;
-        for (usize i = begin; i < end; ++i) {
-          RunShardEpoch(*shards_[i]);
-        }
-        done_gate.arrive_and_wait();
-      }
-    });
-  }
-  for (;;) {
-    // The plan (drain + horizons) runs single-threaded between barriers;
-    // workers only ever touch their own shards inside an epoch.
-    const bool more = remaining() > 0 && PlanEpoch(remaining());
-    if (!more) {
-      stop.store(true, std::memory_order_release);
-      start_gate.arrive_and_wait();
+  while (total < opts.max_events) {
+    const usize busy = PlanEpoch(static_cast<usize>(opts.max_events - total));
+    if (busy == 0) {
       break;
     }
-    start_gate.arrive_and_wait();
-    done_gate.arrive_and_wait();
-    // Epoch closed: every worker has passed the done barrier, so the shard
-    // stamps are safely visible here (barrier = release/acquire).
+    const EpochMode mode = ChooseMode(busy);
+    if (mode.parallel && pool_.empty()) {
+      StartPool();  // before the timed window: a sample must not include thread creation
+    }
+    const u64 begin_ns = mode.timed ? HostNowNs() : 0;
+    if (mode.parallel) {
+      RunParallelEpoch();
+    } else {
+      RunBlock(0, 1);  // inline: every shard, in index order
+    }
+    const u64 end_ns = mode.timed ? HostNowNs() : 0;
     if (pulse_ != nullptr) {
-      FlushEpochRecords(pulse_->NowNs());
+      FlushEpochRecords(pulse_->NowNs(), mode.parallel);
     }
+    u64 executed = 0;
     for (auto& shard : shards_) {
-      total += shard->epoch_executed;
+      executed += shard->epoch_executed;
     }
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
+    total += executed;
+    if (mode.timed) {
+      RecordSample(mode, end_ns - begin_ns, executed);
+    }
   }
   if (pulse_ != nullptr) {
     pulse_->EndRun(total);

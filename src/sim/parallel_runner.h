@@ -30,16 +30,29 @@
 // scheduler assigns the same tie-break sequence numbers every run.
 //
 // Determinism: a shard's epoch depends only on its own queue, its horizon,
-// and its drained inbox, all of which are fixed at the epoch barrier. Worker
-// threads therefore cannot affect results — Run(threads=N) is bit-exact
-// against Run(threads=1), which executes the identical epoch schedule
-// inline. Each ServiceNode's embedded Simulator keeps its quiescence
-// fast-forward: idle stretches inside a shard are jumped, not stepped.
+// and its drained inbox, all of which are fixed when the plan is published.
+// Which OS thread runs a shard's epoch therefore cannot affect results —
+// Run(threads=N) is bit-exact against Run(threads=1). Each ServiceNode's
+// embedded Simulator keeps its quiescence fast-forward: idle stretches
+// inside a shard are jumped, not stepped.
+//
+// Epoch execution: the runner owns a pool of threads - 1 threads that lives
+// as long as the runner, with the calling thread as worker 0; worker w runs
+// the contiguous shard block [w*n/threads, (w+1)*n/threads). One
+// spin-then-park barrier (an atomic start generation and a count of pool
+// threads still working) hands each planned epoch to the pool and collects
+// it. An epoch runs inline on the calling thread instead when at most one
+// shard has an event before its horizon, or when the host-side estimates
+// of wall time per event say a barrier round trip costs more than it
+// saves. Inline and parallel epochs execute the same epoch schedule, so the
+// choice changes which thread runs a shard, never what it computes.
 #ifndef SRC_SIM_PARALLEL_RUNNER_H_
 #define SRC_SIM_PARALLEL_RUNNER_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/sim/event_scheduler.h"
@@ -52,8 +65,9 @@ class RunnerPulse;
 }  // namespace obs
 
 struct ParallelRunOptions {
-  // Worker threads; 1 runs the same epoch schedule inline (the bit-exact
-  // serial reference). Clamped to the shard count.
+  // OS threads, including the calling thread; 1 runs every epoch inline
+  // (the bit-exact serial reference) and starts no thread. Clamped to the
+  // shard count.
   usize threads = 1;
   // Global event budget; checked at epoch barriers, so a run may overshoot
   // by at most one epoch.
@@ -62,9 +76,8 @@ struct ParallelRunOptions {
 
 // One registered cross-shard link direction: the shard boundary it crosses
 // and its conservative lookahead. Recorded by ConnectDirection for the
-// static SHARDCUT check (src/analysis/elab) — the in-function assert on a
-// positive transit floor compiles out under NDEBUG, but a zero-lookahead cut
-// still makes the epoch horizon degenerate, so lint must see it.
+// static SHARDCUT check (src/analysis/elab), which reports a zero-lookahead
+// cut in a design without building its runner.
 struct ShardCut {
   usize from = 0;
   usize to = 0;
@@ -75,6 +88,9 @@ struct ShardCut {
 class ParallelRunner {
  public:
   ParallelRunner() = default;
+  // Stops and joins the pool. Touches no shard: the schedulers may already
+  // be gone (TopologyBuilder destroys them first).
+  ~ParallelRunner();
   ParallelRunner(const ParallelRunner&) = delete;
   ParallelRunner& operator=(const ParallelRunner&) = delete;
 
@@ -84,18 +100,21 @@ class ParallelRunner {
 
   // Routes `link`'s `to_b` direction across the shard boundary from `from`
   // (where the sender lives) into `to` (where the receiving end's callbacks
-  // run). The link must not carry a shared impairer (per-direction
-  // impairment composes — see Link::EnableImpairment(to_b, ...)), and its
-  // transit floor must be positive — zero lookahead admits no conservative
-  // window.
+  // run). The shards must be distinct registered shards, the link must not
+  // carry a shared impairer (per-direction impairment composes — see
+  // Link::EnableImpairment(to_b, ...)), and its transit floor must be
+  // positive — zero lookahead admits no conservative window. A violation
+  // prints `emu: fatal: ...` and aborts, in every build type.
   void ConnectDirection(Link& link, bool to_b, usize from, usize to);
 
   // Runs all shards to quiescence (or the event budget); returns the number
-  // of events executed. Identical results for any `threads` value.
+  // of events executed. Identical results for any `threads` value. The pool
+  // starts on the first epoch that runs parallel and is rebuilt when a call
+  // brings a different clamped thread count.
   u64 Run(const ParallelRunOptions& opts = {});
 
   usize shard_count() const { return shards_.size(); }
-  // Epoch barriers crossed over this runner's lifetime (for tests/bench).
+  // Epochs planned over this runner's lifetime (for tests/bench).
   u64 epochs() const { return epochs_; }
   // Every registered cross-shard link direction, for static validation.
   const std::vector<ShardCut>& cuts() const { return cuts_; }
@@ -132,25 +151,55 @@ class ParallelRunner {
     std::vector<InboundEdge> inbound;
     std::mutex inbox_mu;
     std::vector<PendingDelivery> inbox;
-    // Per-epoch plan (written at the barrier, read by one worker).
+    // Per-epoch plan (written by the plan, read by the thread that runs
+    // the shard's epoch).
     Picoseconds horizon = 0;
     usize budget = 0;
     usize epoch_executed = 0;
     // Wall stamps of this shard's epoch work (ns since RunnerPulse base);
-    // written by the worker that ran the epoch, read by the coordinator
-    // after the done barrier. Only maintained while a pulse is attached.
+    // written by the thread that ran the epoch, read by the calling thread
+    // once the epoch closes. Only maintained while a pulse is attached.
     u64 work_begin_ns = 0;
     u64 work_end_ns = 0;
   };
 
+  // Host-side wall ns per executed event for each execution mode, behind
+  // the choice for epochs in which two or more shards have work. Zero means
+  // no sample yet; the whole struct resets when the pool is rebuilt.
+  struct ModeEstimates {
+    u64 multi_epochs = 0;      // multi-shard epochs chosen so far
+    u64 since_probe = 0;       // multi-shard epochs since the last probe
+    u32 probe_doublings = 0;   // probe gap = kProbeGapMin << probe_doublings
+    double inline_ns = 0;
+    double parallel_ns = 0;
+  };
+  struct EpochMode {
+    bool parallel = false;
+    bool timed = false;  // wall-clock the epoch and update its mode's estimate
+    bool probe = false;  // the losing mode, run to replace its stale estimate
+  };
+
   // Drains inboxes, snapshots next-event times, computes horizons and
-  // budgets. Returns false when every shard is quiescent.
-  bool PlanEpoch(usize budget);
+  // budgets. Returns how many shards have an event before their horizon;
+  // 0 when every shard is quiescent.
+  usize PlanEpoch(usize budget);
   void RunShardEpoch(Shard& shard);
 
+  // Epoch execution: the mode, then either every shard on the calling
+  // thread (RunBlock(0, 1)), or block 0 here and blocks 1..threads_-1 on
+  // the pool.
+  EpochMode ChooseMode(usize busy_shards);
+  void RecordSample(const EpochMode& mode, u64 wall_ns, u64 events);
+  void RunParallelEpoch();
+  // Runs shard block `worker` of `threads` contiguous blocks.
+  void RunBlock(usize worker, usize threads);
+  void StartPool();
+  void StopPool();
+  void PoolLoop(usize worker, usize threads, u32 seen);
+
   // Stamps per-shard epoch records into the pulse after an epoch closes
-  // (coordinator only; `epoch_end_ns` is the done-barrier wall stamp).
-  void FlushEpochRecords(u64 epoch_end_ns);
+  // (calling thread only; `epoch_end_ns` is the epoch's closing wall stamp).
+  void FlushEpochRecords(u64 epoch_end_ns, bool parallel);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ShardCut> cuts_;
@@ -160,6 +209,25 @@ class ParallelRunner {
   u64 null_message_relaxations_ = 0;
   u64 frames_drained_ = 0;
   obs::RunnerPulse* pulse_ = nullptr;
+
+  // Plan buffers, reused every epoch.
+  std::vector<PendingDelivery> drain_;
+  std::vector<Picoseconds> next_;
+  std::vector<Picoseconds> lb_;
+
+  usize threads_ = 1;  // clamped thread count of the latest Run()
+  ModeEstimates estimates_;
+  // Barrier. start_ holds the epoch generation, working_ the number of pool
+  // threads still running their block, each shifted left one bit; bit 0
+  // says a waiter has parked in atomic::wait and needs a notify. Their
+  // release/acquire pairs are the only hand-off between the plan and the
+  // shards. stopping_ is written before a start release and read after the
+  // matching acquire.
+  u32 start_word_ = 0;  // the calling thread's copy of start_
+  bool stopping_ = false;
+  alignas(64) std::atomic<u32> start_{0};
+  alignas(64) std::atomic<u32> working_{0};
+  std::vector<std::thread> pool_;  // threads_ - 1 threads once started
 };
 
 }  // namespace emu

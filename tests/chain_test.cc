@@ -531,6 +531,9 @@ TEST(ChainDeterminismTest, DigestAndTraceAreBitExactAcrossThreadsAndReplay) {
 }
 
 TEST(ChainDeterminismTest, TraceDecomposesIntoPerStageLatencyRows) {
+#ifndef EMU_TRACE
+  GTEST_SKIP() << "built with EMU_TRACE=OFF";
+#endif
   const ChainRun run = RunFourStageChain(/*seed=*/11, /*threads=*/2);
   ASSERT_EQ(run.rows.size(), 4u);
   EXPECT_EQ(run.rows[0].stage, "filter");

@@ -280,27 +280,25 @@ TEST(KernelEquivalence, FaultPlanReplayBitExact) {
 //
 // Small inter-frame gaps keep the pipeline busy, so fast-forward windows are
 // rare and the busy path dominates. A third run drives the default kernel
-// through RunUntilEgress(RunOptions{.threads = 4}): accepted for API
-// uniformity on a single clock domain, executed on the serial kernel, and
-// so unable to perturb a pipeline's results.
+// through RunUntilEgress(limit), which stops at every egress: cutting a run
+// at egress boundaries must not perturb a pipeline's results.
 
 enum class Mode {
-  kExact,    // SetFastPath(false)
-  kDefault,  // the default fast path, driven through Run
-  kThreads4  // the default fast path, driven through RunUntil with threads = 4
+  kExact,      // SetFastPath(false)
+  kDefault,    // the default fast path, driven through Run
+  kPerEgress   // the default fast path, driven through RunUntilEgress
 };
 
-// Advances exactly `cycles`: kThreads4 re-enters RunUntilEgress after every
+// Advances exactly `cycles`: kPerEgress re-enters RunUntilEgress after every
 // egress until the deadline.
 void Advance(FpgaTarget& target, Mode mode, Cycle cycles) {
-  if (mode != Mode::kThreads4) {
+  if (mode != Mode::kPerEgress) {
     target.Run(cycles);
     return;
   }
   const Cycle deadline = target.sim().now() + cycles;
   while (target.sim().now() < deadline) {
-    target.RunUntilEgress(
-        FpgaTarget::RunOptions{.threads = 4, .limit = deadline - target.sim().now()});
+    target.RunUntilEgress(deadline - target.sim().now());
   }
 }
 
@@ -429,10 +427,10 @@ FaultDigest RunNatUnderFaultsSaturated(Mode mode) {
   return digest;
 }
 
-constexpr Mode kDefaultModes[] = {Mode::kDefault, Mode::kThreads4};
+constexpr Mode kDefaultModes[] = {Mode::kDefault, Mode::kPerEgress};
 
 const char* ModeName(Mode mode) {
-  return mode == Mode::kDefault ? "default vs exact" : "threads=4 vs exact";
+  return mode == Mode::kDefault ? "default vs exact" : "per-egress vs exact";
 }
 
 void ExpectSaturatedEquivalent(RunDigest (*workload)(Mode)) {
@@ -465,23 +463,6 @@ TEST(KernelEquivalence, NatUnderFaultPlanSaturatedBitExact) {
     EXPECT_EQ(got.faults_fired, exact.faults_fired);
     EXPECT_EQ(got.log_digest, exact.log_digest);
   }
-}
-
-// RunOptions{threads = N} on a single clock domain executes on the serial
-// kernel: any N must produce the identical exchange.
-TEST(KernelEquivalence, RunOptionsThreadCountIsUniform) {
-  auto exchange = [](usize threads) {
-    LearningSwitch service;
-    FpgaTarget target(service);
-    target.Inject(0, MakeUdpPacket({MacAddress::Broadcast(), kHostMacs[0], kHostIps[0],
-                                    Ipv4Address(10, 0, 0, 99), 1, 2},
-                                   std::vector<u8>{42}));
-    EXPECT_TRUE(target.RunUntilEgress(FpgaTarget::RunOptions{.threads = threads,
-                                                             .limit = 100'000}));
-    const auto egress = target.TakeEgress();
-    return std::make_pair(target.sim().now(), DigestEgress(egress));
-  };
-  EXPECT_EQ(exchange(1), exchange(4));
 }
 
 // Counts edges: while one is attached every cycle must execute.

@@ -6,12 +6,17 @@
 // epoch totals — for every topology shape the runner supports. Each
 // scenario below runs the identical workload at threads 1/2/4/8 on fresh
 // topologies and compares full digests, the same bar kernel_equiv_test.cc
-// sets for the quiescence fast path.
+// sets for the quiescence fast path. The runner's thread pool and its
+// inline/parallel epoch choice are tested here too, so the TSan job's
+// ParallelEquivalence.* filter covers them.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +26,7 @@
 #include "src/net/ethernet.h"
 #include "src/net/ipv4.h"
 #include "src/net/udp.h"
+#include "src/obs/pulse.h"
 #include "src/services/learning_switch.h"
 #include "src/services/memcached_service.h"
 #include "src/services/nat_service.h"
@@ -88,6 +94,15 @@ void ExpectIdentical(const TopoDigest& serial, const TopoDigest& parallel, usize
   EXPECT_EQ(parallel.fault_digest, serial.fault_digest);
   EXPECT_EQ(parallel.events, serial.events);
   EXPECT_EQ(parallel.epochs, serial.epochs);
+}
+
+// OS threads of this process (each ctest case is its own process).
+long TaskCount() {
+  long count = 0;
+  for ([[maybe_unused]] const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
 }
 
 void CaptureHosts(ShardedTopology& topo, std::vector<HostLog>& logs, TopoDigest& d) {
@@ -305,10 +320,12 @@ TEST(ParallelEquivalence, ShardedNatWithArmedFaultPlanBitExact) {
 
 // --- Scenario 3: memcached cluster (one service node per host) ----------------------
 
-TopoDigest RunShardedMemcachedCluster(usize threads) {
+// `drive` runs the built topology and returns the events it executed; each
+// client sends `workload` requests after its prewarm.
+TopoDigest RunShardedMemcachedCluster(const std::function<u64(ShardedTopology&)>& drive,
+                                      usize workload = 24) {
   constexpr usize kNodes = 4;
   constexpr usize kKeySpace = 24;
-  constexpr usize kWorkload = 24;
 
   std::vector<std::unique_ptr<MemcachedService>> services;
   std::vector<Service*> service_ptrs;
@@ -350,7 +367,7 @@ TopoDigest RunShardedMemcachedCluster(usize threads) {
       Packet frame = loadgen.PrewarmFrame(k);
       topo.host(i).scheduler().At(at, [&topo, i, frame] { topo.host(i).Send(frame); });
     }
-    for (usize k = 0; k < kWorkload; ++k) {
+    for (usize k = 0; k < workload; ++k) {
       const Picoseconds at = 200 * kPicosPerMicro +
                              static_cast<Picoseconds>(k) * 3 * kPicosPerMicro +
                              static_cast<Picoseconds>(i) * kPicosPerMicro;
@@ -360,7 +377,7 @@ TopoDigest RunShardedMemcachedCluster(usize threads) {
   }
 
   TopoDigest d;
-  d.events = topo.Run({.threads = threads});
+  d.events = drive(topo);
   d.epochs = topo.runner().epochs();
   CaptureHosts(topo, logs, d);
   for (usize i = 0; i < kNodes; ++i) {
@@ -371,6 +388,14 @@ TopoDigest RunShardedMemcachedCluster(usize threads) {
   return d;
 }
 
+TopoDigest RunShardedMemcachedCluster(usize threads, usize workload = 24) {
+  return RunShardedMemcachedCluster(
+      [threads](ShardedTopology& topo) { return topo.Run({.threads = threads}); }, workload);
+}
+
+// Enough requests for several 5,000-event chunks.
+constexpr usize kLongWorkload = 1'500;
+
 TEST(ParallelEquivalence, ShardedMemcachedClusterBitExact) {
   const TopoDigest serial = RunShardedMemcachedCluster(1);
   // Every prewarm SET and every workload request gets a reply.
@@ -380,48 +405,152 @@ TEST(ParallelEquivalence, ShardedMemcachedClusterBitExact) {
   }
 }
 
+// The runner keeps one pool across Run() calls: chunked runs reproduce one
+// run, and the pool never holds more than threads - 1 OS threads.
+TEST(ParallelEquivalence, ChunkedRunsMatchOneRun) {
+  const TopoDigest serial = RunShardedMemcachedCluster(1, kLongWorkload);
+  ASSERT_GT(serial.events, 3 * 5'000u);  // several chunks
+  for (usize threads : {1u, 2u, 4u}) {
+    long extra_threads = 0;
+    const TopoDigest chunked = RunShardedMemcachedCluster([&](ShardedTopology& topo) {
+      const long before = TaskCount();
+      u64 events = 0;
+      while (const u64 ran = topo.Run({.threads = threads, .max_events = 5'000})) {
+        events += ran;
+      }
+      extra_threads = TaskCount() - before;
+      return events;
+    }, kLongWorkload);
+    ExpectIdentical(serial, chunked, threads);
+    EXPECT_LE(extra_threads, static_cast<long>(threads) - 1) << "threads=" << threads;
+  }
+}
+
+// The warm-up runs a runner's first multi-shard epochs on the pool whatever
+// the host, so every multi-thread run exercises the parallel path.
+TEST(ParallelEquivalence, EveryMultiThreadRunExecutesParallelEpochs) {
+  const TopoDigest serial = RunShardedMemcachedCluster(1);
+  for (usize threads : {2u, 4u}) {
+    obs::RunnerPulse pulse;
+    const TopoDigest parallel = RunShardedMemcachedCluster([&](ShardedTopology& topo) {
+      topo.runner().AttachPulse(&pulse);
+      return topo.Run({.threads = threads});
+    });
+    ExpectIdentical(serial, parallel, threads);
+    EXPECT_GE(pulse.parallel_epochs(), 8u) << "threads=" << threads;
+    EXPECT_EQ(pulse.inline_epochs() + pulse.parallel_epochs(), pulse.epochs());
+  }
+}
+
+// A thread-count change stops the old pool and builds a new one, mid-run;
+// a runner destroyed while its pool is parked joins it.
+TEST(ParallelEquivalence, ThreadCountChangeRebuildsThePool) {
+  // One 2,000-event call per listed count, then one to quiescence at the last.
+  const auto run = [](ShardedTopology& topo, const std::vector<usize>& schedule) {
+    u64 events = 0;
+    for (usize threads : schedule) {
+      events += topo.Run({.threads = threads, .max_events = 2'000});
+    }
+    return events + topo.Run({.threads = schedule.back()});
+  };
+  const TopoDigest twin = RunShardedMemcachedCluster(
+      [&](ShardedTopology& topo) { return run(topo, {1, 1, 1, 1}); }, kLongWorkload);
+  ASSERT_GT(twin.events, 4 * 2'000u);
+  const long before = TaskCount();
+  long pool_threads = 0;
+  obs::RunnerPulse pulse;  // attached throughout; it reports the last Run()
+  const TopoDigest rebuilt = RunShardedMemcachedCluster([&](ShardedTopology& topo) {
+    topo.runner().AttachPulse(&pulse);
+    const u64 events = run(topo, {4, 2, 1, 4});
+    pool_threads = TaskCount() - before;
+    // Outlast the pool's spin so it is parked when the runner is destroyed.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return events;
+  }, kLongWorkload);
+  ExpectIdentical(twin, rebuilt, 4);
+  EXPECT_EQ(pool_threads, 3);
+  EXPECT_EQ(TaskCount(), before);
+  EXPECT_GT(pulse.epochs(), 0u);
+  EXPECT_EQ(pulse.inline_epochs() + pulse.parallel_epochs(), pulse.epochs());
+}
+
 // --- Scenario 4: raw runner, no topology sugar --------------------------------------
 
 // Two shards joined by one Link, ping-ponging a frame 20 times. Exercises
 // ParallelRunner + Link::RouteRemote directly: sender-side serialization
 // clocking, per-direction seq stamps, and horizon progress on a chain where
 // each shard is quiescent until the other's frame lands.
+std::pair<u64, usize> RunRawPingPong(usize threads, obs::RunnerPulse* pulse = nullptr,
+                                     long* extra_threads = nullptr) {
+  EventScheduler a;
+  EventScheduler b;
+  Link link(a, 10'000'000'000ULL, 500'000);
+  ParallelRunner runner;
+  const usize shard_a = runner.AddShard(a);
+  const usize shard_b = runner.AddShard(b);
+  runner.ConnectDirection(link, /*to_b=*/true, shard_a, shard_b);
+  runner.ConnectDirection(link, /*to_b=*/false, shard_b, shard_a);
+  runner.AttachPulse(pulse);
+
+  u64 digest = kFnvOffset;
+  usize volleys = 0;
+  link.AttachB([&](Packet frame) {
+    FoldU64(digest, static_cast<u64>(b.now()));
+    frame[0] = static_cast<u8>(++volleys);
+    if (volleys < 20) {
+      link.SendToA(std::move(frame));
+    }
+  });
+  link.AttachA([&](Packet frame) {
+    FoldU64(digest, static_cast<u64>(a.now()));
+    link.SendToB(std::move(frame));
+  });
+
+  a.At(1'000'000, [&link] { link.SendToB(Packet(64)); });
+  const long before = TaskCount();
+  const u64 events = runner.Run({.threads = threads});
+  if (extra_threads != nullptr) {
+    *extra_threads = TaskCount() - before;
+  }
+  FoldU64(digest, events);
+  FoldU64(digest, runner.epochs());
+  FoldU64(digest, link.delivered());
+  return {digest, volleys};
+}
+
 TEST(ParallelEquivalence, RawRunnerPingPongBitExact) {
-  auto run = [](usize threads) {
-    EventScheduler a;
-    EventScheduler b;
-    Link link(a, 10'000'000'000ULL, 500'000);
-    ParallelRunner runner;
-    const usize shard_a = runner.AddShard(a);
-    const usize shard_b = runner.AddShard(b);
-    runner.ConnectDirection(link, /*to_b=*/true, shard_a, shard_b);
-    runner.ConnectDirection(link, /*to_b=*/false, shard_b, shard_a);
-
-    u64 digest = kFnvOffset;
-    usize volleys = 0;
-    link.AttachB([&](Packet frame) {
-      FoldU64(digest, static_cast<u64>(b.now()));
-      frame[0] = static_cast<u8>(++volleys);
-      if (volleys < 20) {
-        link.SendToA(std::move(frame));
-      }
-    });
-    link.AttachA([&](Packet frame) {
-      FoldU64(digest, static_cast<u64>(a.now()));
-      link.SendToB(std::move(frame));
-    });
-
-    a.At(1'000'000, [&link] { link.SendToB(Packet(64)); });
-    const u64 events = runner.Run({.threads = threads});
-    FoldU64(digest, events);
-    FoldU64(digest, runner.epochs());
-    FoldU64(digest, link.delivered());
-    return std::pair<u64, usize>{digest, volleys};
-  };
-  const auto serial = run(1);
+  const auto serial = RunRawPingPong(1);
   EXPECT_EQ(serial.second, 20u);
-  EXPECT_EQ(run(2), serial);
-  EXPECT_EQ(run(4), serial);
+  EXPECT_EQ(RunRawPingPong(2), serial);
+  EXPECT_EQ(RunRawPingPong(4), serial);
+}
+
+// A ping-pong never has two shards with work in one epoch: every epoch runs
+// inline, and no pool thread is ever started.
+TEST(ParallelEquivalence, SingleBusyShardEpochsRunInline) {
+  obs::RunnerPulse pulse;
+  long extra_threads = -1;
+  EXPECT_EQ(RunRawPingPong(4, &pulse, &extra_threads), RunRawPingPong(1));
+  EXPECT_GT(pulse.inline_epochs(), 0u);
+  EXPECT_EQ(pulse.parallel_epochs(), 0u);
+  EXPECT_EQ(extra_threads, 0);
+}
+
+// Zero lookahead admits no conservative window; the runner refuses the cut
+// in every build type instead of spinning forever at horizon == next event.
+TEST(ParallelRunnerDeathTest, ZeroLookaheadCutAborts) {
+  EXPECT_DEATH(
+      {
+        EventScheduler a;
+        EventScheduler b;
+        Link link(a, 1'000'000'000'000'000ULL, 0);  // 10^15 bit/s, no propagation delay
+        ParallelRunner runner;
+        const usize shard_a = runner.AddShard(a);
+        const usize shard_b = runner.AddShard(b);
+        runner.ConnectDirection(link, /*to_b=*/true, shard_a, shard_b);
+      },
+      "emu: fatal: ParallelRunner::ConnectDirection: link 0 from shard 0 to shard 1: "
+      "zero-lookahead");
 }
 
 }  // namespace

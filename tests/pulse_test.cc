@@ -286,8 +286,15 @@ TEST(RunnerPulse, FourShardRunReportsPerShardDetail) {
   }
   EXPECT_GT(relaxations, 0u);  // cut edges force null-message relaxation
 
+  // Every epoch ran either inline or on the pool; which one is host timing.
+  EXPECT_EQ(pulse.inline_epochs() + pulse.parallel_epochs(), pulse.epochs());
+
   const std::string json = pulse.SummaryJson();
   EXPECT_NE(json.find("\"shards\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"inline_epochs\":" + std::to_string(pulse.inline_epochs())),
+            std::string::npos);
+  EXPECT_NE(json.find("\"parallel_epochs\":" + std::to_string(pulse.parallel_epochs())),
+            std::string::npos);
   EXPECT_NE(json.find("\"null_message_relaxations\""), std::string::npos);
   EXPECT_NE(json.find("\"barrier_wait_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"horizon_ps\""), std::string::npos);
