@@ -24,3 +24,10 @@ target_link_libraries(microbench_kernel PRIVATE benchmark::benchmark)
 emu_add_bench(microbench_parallel)
 emu_add_bench(microbench_gossip)
 emu_add_bench(microbench_chain)
+
+# A malformed count list is a usage error (exit 2), never an empty sweep that
+# passes its gate.
+add_test(NAME microbench_chain_rejects_bad_threads
+         COMMAND ${CMAKE_COMMAND} -DEXE=$<TARGET_FILE:microbench_chain>
+                 "-DARGS=--threads x --check" -DEXPECTED_EXIT=2
+                 -P ${CMAKE_SOURCE_DIR}/tests/expect_exit.cmake)

@@ -3,9 +3,9 @@
 // Sweeps ScenarioSpec-built chains over pipeline x threads: a memaslap-style
 // 90/10 GET/SET stream is paced through each pipeline from the source host,
 // and the wall time, executed events, conservative epochs, and
-// parallel-vs-serial speedup are printed per cell. As in microbench_gossip,
-// correctness gates timing: each parallel run must reproduce the bit-exact
-// chain counter digest of its serial twin, and every admitted request must
+// parallel-vs-serial speedup are printed per cell. Correctness gates timing
+// (bench/runner_sweep.h): each parallel run must reproduce its serial twin's
+// chain counter digest, events and epochs, and every admitted request must
 // return exactly one reply, or the binary exits nonzero regardless of speed.
 //
 //   --threads N,N,... thread counts (default 1,2,4)
@@ -16,17 +16,15 @@
 //   --check           run every cell kCheckRounds times, each round against
 //                     its own serial twin, report median speedups, and fail
 //                     when a parallel cell's median is below kSpeedupFloor
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.h"
+#include "bench/flag_table.h"
+#include "bench/runner_sweep.h"
 #include "src/chain/scenario_build.h"
 #include "src/chain/stage_factory.h"
 #include "src/fault/fault_registry.h"
@@ -63,27 +61,9 @@ constexpr Pipeline kPipelines[] = {
 
 constexpr usize kPrewarmKeys = 100;
 
-// One serial/parallel pair reads anywhere from 0.6x to 1.8x on a shared
-// 4-vCPU host, so --check judges the median of this many rounds against a
-// floor below that whole range: it catches a runner that loses half its
-// speed to synchronisation, not host noise.
-constexpr int kCheckRounds = 5;
-constexpr double kSpeedupFloor = 0.5;
-
-struct CellResult {
-  bool ok = true;
-  double wall_seconds = 0;
-  u64 events = 0;
-  u64 epochs = 0;
-  u64 digest = 0;
-  u64 attempts = 0;
-  u64 shed = 0;
-  u64 replies = 0;
-};
-
-CellResult RunCell(const Pipeline& pipeline, usize threads, usize requests,
-                   u64 gap_us, u64 seed) {
-  CellResult out;
+bench::SweepRun RunCell(const Pipeline& pipeline, usize threads, u64 requests, u64 gap_us,
+                        u64 seed) {
+  bench::SweepRun out;
   FaultRegistry registry(seed);
   Expected<std::unique_ptr<Scenario>> built =
       BuildScenarioFromText(pipeline.spec, &registry);
@@ -110,7 +90,7 @@ CellResult RunCell(const Pipeline& pipeline, usize threads, usize requests,
   for (usize i = 0; i < requests; ++i) {
     frames.push_back(gen.WorkloadFrame(i));
   }
-  out.attempts = frames.size();
+  const u64 attempts = frames.size();
 
   EventScheduler& clock = scenario.topology.host(scenario.source_host).scheduler();
   const Picoseconds gap = static_cast<Picoseconds>(gap_us) * kPicosPerMicro;
@@ -129,8 +109,7 @@ CellResult RunCell(const Pipeline& pipeline, usize threads, usize requests,
   out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   out.epochs = scenario.topology.runner().epochs();
   out.digest = chain.Digest();
-  out.shed = chain.source_shed();
-  out.replies = chain.source_replies();
+  const u64 admitted = attempts - chain.source_shed();
 
   std::vector<Finding> findings;
   chain.CollectFindings(findings);
@@ -138,170 +117,52 @@ CellResult RunCell(const Pipeline& pipeline, usize threads, usize requests,
     std::fprintf(stderr, "%s\n", f.ToString().c_str());
     out.ok = false;
   }
-  if (out.replies != out.attempts - out.shed) {
+  if (chain.source_replies() != admitted) {
     std::fprintf(stderr, "FLOW pipeline=%s threads=%zu: %llu admitted, %llu replies\n",
-                 pipeline.name, threads,
-                 static_cast<unsigned long long>(out.attempts - out.shed),
-                 static_cast<unsigned long long>(out.replies));
+                 pipeline.name, threads, static_cast<unsigned long long>(admitted),
+                 static_cast<unsigned long long>(chain.source_replies()));
     out.ok = false;
   }
   return out;
 }
 
-std::vector<usize> ParseList(const char* text) {
-  std::vector<usize> values;
-  usize current = 0;
-  bool have = false;
-  for (const char* p = text;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      current = current * 10 + static_cast<usize>(*p - '0');
-      have = true;
-    } else {
-      if (have) {
-        values.push_back(current);
-      }
-      current = 0;
-      have = false;
-      if (*p == '\0') {
-        break;
-      }
-    }
-  }
-  return values;
-}
-
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
 int Main(int argc, char** argv) {
   std::vector<usize> thread_counts = {1, 2, 4};
-  usize requests = 400;
+  u64 requests = 400;
   u64 gap_us = 25;
   u64 seed = 1;
   std::string json_path;
   bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = ParseList(argv[++i]);
-    } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      requests = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--gap-us") == 0 && i + 1 < argc) {
-      gap_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads 1,4] [--requests N] [--gap-us N] [--seed N]"
-                   " [--json PATH] [--check]\n",
-                   argv[0]);
-      return 2;
-    }
+  if (!bench::ParseFlags(argc, argv,
+                         {{"--threads", &thread_counts},
+                          {"--requests", &requests},
+                          {"--gap-us", &gap_us},
+                          {"--seed", &seed},
+                          {"--json", &json_path},
+                          {"--check", &check}})) {
+    std::fprintf(stderr,
+                 "usage: %s [--threads 1,4] [--requests N] [--gap-us N] [--seed N]"
+                 " [--json PATH] [--check]\n",
+                 argv[0]);
+    return 2;
   }
-  const int rounds = check ? kCheckRounds : 1;
+  const int rounds = check ? bench::kCheckRounds : 1;
 
-  std::printf("# chain pipelines, %zu requests (+%zu prewarm), gap %llu us, seed %llu, "
+  std::printf("# chain pipelines, %llu requests (+%zu prewarm), gap %llu us, seed %llu, "
               "median of %d round(s)\n",
-              requests, kPrewarmKeys, static_cast<unsigned long long>(gap_us),
+              static_cast<unsigned long long>(requests), kPrewarmKeys,
+              static_cast<unsigned long long>(gap_us),
               static_cast<unsigned long long>(seed), rounds);
-  std::printf("%-24s %-8s %12s %10s %12s %10s %10s\n", "pipeline", "threads", "events",
-              "epochs", "wall_s", "Mev/s", "speedup");
-  bool ok = true;
-  bool fast_enough = true;
-  std::string cells_json;
+  bench::RunnerSweep sweep("pipeline", 24, rounds, check);
   for (const Pipeline& pipeline : kPipelines) {
-    std::vector<CellResult> cells(thread_counts.size());
-    std::vector<std::vector<double>> walls(thread_counts.size());
-    std::vector<std::vector<double>> speedups(thread_counts.size());
-    for (int round = 0; round < rounds; ++round) {
-      // Each round runs its own serial twin: the digest gate and the
-      // speedup denominator.
-      const CellResult serial = RunCell(pipeline, 1, requests, gap_us, seed);
-      ok = ok && serial.ok;
-      for (usize j = 0; j < thread_counts.size(); ++j) {
-        const usize threads = thread_counts[j];
-        const CellResult cell =
-            threads == 1 ? serial : RunCell(pipeline, threads, requests, gap_us, seed);
-        ok = ok && cell.ok;
-        if (cell.digest != serial.digest) {
-          std::fprintf(stderr,
-                       "DIGEST DIVERGENCE pipeline=%s threads=%zu: %016llx != serial %016llx\n",
-                       pipeline.name, threads, static_cast<unsigned long long>(cell.digest),
-                       static_cast<unsigned long long>(serial.digest));
-          ok = false;
-        }
-        cells[j] = cell;
-        walls[j].push_back(cell.wall_seconds);
-        speedups[j].push_back(cell.wall_seconds > 0 ? serial.wall_seconds / cell.wall_seconds
-                                                    : 0.0);
-      }
-    }
-    for (usize j = 0; j < thread_counts.size(); ++j) {
-      const usize threads = thread_counts[j];
-      const CellResult& cell = cells[j];
-      const double wall = Median(walls[j]);
-      const double speedup = Median(speedups[j]);
-      const double events_per_sec = wall > 0 ? static_cast<double>(cell.events) / wall : 0.0;
-      std::printf("%-24s %-8zu %12llu %10llu %12.4f %10.2f %10.2f\n", pipeline.name,
-                  threads, static_cast<unsigned long long>(cell.events),
-                  static_cast<unsigned long long>(cell.epochs), wall, events_per_sec / 1e6,
-                  speedup);
-      if (check && threads > 1 && speedup < kSpeedupFloor) {
-        std::fprintf(stderr, "SLOW pipeline=%s threads=%zu: median speedup %.2fx < %.2fx\n",
-                     pipeline.name, threads, speedup, kSpeedupFloor);
-        fast_enough = false;
-      }
-      if (!cells_json.empty()) {
-        cells_json += ",\n";
-      }
-      cells_json += "    {\"pipeline\": \"" + std::string(pipeline.name) +
-                    "\", \"threads\": " + std::to_string(threads) +
-                    ", \"events\": " + std::to_string(cell.events) +
-                    ", \"epochs\": " + std::to_string(cell.epochs) +
-                    ", \"wall_seconds\": " + bench::FormatJsonNumber(wall) +
-                    ", \"events_per_sec\": " + bench::FormatJsonNumber(events_per_sec) +
-                    ", \"speedup\": " + bench::FormatJsonNumber(speedup) +
-                    ", \"speedup_min\": " +
-                    bench::FormatJsonNumber(*std::min_element(speedups[j].begin(),
-                                                              speedups[j].end())) +
-                    ", \"speedup_max\": " +
-                    bench::FormatJsonNumber(*std::max_element(speedups[j].begin(),
-                                                              speedups[j].end())) +
-                    "}";
-    }
+    sweep.Row(pipeline.name, "\"" + std::string(pipeline.name) + "\"", thread_counts,
+              [&](usize threads) { return RunCell(pipeline, threads, requests, gap_us, seed); });
   }
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    file << "{\n  \"benchmark\": \"chain_pipelines\",\n"
-            "  \"workload\": {\"requests\": " +
-                std::to_string(requests) + ", \"prewarm\": " + std::to_string(kPrewarmKeys) +
-                ", \"gap_us\": " + std::to_string(gap_us) +
-                ", \"seed\": " + std::to_string(seed) +
-                "},\n  \"rounds\": " + std::to_string(rounds) +
-                ",\n  \"speedup_floor\": " +
-                (check ? bench::FormatJsonNumber(kSpeedupFloor) : std::string("null")) +
-                ",\n  \"cells\": [\n" + cells_json + "\n  ]\n}\n";
-    if (!file) {
-      std::fprintf(stderr, "FAIL: could not write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  if (!ok) {
-    std::fprintf(stderr, "FAIL: chain pipeline diverged or lost flow\n");
-    return 1;
-  }
-  if (!fast_enough) {
-    std::fprintf(stderr, "FAIL: a parallel cell's median speedup is below %.2fx\n",
-                 kSpeedupFloor);
-    return 1;
-  }
-  return 0;
+  return sweep.Finish(json_path, "chain_pipelines",
+                      "{\"requests\": " + std::to_string(requests) +
+                          ", \"prewarm\": " + std::to_string(kPrewarmKeys) +
+                          ", \"gap_us\": " + std::to_string(gap_us) +
+                          ", \"seed\": " + std::to_string(seed) + "}");
 }
 
 }  // namespace

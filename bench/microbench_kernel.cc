@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "src/common/fnv.h"
 #include "src/common/wide_word.h"
 #include "src/hdl/fifo.h"
 #include "src/hdl/signal.h"
@@ -151,9 +152,6 @@ BENCHMARK(BM_SwitchForwardOneFrame);
 
 // --- Quiescence-kernel throughput mode (--throughput) -----------------------------
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
 struct ThroughputResult {
   double wall_seconds = 0;
   double cycles_per_sec = 0;
@@ -199,12 +197,9 @@ ThroughputResult RunSoakWorkload(RunMode mode, u64 total_cycles, u64 frame_gap,
   const SimProfile profile = target.sim().ProfileReport();
   result.edges_run = profile.edges_run;
   result.cycles_fast_forwarded = profile.cycles_fast_forwarded;
-  u64 digest = kFnvOffset;
+  u64 digest = fnv::kOffset;
   for (const EgressFrame& frame : target.TakeEgress()) {
-    digest = (digest ^ frame.port) * kFnvPrime;
-    for (u8 byte : frame.frame.bytes()) {
-      digest = (digest ^ byte) * kFnvPrime;
-    }
+    digest = fnv::Bytes(fnv::Mix(digest, frame.port), frame.frame.bytes());
     ++result.egress_count;
   }
   result.egress_digest = digest;

@@ -21,7 +21,12 @@
 //
 // --log-dir writes one artifact per seed (digests, per-stage counters, the
 // decomposition table) plus the threads=T Perfetto trace — the CI uploads
-// the directory.
+// the directory. The seed loop, the digest and trace comparisons, the SLO
+// gate and the artifacts are the shared soak harness (soak_harness.h).
+//
+// A build with EMU_TRACE=OFF compiles the trace out, so the decomposition
+// gate and the trace byte-compare are skipped there, and the soak says so;
+// the flow, findings, digest and SLO gates still run.
 //
 // emu-pulse additions: every run samples source-side telemetry (reply
 // throughput, shed, in-flight window, FIFO-matched source RTT p50/p99) into
@@ -29,7 +34,7 @@
 // wall-clock profile. --log-dir then also gets, per seed, the soak
 // dashboard HTML, the series JSON, and the epoch profile JSON + wall-clock
 // trace. All of these are separate artifacts from the deterministic trace —
-// the byte-compare below still covers the deterministic stream only, and
+// the trace byte-compare still covers the deterministic stream only, and
 // still passes with pulse attached. --slo CLAUSES evaluates declarative SLO
 // gates (e.g. "chain.source.rtt_us.p99 <= 400; chain.loss_rate <= 0.01")
 // against the threads=T run of every seed and makes a breach exit nonzero.
@@ -39,7 +44,6 @@
 //              [--spec FILE] [--log-dir DIR] [--slo CLAUSES] [--prom FILE]
 //              [--verbose]
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <memory>
@@ -47,17 +51,13 @@
 #include <string>
 #include <vector>
 
+#include "examples/soak_harness.h"
 #include "src/chain/scenario_build.h"
 #include "src/chain/stage_factory.h"
 #include "src/core/histogram.h"
 #include "src/core/metrics.h"
 #include "src/fault/fault_registry.h"
-#include "src/obs/dashboard.h"
 #include "src/obs/decompose.h"
-#include "src/obs/pulse.h"
-#include "src/obs/sampler.h"
-#include "src/obs/slo.h"
-#include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
 #include "src/sim/memaslap.h"
 
@@ -79,54 +79,37 @@ constexpr char kDefaultSpec[] =
 
 constexpr usize kPrewarmKeys = 200;
 
+#ifdef EMU_TRACE
+constexpr bool kTraced = true;
+#else
+constexpr bool kTraced = false;
+#endif
+
 struct SoakOptions {
-  u64 first_seed = 1;
-  u64 seed_count = 3;
-  usize threads = 4;
-  usize requests = 300;
+  u64 requests = 300;
   // Four stages each serve a request twice (forward and reply), so 25 us
   // between requests puts per-stage load at ~80% of the 10 us CPU service
   // time: queues visibly fill (nonzero decomposition queue rows) while the
   // source's credit window keeps it from shedding in steady state.
   u64 gap_us = 25;
   std::string spec_text = kDefaultSpec;
-  std::string log_dir;
-  std::string slo_spec;   // parsed up front; evaluated on every threads=T run
-  std::string prom_path;  // Prometheus exposition of the harness registry
-  u64 sample_interval_us = 100;
-  bool verbose = false;
 };
 
-// What the decomposition gate needs per stage: did both rows populate?
-struct StageDecompositionCheck {
-  std::string stage;
-  u64 queue_count = 0;
-  u64 service_count = 0;
-};
-
-struct RunOutcome {
-  bool ok = true;
-  std::string detail;
-  u64 events_executed = 0;
-  u64 chain_digest = 0;
-  u64 log_digest = 0;
+// Source telemetry fills the base's series (capacity 2048), snapshot and
+// Prometheus text; the digests are {"chain", "log"}.
+struct RunOutcome : soak::SoakRun {
+  RunOutcome() : SoakRun(2048) {}
   u64 attempts = 0;
   u64 source_shed = 0;
   u64 source_replies = 0;
   std::vector<Finding> findings;
   std::string counters;       // per-stage counter table
   std::string decomposition;  // per-stage latency table
-  std::string trace_json;     // Perfetto export (byte-compared across runs)
-  std::vector<StageDecompositionCheck> stage_rows;
-  // emu-pulse artifacts (wall-clock / telemetry; NOT byte-compared):
-  obs::TimeSeriesRecorder series{2048};
-  std::vector<std::pair<std::string, u64>> final_metrics;  // end-of-run snapshot
-  std::string prom_text;          // source telemetry registry exposition
-  std::string pulse_summary_json; // per-shard/per-epoch runner profile
-  std::string pulse_trace_json;   // wall-clock Chrome trace (separate artifact)
+  std::vector<obs::StageDecomposition> stage_rows;  // the decomposition gate's input
 };
 
-RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt) {
+RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt,
+                   const soak::SoakHarness& harness) {
   RunOutcome out;
   FaultRegistry registry(seed);
   Expected<std::unique_ptr<Scenario>> built =
@@ -207,42 +190,24 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt) {
     });
   }
 
-  MetricsSampler sampler(source_metrics,
-                         static_cast<Picoseconds>(opt.sample_interval_us) * kPicosPerMicro);
-  sampler.AttachRecorder(&out.series);
   // Sample through the send schedule plus a drain tail for the last replies.
   const Picoseconds sample_until =
       static_cast<Picoseconds>(frames.size() + 1) * gap + 500 * kPicosPerMicro;
-  sampler.SchedulePeriodic(clock, sample_until);
+  harness.RunWithTelemetry(scenario.topology, threads, source_metrics, clock, sample_until, out);
 
-  obs::RunnerPulse pulse;
-  scenario.topology.runner().AttachPulse(&pulse);
-
-  ParallelRunOptions run_opts;
-  run_opts.threads = threads;
-  out.events_executed = scenario.Run(run_opts);
-
-  out.final_metrics = source_metrics.Snapshot();
-  out.prom_text = source_metrics.PrometheusText();
-  out.pulse_summary_json = pulse.SummaryJson();
-  out.pulse_trace_json = pulse.WallClockTraceJson();
-
-  out.chain_digest = chain.Digest();
-  out.log_digest = registry.LogDigest();
+  out.digests = {{"chain", chain.Digest()}, {"log", registry.LogDigest()}};
   out.source_shed = chain.source_shed();
   out.source_replies = chain.source_replies();
   chain.CollectFindings(out.findings);
-  out.trace_json = trace.ExportChromeJson();
 
-  std::vector<std::string> stage_order;
-  for (usize i = 0; i < chain.stage_count(); ++i) {
-    stage_order.push_back(chain.stage(i).name());
-  }
-  const std::vector<obs::StageDecomposition> rows =
-      obs::DecomposeChainLatency(trace.MergedEvents(), stage_order);
-  out.decomposition = obs::FormatDecompositionTable(rows);
-  for (const obs::StageDecomposition& row : rows) {
-    out.stage_rows.push_back({row.stage, row.queue.count, row.service.count});
+  if (kTraced) {
+    out.trace_json = trace.ExportChromeJson();
+    std::vector<std::string> stage_order;
+    for (usize i = 0; i < chain.stage_count(); ++i) {
+      stage_order.push_back(chain.stage(i).name());
+    }
+    out.stage_rows = obs::DecomposeChainLatency(trace.MergedEvents(), stage_order);
+    out.decomposition = obs::FormatDecompositionTable(out.stage_rows);
   }
 
   std::ostringstream counters;
@@ -260,7 +225,7 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt) {
            << " replies=" << out.source_replies << "\n";
   out.counters = counters.str();
 
-  if (opt.verbose) {
+  if (harness.config().verbose) {
     MetricsRegistry metrics;
     chain.RegisterMetrics(metrics, "chain");
     registry.RegisterMetrics(metrics, "faults");
@@ -270,12 +235,10 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt) {
   return out;
 }
 
+// Flow, findings and decomposition on the threads run; the harness judges
+// run failures and determinism.
 std::vector<std::string> CheckInvariants(const RunOutcome& run) {
   std::vector<std::string> violations;
-  if (!run.ok) {
-    violations.push_back(run.detail);
-    return violations;
-  }
   for (const Finding& f : run.findings) {
     violations.push_back(f.ToString());
   }
@@ -284,26 +247,15 @@ std::vector<std::string> CheckInvariants(const RunOutcome& run) {
     violations.push_back("flow: " + std::to_string(admitted) + " requests admitted but " +
                          std::to_string(run.source_replies) + " replies returned");
   }
-  for (const StageDecompositionCheck& row : run.stage_rows) {
-    if (row.queue_count == 0 || row.service_count == 0) {
+  for (const obs::StageDecomposition& row : run.stage_rows) {
+    if (row.queue.count == 0 || row.service.count == 0) {
       violations.push_back("decomposition: stage '" + row.stage +
                            "' has an empty queue or service row (queue=" +
-                           std::to_string(row.queue_count) +
-                           " service=" + std::to_string(row.service_count) + ")");
+                           std::to_string(row.queue.count) +
+                           " service=" + std::to_string(row.service.count) + ")");
     }
   }
   return violations;
-}
-
-bool WriteFileOrWarn(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "chain_soak: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
 }
 
 // Lookup for the SLO gate: harness-derived values first (loss_rate), then the
@@ -316,205 +268,100 @@ obs::SloLookup MakeSoakLookup(const RunOutcome& run) {
                                : static_cast<double>(run.source_shed) /
                                      static_cast<double>(run.attempts);
     }
-    for (const auto& [metric, value] : run.final_metrics) {
-      if (metric == name) {
-        return static_cast<double>(value);
-      }
-    }
-    return std::nullopt;
+    return soak::FinalMetric(run, name);
   };
 }
 
-void WriteSeedArtifacts(const SoakOptions& opt, u64 seed, const RunOutcome& serial,
-                        const RunOutcome& parallel, const RunOutcome& replay,
-                        const std::vector<std::string>& violations,
-                        const obs::SloReport& slo) {
-  char digests[256];
-  std::snprintf(digests, sizeof(digests),
-                "chain digest: serial=%016llx threads=%016llx replay=%016llx\n"
-                "log digest:   serial=%016llx threads=%016llx replay=%016llx\n"
-                "trace bytes:  serial=%zu threads=%zu replay=%zu identical=%s\n",
-                static_cast<unsigned long long>(serial.chain_digest),
-                static_cast<unsigned long long>(parallel.chain_digest),
-                static_cast<unsigned long long>(replay.chain_digest),
-                static_cast<unsigned long long>(serial.log_digest),
-                static_cast<unsigned long long>(parallel.log_digest),
-                static_cast<unsigned long long>(replay.log_digest),
-                serial.trace_json.size(), parallel.trace_json.size(),
-                replay.trace_json.size(),
-                (serial.trace_json == parallel.trace_json &&
-                 parallel.trace_json == replay.trace_json)
-                    ? "yes"
-                    : "NO");
-  std::string text = "seed " + std::to_string(seed) + "\n" + digests +
-                     "\nper-stage counters (threads run):\n" + parallel.counters +
-                     "\nlatency decomposition (threads run):\n" + parallel.decomposition;
-  if (!violations.empty()) {
-    text += "\nviolations:\n";
-    for (const std::string& v : violations) {
-      text += "  " + v + "\n";
-    }
-  }
-  const std::string base = opt.log_dir + "/seed" + std::to_string(seed);
-  WriteFileOrWarn(base + ".txt", text);
-  WriteFileOrWarn(base + ".trace.json", parallel.trace_json);
+// The emu-pulse dashboard of the threads run: source-side telemetry. A
+// separate artifact from the deterministic trace by design.
+const std::vector<obs::ChartSpec> kCharts = {
+    {"Reply throughput", "replies/s", {"chain.source.replies"}, true},
+    {"Source shed (cumulative)", "frames", {"chain.source.shed"}, false},
+    {"In-flight window", "requests", {"chain.source.in_flight"}, false},
+    {"Source RTT", "us", {"chain.source.rtt_us.p50", "chain.source.rtt_us.p99"}, false},
+};
 
-  // emu-pulse artifacts (threads run): soak dashboard + raw series, the
-  // runner's epoch profile, and the wall-clock trace. Separate files from the
-  // deterministic trace above by design.
-  obs::DashboardOptions dash;
-  dash.title = "chain_soak seed " + std::to_string(seed);
-  dash.subtitle = "filter->nat->cache->pool, threads run; source-side telemetry";
-  const std::vector<obs::ChartSpec> charts = {
-      {"Reply throughput", "replies/s", {"chain.source.replies"}, true},
-      {"Source shed (cumulative)", "frames", {"chain.source.shed"}, false},
-      {"In-flight window", "requests", {"chain.source.in_flight"}, false},
-      {"Source RTT", "us", {"chain.source.rtt_us.p50", "chain.source.rtt_us.p99"}, false},
-  };
-  obs::WriteSoakDashboardHtml(base + ".dashboard.html", dash, parallel.series, charts, slo);
-  WriteFileOrWarn(base + ".series.json", parallel.series.SeriesJson());
-  WriteFileOrWarn(base + ".pulse.json", parallel.pulse_summary_json);
-  WriteFileOrWarn(base + ".pulse.trace.json", parallel.pulse_trace_json);
-}
-
-int Usage() {
-  std::printf(
-      "usage: chain_soak [--seed N] [--seeds N] [--threads N] [--requests N]\n"
-      "                  [--gap-us N] [--spec FILE] [--log-dir DIR]\n"
-      "                  [--slo CLAUSES] [--prom FILE] [--sample-us N] [--verbose]\n"
-      "--spec replaces the built-in filter->nat->cache->pool scenario;\n"
-      "--log-dir must already exist; per-seed artifacts (digests, counters,\n"
-      "latency decomposition, Perfetto trace, soak dashboard HTML, series +\n"
-      "epoch-profile JSON) are written there.\n"
-      "--slo takes ';'-separated clauses like \"chain.source.rtt_us.p99 <= 400;\n"
-      "chain.loss_rate <= 0.02\"; any breach on any seed's threads run makes\n"
-      "the exit status nonzero. --prom writes the source telemetry registry\n"
-      "of the last seed's threads run in Prometheus exposition format.\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: chain_soak [--seed N] [--seeds N] [--threads N] [--requests N]\n"
+    "                  [--gap-us N] [--spec FILE] [--log-dir DIR]\n"
+    "                  [--slo CLAUSES] [--prom FILE] [--sample-us N] [--verbose]\n"
+    "--spec replaces the built-in filter->nat->cache->pool scenario;\n"
+    "--log-dir must already exist; per-seed artifacts (digests, counters,\n"
+    "latency decomposition, Perfetto trace, soak dashboard HTML, series +\n"
+    "epoch-profile JSON) are written there.\n"
+    "--slo takes ';'-separated clauses like \"chain.source.rtt_us.p99 <= 400;\n"
+    "chain.loss_rate <= 0.02\"; any breach on any seed's threads run makes\n"
+    "the exit status nonzero. --prom writes the source telemetry registry\n"
+    "of the last seed's threads run in Prometheus exposition format.\n";
 
 int Main(int argc, char** argv) {
   SoakOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      opt.first_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--seeds" && i + 1 < argc) {
-      opt.seed_count = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--requests" && i + 1 < argc) {
-      opt.requests = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--gap-us" && i + 1 < argc) {
-      opt.gap_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--spec" && i + 1 < argc) {
-      std::ifstream in(argv[++i]);
-      if (!in) {
-        std::fprintf(stderr, "chain_soak: cannot read %s\n", argv[i]);
-        return 2;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      opt.spec_text = text.str();
-    } else if (arg == "--log-dir" && i + 1 < argc) {
-      opt.log_dir = argv[++i];
-    } else if (arg == "--slo" && i + 1 < argc) {
-      opt.slo_spec = argv[++i];
-    } else if (arg == "--prom" && i + 1 < argc) {
-      opt.prom_path = argv[++i];
-    } else if (arg == "--sample-us" && i + 1 < argc) {
-      opt.sample_interval_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
-    } else {
-      return Usage();
-    }
-  }
-  if (opt.threads == 0 || opt.seed_count == 0 || opt.requests == 0 || opt.gap_us == 0 ||
-      opt.sample_interval_us == 0) {
-    return Usage();
-  }
-
-  // Parse the SLO spec before any run: a malformed gate must fail fast, not
-  // after minutes of soak.
-  const obs::SloParseResult slo_spec = obs::ParseSloSpec(opt.slo_spec);
-  if (!slo_spec.ok) {
-    std::fprintf(stderr, "chain_soak: %s\n", slo_spec.error.c_str());
+  std::string spec_path;
+  soak::SoakHarness harness("chain_soak", kUsage, /*triple=*/true,
+                            {.seeds = 3, .sample_us = 100});
+  if (!harness.ParseArgs(argc, argv,
+                         {{"--requests", &opt.requests},
+                          {"--gap-us", &opt.gap_us},
+                          {"--spec", &spec_path}})) {
     return 2;
   }
+  if (opt.requests == 0 || opt.gap_us == 0) {
+    return harness.Usage();
+  }
+  if (!spec_path.empty()) {
+    std::ifstream in(spec_path);
+    if (!in) {
+      std::fprintf(stderr, "chain_soak: cannot read %s\n", spec_path.c_str());
+      return 2;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    opt.spec_text = text.str();
+  }
+  const soak::SoakConfig& cfg = harness.config();
 
-  std::printf("chain_soak: seeds=[%llu..%llu] threads={1,%zu} requests=%zu (+%zu prewarm)\n",
-              static_cast<unsigned long long>(opt.first_seed),
-              static_cast<unsigned long long>(opt.first_seed + opt.seed_count - 1),
-              opt.threads, opt.requests, kPrewarmKeys);
+  std::printf("chain_soak: %s requests=%llu (+%zu prewarm)\n", harness.SeedRange().c_str(),
+              static_cast<unsigned long long>(opt.requests), kPrewarmKeys);
+  if (!kTraced) {
+    std::printf("chain_soak: built with EMU_TRACE=OFF: decomposition gate and trace "
+                "byte-compare skipped (the trace is compiled out)\n");
+  }
 
   bool all_ok = true;
-  for (u64 k = 0; k < opt.seed_count; ++k) {
-    const u64 seed = opt.first_seed + k;
-    const RunOutcome serial = RunOnce(seed, 1, opt);
-    const RunOutcome parallel = RunOnce(seed, opt.threads, opt);
-    const RunOutcome replay = RunOnce(seed, opt.threads, opt);
-
-    std::vector<std::string> violations = CheckInvariants(parallel);
-    if (serial.ok && replay.ok && violations.empty()) {
-      if (serial.chain_digest != parallel.chain_digest ||
-          serial.log_digest != parallel.log_digest) {
-        violations.push_back("determinism: threads=1 vs threads=" +
-                             std::to_string(opt.threads) + " digests diverged");
-      }
-      if (replay.chain_digest != parallel.chain_digest ||
-          replay.log_digest != parallel.log_digest) {
-        violations.push_back("determinism: same-seed replay digests diverged");
-      }
-      if (serial.trace_json != parallel.trace_json) {
-        violations.push_back("determinism: threads=1 vs threads=" +
-                             std::to_string(opt.threads) + " traces are not byte-identical");
-      }
-      if (replay.trace_json != parallel.trace_json) {
-        violations.push_back("determinism: replay trace is not byte-identical");
-      }
-    } else if (!serial.ok) {
-      violations.push_back(serial.detail);
-    } else if (!replay.ok) {
-      violations.push_back(replay.detail);
-    }
+  for (u64 k = 0; k < cfg.seeds; ++k) {
+    const u64 seed = cfg.seed + k;
+    const RunOutcome serial = RunOnce(seed, 1, opt, harness);
+    const RunOutcome parallel = RunOnce(seed, cfg.threads, opt, harness);
+    const RunOutcome replay = RunOnce(seed, cfg.threads, opt, harness);
+    std::vector<std::string> violations = harness.JudgeTriple(
+        serial, parallel, replay, [&parallel] { return CheckInvariants(parallel); });
     // SLO gate on the threads run: a breach is a failure in its own right,
     // even with every determinism/flow invariant intact.
-    const obs::SloReport slo = obs::EvaluateSlo(slo_spec.clauses, MakeSoakLookup(parallel));
+    const obs::SloReport slo = harness.EvaluateSlo(MakeSoakLookup(parallel));
     if (!slo.ok) {
       violations.push_back("slo: breach (see clause report)");
     }
     all_ok = all_ok && violations.empty();
 
-    std::printf("seed=%llu  events=%llu  chain=%016llx log=%016llx  %s\n",
-                static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(parallel.events_executed),
-                static_cast<unsigned long long>(parallel.chain_digest),
-                static_cast<unsigned long long>(parallel.log_digest),
-                violations.empty() ? "ok" : "VIOLATIONS");
-    for (const std::string& v : violations) {
-      std::printf("  %s\n", v.c_str());
-    }
-    if (!slo.checks.empty()) {
-      std::printf("%s", obs::FormatSloReport(slo).c_str());
-    }
+    harness.PrintSeed(seed, "events=" + std::to_string(parallel.events), parallel, violations);
+    harness.PrintSlo(slo);
     if (k == 0 || !violations.empty()) {
       std::printf("%s", parallel.decomposition.c_str());
     }
-    if (!opt.log_dir.empty()) {
-      WriteSeedArtifacts(opt, seed, serial, parallel, replay, violations, slo);
-    }
-    if (!opt.prom_path.empty() && k + 1 == opt.seed_count) {
-      std::string lint_error;
-      if (!PrometheusLint(parallel.prom_text, &lint_error)) {
-        std::printf("  prom lint: %s\n", lint_error.c_str());
-        all_ok = false;
-      }
-      WriteFileOrWarn(opt.prom_path, parallel.prom_text);
+    obs::DashboardOptions dash;
+    dash.title = "chain_soak seed " + std::to_string(seed);
+    dash.subtitle = "filter->nat->cache->pool, threads run; source-side telemetry";
+    const std::string text = harness.SeedText(
+        seed, "", serial, parallel, replay,
+        "\nper-stage counters (threads run):\n" + parallel.counters +
+            "\nlatency decomposition (threads run):\n" + parallel.decomposition,
+        violations);
+    harness.WriteArtifacts("seed" + std::to_string(seed), text, parallel, dash, kCharts, slo);
+    if (k + 1 == cfg.seeds) {
+      all_ok = harness.WriteProm(parallel.prom_text) && all_ok;
     }
   }
-  std::printf("chain_soak: %s\n", all_ok ? "all invariants held" : "FAILURES");
-  return all_ok ? 0 : 1;
+  return harness.Finish(all_ok);
 }
 
 }  // namespace

@@ -29,28 +29,29 @@
 // nominal 1 cycle = 1 ns the dashboards assume); --log-dir gets a dashboard
 // HTML + series JSON per case. --slo CLAUSES gates each case's end-of-run
 // metrics (e.g. "chaos.loss_rate <= 0.05; chaos.hazards <= 0"); --prom
-// writes the last case's registry in Prometheus format, self-linted.
+// writes the last case's registry in Prometheus format, self-linted. The
+// flags, the SLO gate, the artifacts and the Prometheus step are the shared
+// soak harness (soak_harness.h); the FpgaTarget has no parallel runner, so
+// the per-service case loop and the --replay comparison stay here.
 //
 // Usage:
 //   chaos_soak [--seed N] [--cycles N] [--faults "<plan>"] [--replay]
 //              [--service <name>] [--slo CLAUSES] [--prom FILE] [--verbose]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "examples/soak_harness.h"
 #include "src/chain/stage_factory.h"
+#include "src/common/fnv.h"
 #include "src/common/rng.h"
 #include "src/core/metrics.h"
 #include "src/core/targets.h"
 #include "src/fault/fault_registry.h"
 #include "src/fault/frame_impairer.h"
-#include "src/obs/dashboard.h"
-#include "src/obs/slo.h"
-#include "src/obs/timeseries.h"
 #include "src/net/dns.h"
 #include "src/net/icmp.h"
 #include "src/net/tcp.h"
@@ -77,11 +78,10 @@ const Ipv4Address kClientIp(10, 0, 0, 9);
 // that configured them — one definition of each service's identity, shared
 // with the chain scenarios.
 struct SoakCase {
-  std::string name;
   std::unique_ptr<Service> service;
   std::function<void(FpgaTarget&)> prewarm;
   FrameFactory factory;
-  std::vector<u8> ports;
+  std::vector<u8> ports = {0, 1, 2, 3};
   std::string dropped_metric;
 };
 
@@ -99,7 +99,6 @@ std::unique_ptr<Service> MustMakeService(const std::string& kind, const StageAtt
 
 SoakCase MakeIcmpCase() {
   SoakCase c;
-  c.name = "icmp_echo";
   c.service = MustMakeService("icmp_echo", {});
   c.dropped_metric = "icmp.dropped";
   const IcmpEchoConfig config = CanonicalIcmpEchoConfig();
@@ -107,13 +106,11 @@ SoakCase MakeIcmpCase() {
     return MakeIcmpEchoRequest(
         {config.mac, kClientMac, kClientIp, config.ip, static_cast<u16>(i), 0}, {});
   };
-  c.ports = {0, 1, 2, 3};
   return c;
 }
 
 SoakCase MakeTcpPingCase() {
   SoakCase c;
-  c.name = "tcp_ping";
   c.service = MustMakeService("tcp_ping", {});
   c.dropped_metric = "tcp_ping.dropped";
   const TcpPingConfig config = CanonicalTcpPingConfig();
@@ -129,13 +126,11 @@ SoakCase MakeTcpPingCase() {
                         TcpFlags::kSyn};
     return MakeTcpSegment(spec);
   };
-  c.ports = {0, 1, 2, 3};
   return c;
 }
 
 SoakCase MakeDnsCase() {
   SoakCase c;
-  c.name = "dns";
   // records=4 installs the same svc<i>.lab -> 10.1.0.<1+i> records the
   // factory below queries.
   c.service = MustMakeService("dns", {{"records", "4"}});
@@ -147,13 +142,11 @@ SoakCase MakeDnsCase() {
                           static_cast<u16>(5000 + i % 1000), kDnsPort},
                          BuildDnsQuery(static_cast<u16>(i), name));
   };
-  c.ports = {0, 1, 2, 3};
   return c;
 }
 
 SoakCase MakeNatCase() {
   SoakCase c;
-  c.name = "nat";
   // max_mappings=256: reachable exhaustion within one soak;
   // evict_idle=10000: evict-idle-first under pressure.
   c.service = MustMakeService("nat", {{"max_mappings", "256"}, {"evict_idle", "10000"}});
@@ -176,7 +169,6 @@ SoakCase MakeNatCase() {
 
 SoakCase MakeMemcachedCase() {
   SoakCase c;
-  c.name = "memcached";
   c.service = MustMakeService("memcached", {});
   c.dropped_metric = "memcached.dropped";
   MemaslapConfig workload;
@@ -191,7 +183,6 @@ SoakCase MakeMemcachedCase() {
     target.TakeEgress();
   };
   c.factory = [loadgen](usize i, u8) { return loadgen->WorkloadFrame(i); };
-  c.ports = {0, 1, 2, 3};
   return c;
 }
 
@@ -230,18 +221,10 @@ std::string RandomPlanText(u64 seed, u64 cycles) {
   return buffer;
 }
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-u64 DigestBytes(u64 h, const u8* data, usize size) {
-  for (usize i = 0; i < size; ++i) {
-    h = (h ^ data[i]) * kFnvPrime;
-  }
-  return h;
-}
-
-struct SoakOutcome {
-  bool ok = true;
+// The case's telemetry fills the base's series (capacity 512), snapshot and
+// Prometheus text.
+struct SoakOutcome : soak::SoakRun {
+  SoakOutcome() : SoakRun(512) {}
   u64 generated = 0;
   u64 tap_dropped = 0;
   u64 injected = 0;
@@ -254,30 +237,21 @@ struct SoakOutcome {
   usize hazards = 0;
   bool balanced = false;
   bool recovered = false;
-  std::string detail;
   // Carried for --log-dir artifacts: the exact plan that ran and the
   // registry's injection log, so a CI failure is replayable from the
   // uploaded file alone.
   std::string plan_used;
   std::string injection_log;
-  // emu-pulse: sampled case telemetry + the end-of-run snapshot the SLO
-  // gate evaluates, and the registry's Prometheus exposition.
-  obs::TimeSeriesRecorder series{512};
-  std::vector<std::pair<std::string, u64>> final_metrics;
-  std::string prom_text;
 };
 
 struct SoakOptions {
-  u64 seed = 1;
   u64 cycles = 1'000'000;
   std::string plan_text;  // empty: randomized from seed
-  std::string log_dir;    // when set: write per-case artifacts on failure
-  std::string slo_spec;   // per-case end-of-run gates
-  std::string prom_path;  // Prometheus exposition of the last case's registry
-  bool verbose = false;
+  std::string only_service;
+  bool replay = false;
 };
 
-SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
+SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt, const soak::SoakConfig& cfg) {
   SoakOutcome out;
   FpgaTarget target(*c.service);
 
@@ -289,7 +263,7 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
     c.prewarm(target);
   }
 
-  FaultRegistry registry(opt.seed);
+  FaultRegistry registry(cfg.seed);
   c.service->RegisterFaultPoints(registry);
   FrameImpairer tap(registry, "ingress");
   // The simulator ticks the registry once per executed edge (and books
@@ -302,7 +276,7 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
   metrics.Register("faults.fired", [&registry] { return registry.fired_total(); });
 
   const std::string plan_text =
-      opt.plan_text.empty() ? RandomPlanText(opt.seed, opt.cycles) : opt.plan_text;
+      opt.plan_text.empty() ? RandomPlanText(cfg.seed, opt.cycles) : opt.plan_text;
   out.plan_used = plan_text;
   const Expected<FaultPlan> plan = ParseFaultPlan(plan_text);
   if (!plan.ok()) {
@@ -311,7 +285,7 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
     return out;
   }
   registry.ArmPlan(*plan);
-  if (opt.verbose) {
+  if (cfg.verbose) {
     std::printf("  plan: %s\n", plan_text.c_str());
   }
 
@@ -408,10 +382,9 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
       in == out.injected &&
       in == egress_count + out.pipeline_drops + out.service_dropped;
 
-  u64 digest = kFnvOffset;
+  u64 digest = fnv::kOffset;
   for (const EgressFrame& frame : target.TakeEgress()) {
-    digest = (digest ^ frame.port) * kFnvPrime;
-    digest = DigestBytes(digest, frame.frame.bytes().data(), frame.frame.size());
+    digest = fnv::Bytes(fnv::Mix(digest, frame.port), frame.frame.bytes());
   }
   out.egress_digest = digest;
 
@@ -444,7 +417,7 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
     out.detail += "recovery failed: " + std::to_string(probe_ok) + "/" +
                   std::to_string(kProbes) + " probes answered\n";
   }
-  if (opt.verbose) {
+  if (cfg.verbose) {
     std::printf("%s", registry.Summary().c_str());
     std::printf("%s", metrics.Format().c_str());
   }
@@ -463,29 +436,17 @@ obs::SloLookup MakeCaseLookup(const SoakOutcome& out) {
     if (name == "chaos.recovered") return out.recovered ? 1.0 : 0.0;
     if (name == "chaos.hazards") return static_cast<double>(out.hazards);
     if (name == "chaos.faults_fired") return static_cast<double>(out.faults_fired);
-    for (const auto& [metric, value] : out.final_metrics) {
-      if (metric == name) return static_cast<double>(value);
-    }
-    return std::nullopt;
+    return soak::FinalMetric(out, name);
   };
 }
 
 // Dashboard + series JSON for one case (written for every case when
 // --log-dir is set, not just failures — a green soak's telemetry is the
 // baseline the red one is diffed against).
-void WriteCaseDashboard(const SoakOptions& opt, const std::string& name,
-                        const SoakOutcome& out, const obs::SloReport& slo) {
-  obs::DashboardOptions dash;
-  dash.title = "chaos_soak " + name + " seed " + std::to_string(opt.seed);
-  dash.subtitle = std::to_string(opt.cycles) + " cycles; plan: " + out.plan_used;
-  const std::vector<obs::ChartSpec> charts = {
-      {"Flow", "frames/s (1 cyc = 1 ns)", {"chaos.injected", "chaos.egressed"}, true},
-      {"Faults fired (cumulative)", "injections", {"faults.fired"}, false},
-  };
-  const std::string base = opt.log_dir + "/" + name + "_seed" + std::to_string(opt.seed);
-  obs::WriteSoakDashboardHtml(base + ".dashboard.html", dash, out.series, charts, slo);
-  out.series.WriteSeriesJson(base + ".series.json");
-}
+const std::vector<obs::ChartSpec> kCharts = {
+    {"Flow", "frames/s (1 cyc = 1 ns)", {"chaos.injected", "chaos.egressed"}, true},
+    {"Faults fired (cumulative)", "injections", {"faults.fired"}, false},
+};
 
 void PrintOutcome(const std::string& name, const SoakOutcome& out, u64 seed) {
   std::printf(
@@ -505,89 +466,47 @@ void PrintOutcome(const std::string& name, const SoakOutcome& out, u64 seed) {
   }
 }
 
-// One file per failing case under opt.log_dir (the directory must exist; CI
-// creates it and uploads it as an artifact): the plan, both digests, the
-// injection log, and the failure detail — everything a replay needs.
-void WriteFailureArtifact(const SoakOptions& opt, const std::string& name,
-                          const SoakOutcome& out, const SoakOutcome* replay) {
-  char digests[160];
-  std::snprintf(digests, sizeof(digests), "fault digest: %016llx\negress digest: %016llx\n",
-                static_cast<unsigned long long>(out.fault_digest),
-                static_cast<unsigned long long>(out.egress_digest));
-  std::string text = "case " + name + " seed " + std::to_string(opt.seed) + " cycles " +
-                     std::to_string(opt.cycles) + "\nplan: " + out.plan_used + "\n" +
-                     digests;
+// The .txt of a failing case (the directory must exist; CI creates it and
+// uploads it as an artifact): the plan, both digests, the injection log, and
+// the failure detail — everything a replay needs.
+std::string FailureText(const SoakOptions& opt, u64 seed, const std::string& name,
+                        const SoakOutcome& out, const SoakOutcome* replay) {
+  std::string text = "case " + name + " seed " + std::to_string(seed) + " cycles " +
+                     std::to_string(opt.cycles) + "\nplan: " + out.plan_used +
+                     "\nfault digest: " + soak::Hex(out.fault_digest) +
+                     "\negress digest: " + soak::Hex(out.egress_digest) + "\n";
   if (replay != nullptr) {
-    char replayed[160];
-    std::snprintf(replayed, sizeof(replayed),
-                  "REPLAY DIVERGED\nreplay fault digest: %016llx\nreplay egress digest: "
-                  "%016llx\n",
-                  static_cast<unsigned long long>(replay->fault_digest),
-                  static_cast<unsigned long long>(replay->egress_digest));
-    text += replayed;
+    text += "REPLAY DIVERGED\nreplay fault digest: " + soak::Hex(replay->fault_digest) +
+            "\nreplay egress digest: " + soak::Hex(replay->egress_digest) + "\n";
   }
   if (!out.detail.empty()) {
     text += "detail:\n" + out.detail;
   }
   text += "\ninjection log:\n" + out.injection_log;
-  const std::string path = opt.log_dir + "/" + name + "_seed" +
-                           std::to_string(opt.seed) + ".txt";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "chaos_soak: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  return text;
 }
 
-int Usage() {
-  std::printf(
-      "usage: chaos_soak [--seed N] [--cycles N] [--faults \"<plan>\"]\n"
-      "                  [--replay] [--service <name>] [--log-dir DIR]\n"
-      "                  [--slo CLAUSES] [--prom FILE] [--verbose]\n"
-      "services: icmp_echo tcp_ping dns nat memcached (default: all)\n"
-      "--slo gates every case's end-of-run metrics, e.g.\n"
-      "  \"chaos.loss_rate <= 0.05; chaos.hazards <= 0; chaos.recovered >= 1\"\n"
-      "plan: \"<point> oneshot <tick> | bernoulli <p> | burst <from> <until> <p>"
-      " [magnitude]\" entries, ';'-separated\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: chaos_soak [--seed N] [--cycles N] [--faults \"<plan>\"]\n"
+    "                  [--replay] [--service <name>] [--log-dir DIR]\n"
+    "                  [--slo CLAUSES] [--prom FILE] [--verbose]\n"
+    "services: icmp_echo tcp_ping dns nat memcached (default: all)\n"
+    "--slo gates every case's end-of-run metrics, e.g.\n"
+    "  \"chaos.loss_rate <= 0.05; chaos.hazards <= 0; chaos.recovered >= 1\"\n"
+    "plan: \"<point> oneshot <tick> | bernoulli <p> | burst <from> <until> <p>"
+    " [magnitude]\" entries, ';'-separated\n";
 
 int Main(int argc, char** argv) {
   SoakOptions opt;
-  bool replay = false;
-  std::string only_service;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--cycles" && i + 1 < argc) {
-      opt.cycles = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--faults" && i + 1 < argc) {
-      opt.plan_text = argv[++i];
-    } else if (arg == "--replay") {
-      replay = true;
-    } else if (arg == "--service" && i + 1 < argc) {
-      only_service = argv[++i];
-    } else if (arg == "--log-dir" && i + 1 < argc) {
-      opt.log_dir = argv[++i];
-    } else if (arg == "--slo" && i + 1 < argc) {
-      opt.slo_spec = argv[++i];
-    } else if (arg == "--prom" && i + 1 < argc) {
-      opt.prom_path = argv[++i];
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
-    } else {
-      return Usage();
-    }
-  }
-
-  const obs::SloParseResult slo_spec = obs::ParseSloSpec(opt.slo_spec);
-  if (!slo_spec.ok) {
-    std::fprintf(stderr, "chaos_soak: %s\n", slo_spec.error.c_str());
+  soak::SoakHarness harness("chaos_soak", kUsage, /*triple=*/false, {});
+  if (!harness.ParseArgs(argc, argv,
+                         {{"--cycles", &opt.cycles},
+                          {"--faults", &opt.plan_text},
+                          {"--replay", &opt.replay},
+                          {"--service", &opt.only_service}})) {
     return 2;
   }
+  const soak::SoakConfig& cfg = harness.config();
 
   using CaseMaker = SoakCase (*)();
   const std::pair<const char*, CaseMaker> cases[] = {
@@ -597,48 +516,33 @@ int Main(int argc, char** argv) {
   };
 
   std::printf("chaos_soak: seed=%llu cycles=%llu%s\n",
-              static_cast<unsigned long long>(opt.seed),
+              static_cast<unsigned long long>(cfg.seed),
               static_cast<unsigned long long>(opt.cycles),
-              replay ? " (replay check)" : "");
+              opt.replay ? " (replay check)" : "");
   bool all_ok = true;
   bool matched = false;
   for (const auto& [name, make] : cases) {
-    if (!only_service.empty() && only_service != name) {
+    if (!opt.only_service.empty() && opt.only_service != name) {
       continue;
     }
     matched = true;
-    const SoakOutcome first = RunSoak(make(), opt);
-    PrintOutcome(name, first, opt.seed);
+    const SoakOutcome first = RunSoak(make(), opt, cfg);
+    PrintOutcome(name, first, cfg.seed);
     all_ok = all_ok && first.ok;
 
-    const obs::SloReport slo = obs::EvaluateSlo(slo_spec.clauses, MakeCaseLookup(first));
-    if (!slo.checks.empty()) {
-      std::printf("%s", obs::FormatSloReport(slo).c_str());
-    }
+    const obs::SloReport slo = harness.EvaluateSlo(MakeCaseLookup(first));
+    harness.PrintSlo(slo);
     all_ok = all_ok && slo.ok;
 
-    if (!opt.log_dir.empty()) {
-      WriteCaseDashboard(opt, name, first, slo);
-    }
-    if (!first.ok && !opt.log_dir.empty()) {
-      WriteFailureArtifact(opt, name, first, nullptr);
-    }
-    if (!opt.prom_path.empty()) {
-      std::string lint_error;
-      if (!PrometheusLint(first.prom_text, &lint_error)) {
-        std::printf("%-10s prom lint: %s\n", name, lint_error.c_str());
-        all_ok = false;
-      }
-      std::FILE* f = std::fopen(opt.prom_path.c_str(), "w");
-      if (f != nullptr) {
-        std::fwrite(first.prom_text.data(), 1, first.prom_text.size(), f);
-        std::fclose(f);
-      } else {
-        std::fprintf(stderr, "chaos_soak: cannot write %s\n", opt.prom_path.c_str());
-      }
-    }
-    if (replay && first.ok) {
-      const SoakOutcome second = RunSoak(make(), opt);
+    const std::string stem = std::string(name) + "_seed" + std::to_string(cfg.seed);
+    obs::DashboardOptions dash;
+    dash.title = "chaos_soak " + std::string(name) + " seed " + std::to_string(cfg.seed);
+    dash.subtitle = std::to_string(opt.cycles) + " cycles; plan: " + first.plan_used;
+    harness.WriteArtifacts(stem, first.ok ? "" : FailureText(opt, cfg.seed, name, first, nullptr),
+                           first, dash, kCharts, slo);
+    all_ok = harness.WriteProm(first.prom_text) && all_ok;
+    if (opt.replay && first.ok) {
+      const SoakOutcome second = RunSoak(make(), opt, cfg);
       const bool same = second.fault_digest == first.fault_digest &&
                         second.egress_digest == first.egress_digest;
       std::printf("%-10s replay: %s (faults %016llx, egress %016llx)\n", name,
@@ -646,16 +550,15 @@ int Main(int argc, char** argv) {
                   static_cast<unsigned long long>(second.fault_digest),
                   static_cast<unsigned long long>(second.egress_digest));
       all_ok = all_ok && same;
-      if (!same && !opt.log_dir.empty()) {
-        WriteFailureArtifact(opt, name, first, &second);
+      if (!same) {
+        harness.WriteLog(stem + ".txt", FailureText(opt, cfg.seed, name, first, &second));
       }
     }
   }
   if (!matched) {
-    return Usage();
+    return harness.Usage();
   }
-  std::printf("chaos_soak: %s\n", all_ok ? "all invariants held" : "FAILURES");
-  return all_ok ? 0 : 1;
+  return harness.Finish(all_ok);
 }
 
 }  // namespace

@@ -36,55 +36,11 @@
 #include "src/services/memcached_service.h"
 #include "src/services/nat_service.h"
 #include "src/sim/memaslap.h"
-#include "src/sim/parallel_runner.h"
-#include "src/sim/sim_host.h"
+#include "src/sim/topology.h"
 
 namespace {
 
 using namespace emu;  // example code; library code never does this
-
-// A hand-built sharded topology: unlike ShardedTopology's star/cluster
-// shapes, nodes here run different services AND have different host counts.
-class MixedTopology {
- public:
-  usize AddNode(Service& service) {
-    schedulers_.push_back(std::make_unique<EventScheduler>());
-    node_shards_.push_back(runner_.AddShard(*schedulers_.back()));
-    node_schedulers_.push_back(schedulers_.back().get());
-    nodes_.push_back(std::make_unique<ServiceNode>(*schedulers_.back(), service));
-    return nodes_.size() - 1;
-  }
-
-  SimHost& AddHost(usize node, u8 port, const std::string& name, MacAddress mac,
-                   Ipv4Address ip) {
-    schedulers_.push_back(std::make_unique<EventScheduler>());
-    EventScheduler& host_scheduler = *schedulers_.back();
-    const usize host_shard = runner_.AddShard(host_scheduler);
-    links_.push_back(std::make_unique<Link>(host_scheduler, 10'000'000'000ULL, 500'000));
-    Link& link = *links_.back();
-    hosts_.push_back(std::make_unique<SimHost>(host_scheduler, name, mac, ip));
-    hosts_.back()->AttachUplink(&link, /*is_end_a=*/true);
-    nodes_[node]->AttachPort(port, &link, /*is_end_a=*/false);
-    runner_.ConnectDirection(link, /*to_b=*/true, host_shard, node_shards_[node]);
-    runner_.ConnectDirection(link, /*to_b=*/false, node_shards_[node], host_shard);
-    return *hosts_.back();
-  }
-
-  ServiceNode& node(usize i) { return *nodes_[i]; }
-  EventScheduler& node_scheduler(usize i) { return *node_schedulers_[i]; }
-  Link& link(usize i) { return *links_[i]; }
-  usize link_count() const { return links_.size(); }
-  u64 Run(usize threads) { return runner_.Run({.threads = threads}); }
-
- private:
-  ParallelRunner runner_;
-  std::vector<std::unique_ptr<EventScheduler>> schedulers_;
-  std::vector<usize> node_shards_;
-  std::vector<EventScheduler*> node_schedulers_;
-  std::vector<std::unique_ptr<ServiceNode>> nodes_;
-  std::vector<std::unique_ptr<Link>> links_;
-  std::vector<std::unique_ptr<SimHost>> hosts_;
-};
 
 struct RunResult {
   // The session outlives the run so MergedEvents' string views stay valid.
@@ -112,22 +68,30 @@ RunResult RunOnce(usize threads) {
   MemcachedConfig mc_config;
   MemcachedService mc_service(mc_config);
 
-  MixedTopology topo;
-  const usize sw = topo.AddNode(switch_service);
-  const usize nat = topo.AddNode(nat_service);
-  const usize mc = topo.AddNode(mc_service);
+  // Unlike ShardedTopology's star and cluster shapes, the nodes here run
+  // different services AND have different host counts; every element still
+  // gets its own shard.
+  TopologyBuilder topo;
+  ServiceNode& sw = topo.AddServiceNode(switch_service);
+  ServiceNode& nat = topo.AddServiceNode(nat_service);
+  ServiceNode& mc = topo.AddServiceNode(mc_service);
+  const auto add_host = [&topo](ServiceNode& node, u8 port, const HostSpec& spec) -> SimHost& {
+    SimHost& host = topo.AddHost(spec);
+    topo.LinkHostToNode(host, node, port, StarTopologyConfig{});
+    return host;
+  };
 
-  const MacAddress s0_mac = MacAddress::FromU48(0x02'00'00'00'0a'01);
-  const MacAddress s1_mac = MacAddress::FromU48(0x02'00'00'00'0a'02);
-  SimHost& s0 = topo.AddHost(sw, 0, "s0", s0_mac, Ipv4Address(10, 0, 0, 1));
-  SimHost& s1 = topo.AddHost(sw, 1, "s1", s1_mac, Ipv4Address(10, 0, 0, 2));
+  SimHost& s0 = add_host(sw, 0, {"s0", MacAddress::FromU48(0x02'00'00'00'0a'01),
+                                 Ipv4Address(10, 0, 0, 1)});
+  SimHost& s1 = add_host(sw, 1, {"s1", MacAddress::FromU48(0x02'00'00'00'0a'02),
+                                 Ipv4Address(10, 0, 0, 2)});
   // NAT convention: port 0 faces the external network, port 1 the internal.
-  SimHost& ext = topo.AddHost(nat, 0, "ext", MacAddress::FromU48(0x02'ff'ff'ff'ff'01),
-                              Ipv4Address(8, 8, 8, 8));
-  SimHost& internal = topo.AddHost(nat, 1, "int", MacAddress::FromU48(0x02'00'00'00'11'10),
-                                   Ipv4Address(192, 168, 1, 10));
+  SimHost& ext = add_host(nat, 0, {"ext", MacAddress::FromU48(0x02'ff'ff'ff'ff'01),
+                                   Ipv4Address(8, 8, 8, 8)});
+  SimHost& internal = add_host(nat, 1, {"int", MacAddress::FromU48(0x02'00'00'00'11'10),
+                                        Ipv4Address(192, 168, 1, 10)});
   const MacAddress client_mac = MacAddress::FromU48(0x02'00'00'00'c1'00);
-  SimHost& client = topo.AddHost(mc, 0, "client", client_mac, Ipv4Address(10, 0, 0, 50));
+  SimHost& client = add_host(mc, 0, {"client", client_mac, Ipv4Address(10, 0, 0, 50)});
 
   for (SimHost* h : {&s0, &s1, &internal, &client}) {
     h->SetApp([](SimHost&, Packet) {});
@@ -204,26 +168,26 @@ RunResult RunOnce(usize threads) {
   // reads across a shard boundary; the full registry is read post-run only.
   MetricsRegistry mc_metrics;
   mc_service.RegisterMetrics(mc_metrics);
-  topo.node(mc).target().sim().RegisterMetrics(mc_metrics, "kernel.memcached");
+  mc.target().sim().RegisterMetrics(mc_metrics, "kernel.memcached");
   MetricsSampler sampler(mc_metrics, 100 * kPicosPerMicro);
-  sampler.SchedulePeriodic(topo.node_scheduler(mc), 400 * kPicosPerMicro);
+  sampler.SchedulePeriodic(mc.scheduler(), 400 * kPicosPerMicro);
 
   // Sampled kernel profiling on the memcached node: wall-clock accounting
   // only, so the deterministic trace bytes are untouched by it.
-  topo.node(mc).target().sim().SetProfilingMode(ProfilingMode::kSampled);
+  mc.target().sim().SetProfilingMode(ProfilingMode::kSampled);
 
-  result.events = topo.Run(threads);
-  result.profile = topo.node(mc).target().sim().ProfileReport();
+  result.events = topo.Run({.threads = threads});
+  result.profile = mc.target().sim().ProfileReport();
 
   MetricsRegistry metrics;
   switch_service.RegisterMetrics(metrics);
   nat_service.RegisterMetrics(metrics);
   mc_service.RegisterMetrics(metrics);
-  topo.node(sw).target().sim().RegisterMetrics(metrics, "kernel.switch");
-  topo.node(nat).target().sim().RegisterMetrics(metrics, "kernel.nat");
-  topo.node(mc).target().sim().RegisterMetrics(metrics, "kernel.memcached");
-  for (usize i = 0; i < topo.link_count(); ++i) {
-    topo.link(i).RegisterMetrics(metrics, "link" + std::to_string(i));
+  sw.target().sim().RegisterMetrics(metrics, "kernel.switch");
+  nat.target().sim().RegisterMetrics(metrics, "kernel.nat");
+  mc.target().sim().RegisterMetrics(metrics, "kernel.memcached");
+  for (usize i = 0; i < topo.host_count(); ++i) {
+    topo.uplink(i)->RegisterMetrics(metrics, "link" + std::to_string(i));
   }
 
   result.trace_json = result.session->ExportChromeJson();

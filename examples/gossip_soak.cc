@@ -27,6 +27,10 @@
 // --log-dir writes one file per seed with the plan, the injection log, and
 // the digests — the CI uploads that directory as a failure artifact.
 //
+// The seed loop, the digest comparisons, the SLO gate and the artifacts are
+// the shared soak harness (soak_harness.h); this file supplies the SWIM
+// world, the invariant checker and the dashboard charts.
+//
 // emu-pulse additions: every run samples host-0's SWIM telemetry (probe
 // rate, suspect/dead declarations, live-member view) into a bounded
 // TimeSeriesRecorder and records the parallel runner's per-epoch wall-clock
@@ -44,21 +48,17 @@
 //               [--log-dir DIR] [--slo CLAUSES] [--verbose]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "examples/soak_harness.h"
 #include "src/chain/scenario_build.h"
+#include "src/common/fnv.h"
 #include "src/core/histogram.h"
 #include "src/core/metrics.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fault_registry.h"
-#include "src/obs/dashboard.h"
-#include "src/obs/pulse.h"
-#include "src/obs/sampler.h"
-#include "src/obs/slo.h"
-#include "src/obs/timeseries.h"
 #include "src/services/swim_service.h"
 #include "src/sim/chaos.h"
 #include "src/sim/topology.h"
@@ -81,22 +81,11 @@ constexpr char kImpairClauses[] =
     "; link.h1.up.reorder bernoulli 0.02; link.h1.down.reorder bernoulli 0.02";
 
 constexpr Picoseconds kBootDelay = 5 * kPicosPerMilli;
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
 
 struct SoakOptions {
-  u64 first_seed = 1;
-  u64 seed_count = 5;
-  usize hosts = 8;
-  usize threads = 4;
+  u64 hosts = 8;
   u64 run_ms = 200;
   std::string plan_text = kDefaultPlan;
-  std::string prom_path;
-  std::string log_dir;
-  std::string slo_spec;  // evaluated over the cross-seed harness metrics
-  u64 sample_interval_us = 1000;
-  bool impair = false;
-  bool verbose = false;
 };
 
 std::string HostName(usize i) { return "h" + std::to_string(i); }
@@ -127,28 +116,19 @@ SwimConfig SoakSwimConfig(u64 run_ms) {
   return config;
 }
 
-// Everything one run produces that the invariant checker and the digest
-// comparisons need, copied out before the topology is torn down.
-struct RunOutcome {
-  bool ok = true;
-  std::string detail;
-  u64 events_executed = 0;
-  u64 epochs = 0;
-  u64 swim_digest = 0;  // per-peer EventsDigest folded in id order
-  u64 log_digest = 0;   // FaultRegistry::LogDigest
-  std::vector<std::vector<SwimEvent>> events;      // [observer]
+// Everything one run produces that the invariant checker needs, copied out
+// before the topology is torn down. The digests are {"swim", "log"}: the
+// per-peer EventsDigest folded in id order and FaultRegistry::LogDigest.
+struct RunOutcome : soak::SoakRun {
+  RunOutcome() : SoakRun(1024) {}
+  std::vector<std::vector<SwimEvent>> swim_events;  // [observer]
   std::vector<std::vector<SwimState>> final_state;  // [observer][subject]
-  std::vector<std::vector<u32>> final_inc;
   std::vector<bool> host_up;
   std::string injection_log;
-  std::string prom_text;  // filled when want_prom
-  // emu-pulse artifacts (wall-clock / telemetry; orthogonal to the digests):
-  obs::TimeSeriesRecorder series{1024};
-  std::string pulse_summary_json;
-  std::string pulse_trace_json;
 };
 
-RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt, bool want_prom) {
+RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt,
+                   const soak::SoakHarness& harness) {
   RunOutcome out;
   const std::vector<SwimMember> members = ClusterMembers(opt.hosts);
   FaultRegistry registry(seed);
@@ -206,41 +186,26 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt, bool want_pr
     }
     return alive;
   });
-  MetricsSampler sampler(h0_metrics,
-                         static_cast<Picoseconds>(opt.sample_interval_us) * kPicosPerMicro);
-  sampler.AttachRecorder(&out.series);
-  sampler.SchedulePeriodic(topo.host(0).scheduler(), swim_config.run_until);
+  harness.RunWithTelemetry(topo, threads, h0_metrics, topo.host(0).scheduler(),
+                           swim_config.run_until, out);
 
-  obs::RunnerPulse pulse;
-  topo.runner().AttachPulse(&pulse);
-
-  ParallelRunOptions run_opts;
-  run_opts.threads = threads;
-  out.events_executed = topo.Run(run_opts);
-  out.epochs = topo.runner().epochs();
-  out.pulse_summary_json = pulse.SummaryJson();
-  out.pulse_trace_json = pulse.WallClockTraceJson();
-
-  u64 combined = kFnvOffset;
+  u64 swim_digest = fnv::kOffset;
   for (const auto& peer : peers) {
-    combined = (combined ^ peer->EventsDigest()) * kFnvPrime;
+    swim_digest = fnv::Mix(swim_digest, peer->EventsDigest());
   }
-  out.swim_digest = combined;
-  out.log_digest = registry.LogDigest();
+  out.digests = {{"swim", swim_digest}, {"log", registry.LogDigest()}};
   out.injection_log = registry.Summary();
   for (usize o = 0; o < opt.hosts; ++o) {
-    out.events.push_back(peers[o]->events());
+    out.swim_events.push_back(peers[o]->events());
     out.host_up.push_back(topo.host(o).up());
     std::vector<SwimState> states;
-    std::vector<u32> incs;
     for (usize s = 0; s < opt.hosts; ++s) {
       states.push_back(peers[o]->StateOf(static_cast<u16>(s)));
-      incs.push_back(peers[o]->IncarnationOf(static_cast<u16>(s)));
     }
     out.final_state.push_back(std::move(states));
-    out.final_inc.push_back(std::move(incs));
   }
-  if (want_prom || opt.verbose) {
+  const bool verbose = harness.config().verbose;
+  if (!harness.config().prom.empty() || verbose) {
     MetricsRegistry metrics;
     registry.RegisterMetrics(metrics, "faults");
     for (usize i = 0; i < opt.hosts; ++i) {
@@ -249,7 +214,7 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt, bool want_pr
     }
     topo.hub().RegisterMetrics(metrics, "hub");
     out.prom_text = metrics.PrometheusText();
-    if (opt.verbose) {
+    if (verbose) {
       std::printf("%s", metrics.Format().c_str());
     }
   }
@@ -260,10 +225,6 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt, bool want_pr
 //
 // The checker reconstructs each host's lifecycle and the partition windows
 // from the parsed plan, then audits the per-peer membership-event logs.
-
-struct Violation {
-  std::string message;
-};
 
 class InvariantChecker {
  public:
@@ -293,8 +254,8 @@ class InvariantChecker {
 
   // Runs every invariant over one outcome; detection latencies are observed
   // into `latency_us` (microseconds) for the Prometheus artifact.
-  std::vector<Violation> Check(const RunOutcome& run, Histogram& latency_us) const {
-    std::vector<Violation> violations;
+  std::vector<std::string> Check(const RunOutcome& run, Histogram& latency_us) const {
+    std::vector<std::string> violations;
     CheckCompleteness(run, latency_us, violations);
     // Accuracy, rejoin, and agreement are SWIM's *probabilistic* promises:
     // under armed link impairment a lost probe response legitimately looks
@@ -309,7 +270,6 @@ class InvariantChecker {
     return violations;
   }
 
-  Picoseconds bound() const { return bound_; }
   bool lossy() const { return lossy_; }
 
  private:
@@ -334,7 +294,6 @@ class InvariantChecker {
   // has it down at `t`. Mirrors SimHost's state machine.
   bool UpAt(usize host, Picoseconds t) const {
     bool up = true;
-    Picoseconds cursor = 0;
     // Events in plan order are already time-ordered per host in practice;
     // scan both lists merged by time for robustness.
     std::vector<std::pair<Picoseconds, bool>> timeline;  // (time, is_crash)
@@ -353,9 +312,7 @@ class InvariantChecker {
         // Restart: down for the boot window, then up.
         up = at + kBootDelay <= t;
       }
-      cursor = at;
     }
-    (void)cursor;
     return up;
   }
 
@@ -388,7 +345,7 @@ class InvariantChecker {
   // First Dead(subject) logged by `observer` in [t0, t1], or -1.
   Picoseconds FirstDead(const RunOutcome& run, usize observer, usize subject,
                         Picoseconds t0, Picoseconds t1) const {
-    for (const SwimEvent& e : run.events[observer]) {
+    for (const SwimEvent& e : run.swim_events[observer]) {
       if (e.subject == subject && e.state == SwimState::kDead && e.at >= t0 && e.at <= t1) {
         return e.at;
       }
@@ -397,7 +354,7 @@ class InvariantChecker {
   }
 
   void CheckCompleteness(const RunOutcome& run, Histogram& latency_us,
-                         std::vector<Violation>& out) const {
+                         std::vector<std::string>& out) const {
     for (const LifeEvent& crash : crashes_) {
       const Picoseconds deadline = crash.at + bound_;
       if (deadline > horizon_) continue;  // window does not fit the run
@@ -410,9 +367,9 @@ class InvariantChecker {
         if (o == crash.host || !UpThroughout(o, crash.at, deadline)) continue;
         const Picoseconds at = FirstDead(run, o, crash.host, crash.at, deadline);
         if (at == static_cast<Picoseconds>(-1)) {
-          out.push_back({"completeness: " + HostName(o) + " never declared " +
-                         HostName(crash.host) + " dead within " +
-                         std::to_string(bound_ / kPicosPerMilli) + "ms of its crash"});
+          out.push_back("completeness: " + HostName(o) + " never declared " +
+                        HostName(crash.host) + " dead within " +
+                        std::to_string(bound_ / kPicosPerMilli) + "ms of its crash");
         } else {
           latency_us.Observe((at - crash.at) / kPicosPerMicro);
         }
@@ -420,9 +377,9 @@ class InvariantChecker {
     }
   }
 
-  void CheckAccuracy(const RunOutcome& run, std::vector<Violation>& out) const {
+  void CheckAccuracy(const RunOutcome& run, std::vector<std::string>& out) const {
     for (usize o = 0; o < opt_.hosts; ++o) {
-      for (const SwimEvent& e : run.events[o]) {
+      for (const SwimEvent& e : run.swim_events[o]) {
         if (e.state != SwimState::kDead) continue;
         const usize s = e.subject;
         const Picoseconds window_start = e.at > bound_ ? e.at - bound_ : 0;
@@ -432,14 +389,14 @@ class InvariantChecker {
         // ... or a partition naming the subject overlapped that window
         // (gossip spreads partition-induced deaths to every observer).
         if (PartitionNamed(s, window_start, e.at)) continue;
-        out.push_back({"accuracy: false positive — " + HostName(o) + " declared " +
-                       HostName(s) + " dead at " + std::to_string(e.at / kPicosPerMilli) +
-                       "ms with no crash or partition to justify it"});
+        out.push_back("accuracy: false positive — " + HostName(o) + " declared " +
+                      HostName(s) + " dead at " + std::to_string(e.at / kPicosPerMilli) +
+                      "ms with no crash or partition to justify it");
       }
     }
   }
 
-  void CheckRejoin(const RunOutcome& run, std::vector<Violation>& out) const {
+  void CheckRejoin(const RunOutcome& run, std::vector<std::string>& out) const {
     for (const LifeEvent& restart : restarts_) {
       const Picoseconds completion = restart.at + kBootDelay;
       const Picoseconds deadline = completion + bound_;
@@ -456,7 +413,7 @@ class InvariantChecker {
           continue;  // rejoin traffic may be blocked; agreement covers the tail
         }
         bool readmitted = false;
-        for (const SwimEvent& e : run.events[o]) {
+        for (const SwimEvent& e : run.swim_events[o]) {
           if (e.subject == restart.host && e.state == SwimState::kAlive &&
               e.incarnation >= 1 && e.at >= completion && e.at <= deadline) {
             readmitted = true;
@@ -464,13 +421,13 @@ class InvariantChecker {
           }
         }
         if (!readmitted) {
-          out.push_back({"rejoin: " + HostName(o) + " never re-admitted " +
-                         HostName(restart.host) + " (alive, incarnation >= 1) within " +
-                         std::to_string(bound_ / kPicosPerMilli) + "ms of its reboot"});
+          out.push_back("rejoin: " + HostName(o) + " never re-admitted " +
+                        HostName(restart.host) + " (alive, incarnation >= 1) within " +
+                        std::to_string(bound_ / kPicosPerMilli) + "ms of its reboot");
         } else if (run.host_up[o] &&
                    run.final_state[o][restart.host] != SwimState::kAlive) {
-          out.push_back({"rejoin: " + HostName(o) + " re-admitted " +
-                         HostName(restart.host) + " but ended the run with it non-alive"});
+          out.push_back("rejoin: " + HostName(o) + " re-admitted " +
+                        HostName(restart.host) + " but ended the run with it non-alive");
         }
       }
     }
@@ -478,7 +435,7 @@ class InvariantChecker {
 
   // Once the last chaos event (plus detection bound and boot window) has
   // passed, every pair of up hosts must agree the other is alive.
-  void CheckAgreement(const RunOutcome& run, std::vector<Violation>& out) const {
+  void CheckAgreement(const RunOutcome& run, std::vector<std::string>& out) const {
     Picoseconds settle = 0;
     for (const LifeEvent& c : crashes_) settle = std::max(settle, c.at);
     for (const LifeEvent& r : restarts_) settle = std::max(settle, r.at + kBootDelay);
@@ -491,9 +448,9 @@ class InvariantChecker {
       for (usize s = 0; s < opt_.hosts; ++s) {
         if (s == o || !run.host_up[s]) continue;
         if (run.final_state[o][s] != SwimState::kAlive) {
-          out.push_back({"agreement: " + HostName(o) + " ended the run believing " +
-                         HostName(s) + " is " +
-                         SwimStateName(run.final_state[o][s])});
+          out.push_back("agreement: " + HostName(o) + " ended the run believing " +
+                        HostName(s) + " is " +
+                        SwimStateName(run.final_state[o][s]));
         }
       }
     }
@@ -508,139 +465,62 @@ class InvariantChecker {
   std::vector<Window> windows_;
 };
 
-// --- Artifacts --------------------------------------------------------------
+// --- The soak -----------------------------------------------------------------
 
-bool WriteFileOrWarn(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "gossip_soak: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
-}
+// The emu-pulse dashboard of the threads run: host-0 SWIM telemetry.
+const std::vector<obs::ChartSpec> kCharts = {
+    {"Probe rate", "pings/s", {"swim.h0.pings_sent"}, true},
+    {"Live members (h0 view)", "members", {"swim.h0.alive_members"}, false},
+    {"Failure declarations", "cumulative",
+     {"swim.h0.suspects_declared", "swim.h0.deads_declared"}, false},
+    {"Gossip fanout", "entries", {"swim.h0.gossip_fanout.p50", "swim.h0.gossip_fanout.p99"},
+     false},
+};
 
-void WriteSeedArtifact(const SoakOptions& opt, u64 seed, const RunOutcome& serial,
-                       const RunOutcome& parallel, const RunOutcome& replay,
-                       const std::vector<Violation>& violations) {
-  char digest_lines[256];
-  std::snprintf(digest_lines, sizeof(digest_lines),
-                "swim digest: serial=%016llx threads=%016llx replay=%016llx\n"
-                "log digest:  serial=%016llx threads=%016llx replay=%016llx\n",
-                static_cast<unsigned long long>(serial.swim_digest),
-                static_cast<unsigned long long>(parallel.swim_digest),
-                static_cast<unsigned long long>(replay.swim_digest),
-                static_cast<unsigned long long>(serial.log_digest),
-                static_cast<unsigned long long>(parallel.log_digest),
-                static_cast<unsigned long long>(replay.log_digest));
-  std::string text = "seed " + std::to_string(seed) + "\nplan: " + opt.plan_text + "\n" +
-                     digest_lines + "\ninjection log:\n" + serial.injection_log;
-  if (!violations.empty()) {
-    text += "\nviolations:\n";
-    for (const Violation& v : violations) {
-      text += "  " + v.message + "\n";
-    }
-  }
-  const std::string base = opt.log_dir + "/seed" + std::to_string(seed);
-  WriteFileOrWarn(base + ".txt", text);
-
-  // emu-pulse artifacts (threads run): dashboard + series + epoch profile.
-  obs::DashboardOptions dash;
-  dash.title = "gossip_soak seed " + std::to_string(seed);
-  dash.subtitle = std::to_string(opt.hosts) + " hosts, threads run; host-0 SWIM telemetry";
-  const std::vector<obs::ChartSpec> charts = {
-      {"Probe rate", "pings/s", {"swim.h0.pings_sent"}, true},
-      {"Live members (h0 view)", "members", {"swim.h0.alive_members"}, false},
-      {"Failure declarations", "cumulative",
-       {"swim.h0.suspects_declared", "swim.h0.deads_declared"}, false},
-      {"Gossip fanout", "entries", {"swim.h0.gossip_fanout.p50", "swim.h0.gossip_fanout.p99"},
-       false},
-  };
-  obs::WriteSoakDashboardHtml(base + ".dashboard.html", dash, parallel.series, charts,
-                              obs::SloReport{});
-  WriteFileOrWarn(base + ".series.json", parallel.series.SeriesJson());
-  WriteFileOrWarn(base + ".pulse.json", parallel.pulse_summary_json);
-  WriteFileOrWarn(base + ".pulse.trace.json", parallel.pulse_trace_json);
-}
-
-int Usage() {
-  std::printf(
-      "usage: gossip_soak [--seed N] [--seeds N] [--hosts N] [--threads N]\n"
-      "                   [--run-ms N] [--plan \"<topo plan>\"] [--prom FILE]\n"
-      "                   [--log-dir DIR] [--slo CLAUSES] [--sample-us N]\n"
-      "                   [--impair] [--verbose]\n"
-      "--slo gates the cross-seed harness metrics at end of soak, e.g.\n"
-      "  \"gossip.detection_latency_us.p99 <= 5000; gossip.violations_total <= 0\"\n"
-      "plan grammar: crash host=<h> at=<t>; restart host=<h> at=<t>;\n"
-      "              partition {a,b}|{c,d} from=<t> to=<t> [oneway];\n"
-      "              link.<h>.{up,down}.{drop,corrupt,dup,reorder,delay} <schedule>\n"
-      "--impair appends default loss/reorder clauses to the plan.\n"
-      "--log-dir must already exist; one artifact file is written per seed.\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: gossip_soak [--seed N] [--seeds N] [--hosts N] [--threads N]\n"
+    "                   [--run-ms N] [--plan \"<topo plan>\"] [--prom FILE]\n"
+    "                   [--log-dir DIR] [--slo CLAUSES] [--sample-us N]\n"
+    "                   [--impair] [--verbose]\n"
+    "--slo gates the cross-seed harness metrics at end of soak, e.g.\n"
+    "  \"gossip.detection_latency_us.p99 <= 5000; gossip.violations_total <= 0\"\n"
+    "plan grammar: crash host=<h> at=<t>; restart host=<h> at=<t>;\n"
+    "              partition {a,b}|{c,d} from=<t> to=<t> [oneway];\n"
+    "              link.<h>.{up,down}.{drop,corrupt,dup,reorder,delay} <schedule>\n"
+    "--impair appends default loss/reorder clauses to the plan.\n"
+    "--log-dir must already exist; one artifact file is written per seed.\n";
 
 int Main(int argc, char** argv) {
   SoakOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      opt.first_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--seeds" && i + 1 < argc) {
-      opt.seed_count = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--hosts" && i + 1 < argc) {
-      opt.hosts = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--run-ms" && i + 1 < argc) {
-      opt.run_ms = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--plan" && i + 1 < argc) {
-      opt.plan_text = argv[++i];
-    } else if (arg == "--prom" && i + 1 < argc) {
-      opt.prom_path = argv[++i];
-    } else if (arg == "--log-dir" && i + 1 < argc) {
-      opt.log_dir = argv[++i];
-    } else if (arg == "--slo" && i + 1 < argc) {
-      opt.slo_spec = argv[++i];
-    } else if (arg == "--sample-us" && i + 1 < argc) {
-      opt.sample_interval_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--impair") {
-      opt.impair = true;
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
-    } else {
-      return Usage();
-    }
-  }
-  if (opt.hosts < 3 || opt.hosts > 64 || opt.threads == 0 || opt.seed_count == 0 ||
-      opt.sample_interval_us == 0) {
-    return Usage();
-  }
-  if (opt.impair) {
-    opt.plan_text += kImpairClauses;
-  }
-
-  // Parse the SLO gate before any run so a malformed spec fails fast.
-  const obs::SloParseResult slo_spec = obs::ParseSloSpec(opt.slo_spec);
-  if (!slo_spec.ok) {
-    std::fprintf(stderr, "gossip_soak: %s\n", slo_spec.error.c_str());
+  bool impair = false;
+  soak::SoakHarness harness("gossip_soak", kUsage, /*triple=*/true,
+                            {.seeds = 5, .sample_us = 1000});
+  if (!harness.ParseArgs(argc, argv,
+                         {{"--hosts", &opt.hosts},
+                          {"--run-ms", &opt.run_ms},
+                          {"--plan", &opt.plan_text},
+                          {"--impair", &impair}})) {
     return 2;
   }
-
+  if (opt.hosts < 3 || opt.hosts > 64) {
+    return harness.Usage();
+  }
+  if (impair) {
+    opt.plan_text += kImpairClauses;
+  }
   const Expected<FaultPlan> plan = ParseFaultPlan(opt.plan_text);
   if (!plan.ok()) {
     std::fprintf(stderr, "gossip_soak: bad plan: %s\n", plan.status().ToString().c_str());
     return 2;
   }
+  const soak::SoakConfig& cfg = harness.config();
   const SwimConfig swim_config = SoakSwimConfig(opt.run_ms);
   const Picoseconds bound = SwimDetectionBound(swim_config, opt.hosts);
   const InvariantChecker checker(*plan, opt, bound);
 
-  std::printf("gossip_soak: hosts=%zu seeds=[%llu..%llu] threads={1,%zu} run=%llums "
-              "detection-bound=%llums\n",
-              opt.hosts, static_cast<unsigned long long>(opt.first_seed),
-              static_cast<unsigned long long>(opt.first_seed + opt.seed_count - 1),
-              opt.threads, static_cast<unsigned long long>(opt.run_ms),
+  std::printf("gossip_soak: hosts=%llu %s run=%llums detection-bound=%llums\n",
+              static_cast<unsigned long long>(opt.hosts), harness.SeedRange().c_str(),
+              static_cast<unsigned long long>(opt.run_ms),
               static_cast<unsigned long long>(bound / kPicosPerMilli));
   std::printf("plan: %s\n", opt.plan_text.c_str());
   if (checker.lossy()) {
@@ -654,53 +534,34 @@ int Main(int argc, char** argv) {
   std::string last_prom;
   bool all_ok = true;
 
-  for (u64 k = 0; k < opt.seed_count; ++k) {
-    const u64 seed = opt.first_seed + k;
-    const bool want_prom = !opt.prom_path.empty() && k + 1 == opt.seed_count;
-    const RunOutcome serial = RunOnce(seed, 1, opt, /*want_prom=*/false);
-    const RunOutcome parallel = RunOnce(seed, opt.threads, opt, want_prom);
-    const RunOutcome replay = RunOnce(seed, opt.threads, opt, /*want_prom=*/false);
+  for (u64 k = 0; k < cfg.seeds; ++k) {
+    const u64 seed = cfg.seed + k;
+    const RunOutcome serial = RunOnce(seed, 1, opt, harness);
+    const RunOutcome parallel = RunOnce(seed, cfg.threads, opt, harness);
+    const RunOutcome replay = RunOnce(seed, cfg.threads, opt, harness);
     runs_total += 3;
-    if (want_prom) {
-      last_prom = parallel.prom_text;
-    }
-
-    std::vector<Violation> violations;
-    for (const RunOutcome* run : {&serial, &parallel, &replay}) {
-      if (!run->ok) {
-        violations.push_back({run->detail});
-      }
-    }
-    if (violations.empty()) {
-      // Invariants on the parallel run (the shipping configuration); the
-      // digest cross-checks make the serial and replay runs equivalent.
-      violations = checker.Check(parallel, detection_latency_us);
-      if (serial.swim_digest != parallel.swim_digest ||
-          serial.log_digest != parallel.log_digest) {
-        violations.push_back({"determinism: threads=1 vs threads=" +
-                              std::to_string(opt.threads) + " digests diverged"});
-      }
-      if (replay.swim_digest != parallel.swim_digest ||
-          replay.log_digest != parallel.log_digest) {
-        violations.push_back({"determinism: same-seed replay digests diverged"});
-      }
-    }
+    last_prom = parallel.prom_text;
+    // Invariants on the parallel run (the shipping configuration); the
+    // digest cross-checks make the serial and replay runs equivalent.
+    const std::vector<std::string> violations =
+        harness.JudgeTriple(serial, parallel, replay, [&] {
+          return checker.Check(parallel, detection_latency_us);
+        });
     violations_total += violations.size();
     all_ok = all_ok && violations.empty();
 
-    std::printf("seed=%llu  events=%llu epochs=%llu  swim=%016llx log=%016llx  %s\n",
-                static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(parallel.events_executed),
-                static_cast<unsigned long long>(parallel.epochs),
-                static_cast<unsigned long long>(parallel.swim_digest),
-                static_cast<unsigned long long>(parallel.log_digest),
-                violations.empty() ? "ok" : "VIOLATIONS");
-    for (const Violation& v : violations) {
-      std::printf("  %s\n", v.message.c_str());
-    }
-    if (!opt.log_dir.empty()) {
-      WriteSeedArtifact(opt, seed, serial, parallel, replay, violations);
-    }
+    harness.PrintSeed(seed,
+                      "events=" + std::to_string(parallel.events) +
+                          " epochs=" + std::to_string(parallel.epochs),
+                      parallel, violations);
+    obs::DashboardOptions dash;
+    dash.title = "gossip_soak seed " + std::to_string(seed);
+    dash.subtitle = std::to_string(opt.hosts) + " hosts, threads run; host-0 SWIM telemetry";
+    const std::string text =
+        harness.SeedText(seed, "plan: " + opt.plan_text + "\n", serial, parallel, replay,
+                         "\ninjection log:\n" + serial.injection_log, violations);
+    harness.WriteArtifacts("seed" + std::to_string(seed), text, parallel, dash, kCharts,
+                           obs::SloReport{});
   }
 
   if (detection_latency_us.count() > 0) {
@@ -709,30 +570,18 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(detection_latency_us.PercentileEstimate(99.0)),
                 static_cast<unsigned long long>(detection_latency_us.count()));
   }
-  MetricsRegistry harness;
-  harness.Register("gossip.runs_total", &runs_total);
-  harness.Register("gossip.violations_total", &violations_total);
-  harness.RegisterHistogram("gossip.detection_latency_us", &detection_latency_us);
+  MetricsRegistry metrics;
+  metrics.Register("gossip.runs_total", &runs_total);
+  metrics.Register("gossip.violations_total", &violations_total);
+  metrics.RegisterHistogram("gossip.detection_latency_us", &detection_latency_us);
 
   // The SLO gate runs over the cross-seed harness metrics (TryGet resolves
   // histogram `.p50`/`.p99` views) — a breach is a soak failure on its own.
-  const obs::SloReport slo = obs::EvaluateSlo(slo_spec.clauses, obs::MakeRegistryLookup(harness));
-  if (!slo.checks.empty()) {
-    std::printf("%s", obs::FormatSloReport(slo).c_str());
-  }
+  const obs::SloReport slo = harness.EvaluateSlo(obs::MakeRegistryLookup(metrics));
+  harness.PrintSlo(slo);
   all_ok = all_ok && slo.ok;
-
-  if (!opt.prom_path.empty()) {
-    const std::string prom_text = harness.PrometheusText() + last_prom;
-    std::string lint_error;
-    if (!PrometheusLint(prom_text, &lint_error)) {
-      std::printf("prom lint: %s\n", lint_error.c_str());
-      all_ok = false;
-    }
-    WriteFileOrWarn(opt.prom_path, prom_text);
-  }
-  std::printf("gossip_soak: %s\n", all_ok ? "all invariants held" : "FAILURES");
-  return all_ok ? 0 : 1;
+  all_ok = harness.WriteProm(metrics.PrometheusText() + last_prom) && all_ok;
+  return harness.Finish(all_ok);
 }
 
 }  // namespace

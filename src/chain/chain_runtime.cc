@@ -3,23 +3,13 @@
 #include <cassert>
 #include <utility>
 
+#include "src/common/fnv.h"
 #include "src/core/metrics.h"
 #include "src/net/ethernet.h"
 #include "src/obs/trace_hooks.h"
 
 namespace emu {
 namespace {
-
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-u64 Fnv1aU64(u64 h, u64 value) {
-  for (usize i = 0; i < 8; ++i) {
-    h ^= (value >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // FPGA stage run budget per delivery: generous against any in-repo service's
 // module latency, small against the simulated network timeline. A frame the
@@ -313,20 +303,20 @@ void ChainRuntime::CollectFindings(std::vector<Finding>& findings) const {
 }
 
 u64 ChainRuntime::Digest() const {
-  u64 h = kFnvOffset;
+  u64 h = fnv::kOffset;
   for (const auto& stage : stages_) {
-    h = Fnv1aU64(h, stage->serviced_forward());
-    h = Fnv1aU64(h, stage->serviced_reply());
-    h = Fnv1aU64(h, stage->lost_backpressure());
-    h = Fnv1aU64(h, stage->misrouted());
-    h = Fnv1aU64(h, stage->flood_dropped());
-    h = Fnv1aU64(h, stage->credits_sent());
-    h = Fnv1aU64(h, stage->credits_received());
-    h = Fnv1aU64(h, stage->host().sent());
-    h = Fnv1aU64(h, stage->host().received());
+    h = fnv::U64(h, stage->serviced_forward());
+    h = fnv::U64(h, stage->serviced_reply());
+    h = fnv::U64(h, stage->lost_backpressure());
+    h = fnv::U64(h, stage->misrouted());
+    h = fnv::U64(h, stage->flood_dropped());
+    h = fnv::U64(h, stage->credits_sent());
+    h = fnv::U64(h, stage->credits_received());
+    h = fnv::U64(h, stage->host().sent());
+    h = fnv::U64(h, stage->host().received());
   }
-  h = Fnv1aU64(h, source_shed_);
-  h = Fnv1aU64(h, source_replies_);
+  h = fnv::U64(h, source_shed_);
+  h = fnv::U64(h, source_replies_);
   return h;
 }
 

@@ -1,31 +1,24 @@
 #include "src/fault/fault_registry.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
+#include "src/common/fnv.h"
 #include "src/core/metrics.h"
 #include "src/obs/trace_hooks.h"
 
 namespace emu {
 namespace {
 
-// FNV-1a, used both to derive per-point RNG seeds and for log digests.
-// Deliberately not std::hash: the stream a point draws from must be stable
-// across builds and standard libraries for replays to be portable.
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-u64 Fnv1a(u64 h, const void* data, usize size) {
-  const auto* bytes = static_cast<const u8*>(data);
-  for (usize i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
+// FNV-1a derives per-point RNG seeds and log digests: the stream a point
+// draws from must be stable across builds for replays to be portable.
+std::span<const u8> RawBytes(const void* data, usize size) {
+  return {static_cast<const u8*>(data), size};
 }
 
 u64 HashName(const std::string& name) {
-  return Fnv1a(kFnvOffset, name.data(), name.size());
+  return fnv::Bytes(fnv::kOffset, RawBytes(name.data(), name.size()));
 }
 
 }  // namespace
@@ -240,13 +233,12 @@ std::vector<FaultEvent> FaultRegistry::CanonicalLog() const {
 }
 
 u64 FaultRegistry::LogDigest() const {
-  u64 h = kFnvOffset;
+  u64 h = fnv::kOffset;
   for (const FaultEvent& event : CanonicalLog()) {
-    h = Fnv1a(h, &event.tick, sizeof(event.tick));
-    h = Fnv1a(h, event.site.data(), event.site.size());
-    const u8 cls = static_cast<u8>(event.cls);
-    h = Fnv1a(h, &cls, sizeof(cls));
-    h = Fnv1a(h, &event.detail, sizeof(event.detail));
+    h = fnv::Bytes(h, RawBytes(&event.tick, sizeof(event.tick)));
+    h = fnv::Bytes(h, RawBytes(event.site.data(), event.site.size()));
+    h = fnv::Mix(h, static_cast<u8>(event.cls));
+    h = fnv::Bytes(h, RawBytes(&event.detail, sizeof(event.detail)));
   }
   return h;
 }

@@ -1,7 +1,6 @@
 #include "src/obs/dashboard.h"
 
 #include <charconv>
-#include <fstream>
 
 namespace emu::obs {
 namespace {
@@ -220,18 +219,6 @@ std::string RenderSoakDashboardHtml(const DashboardOptions& options,
   out += kScript;
   out += "</script>\n</body></html>\n";
   return out;
-}
-
-bool WriteSoakDashboardHtml(const std::string& path, const DashboardOptions& options,
-                            const TimeSeriesRecorder& recorder,
-                            const std::vector<ChartSpec>& charts, const SloReport& slo) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) {
-    return false;
-  }
-  const std::string html = RenderSoakDashboardHtml(options, recorder, charts, slo);
-  file.write(html.data(), static_cast<std::streamsize>(html.size()));
-  return static_cast<bool>(file);
 }
 
 }  // namespace emu::obs

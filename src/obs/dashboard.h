@@ -39,10 +39,6 @@ std::string RenderSoakDashboardHtml(const DashboardOptions& options,
                                     const TimeSeriesRecorder& recorder,
                                     const std::vector<ChartSpec>& charts, const SloReport& slo);
 
-bool WriteSoakDashboardHtml(const std::string& path, const DashboardOptions& options,
-                            const TimeSeriesRecorder& recorder,
-                            const std::vector<ChartSpec>& charts, const SloReport& slo);
-
 }  // namespace emu::obs
 
 #endif  // SRC_OBS_DASHBOARD_H_

@@ -1,7 +1,5 @@
 #include "src/obs/timeseries.h"
 
-#include <fstream>
-
 namespace emu::obs {
 
 void TimeSeriesRecorder::Record(Picoseconds ts,
@@ -91,16 +89,6 @@ std::string TimeSeriesRecorder::SeriesJson() const {
   }
   out += "]}";
   return out;
-}
-
-bool TimeSeriesRecorder::WriteSeriesJson(const std::string& path) const {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) {
-    return false;
-  }
-  const std::string json = SeriesJson();
-  file.write(json.data(), static_cast<std::streamsize>(json.size()));
-  return static_cast<bool>(file);
 }
 
 }  // namespace emu::obs

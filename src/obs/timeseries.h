@@ -49,8 +49,6 @@ class TimeSeriesRecorder {
   //  the retained rows, in first-seen order.
   std::string SeriesJson() const;
 
-  bool WriteSeriesJson(const std::string& path) const;
-
  private:
   void Compact();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/fnv.h"
 #include "src/core/metrics.h"
 #include "src/net/ethernet.h"
 #include "src/net/ipv4.h"
@@ -9,17 +10,6 @@
 
 namespace emu {
 namespace {
-
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-u64 Fnv1aU64(u64 h, u64 value) {
-  for (usize i = 0; i < sizeof(value); ++i) {
-    h ^= static_cast<u8>(value >> (8 * i));
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // Wire format (UDP payload, all multi-byte fields big-endian):
 //   [0]    type          (SwimMessageType)
@@ -446,13 +436,13 @@ void SwimPeer::SendSwim(u16 to, SwimMessageType type, u32 seq, u16 subject, bool
 }
 
 u64 SwimPeer::EventsDigest() const {
-  u64 h = kFnvOffset;
+  u64 h = fnv::kOffset;
   for (const SwimEvent& event : events_) {
-    h = Fnv1aU64(h, static_cast<u64>(event.at));
-    h = Fnv1aU64(h, event.observer);
-    h = Fnv1aU64(h, event.subject);
-    h = Fnv1aU64(h, static_cast<u64>(event.state));
-    h = Fnv1aU64(h, event.incarnation);
+    h = fnv::U64(h, static_cast<u64>(event.at));
+    h = fnv::U64(h, event.observer);
+    h = fnv::U64(h, event.subject);
+    h = fnv::U64(h, static_cast<u64>(event.state));
+    h = fnv::U64(h, event.incarnation);
   }
   return h;
 }

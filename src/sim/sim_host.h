@@ -122,6 +122,7 @@ class ServiceNode {
   // registries to target().sim(). The embedded Simulator belongs to this
   // node's shard in a parallel run — never touch it from another thread.
   CpuTarget& target() { return target_; }
+  EventScheduler& scheduler() { return scheduler_; }
 
   u64 forwarded() const { return forwarded_; }
 

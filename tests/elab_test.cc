@@ -15,6 +15,7 @@
 
 #include "src/analysis/elab/elab_graph.h"
 #include "src/analysis/finding.h"
+#include "src/common/fnv.h"
 #include "src/core/targets.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fault_registry.h"
@@ -335,22 +336,16 @@ TEST(ElabCheck, FaultTargetFlagsUnmatchedPattern) {
 // workload runs once with the pass taken before the first edge and once
 // without; the egress must agree bit for bit.
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
 struct EgressDigest {
   Cycle final_now = 0;
   usize frames = 0;
-  u64 digest = kFnvOffset;
+  u64 digest = fnv::kOffset;
 
   void Capture(FpgaTarget& target) {
     final_now = target.sim().now();
     for (const EgressFrame& entry : target.TakeEgress()) {
       ++frames;
-      digest = (digest ^ entry.port) * kFnvPrime;
-      for (u8 byte : entry.frame.bytes()) {
-        digest = (digest ^ byte) * kFnvPrime;
-      }
+      digest = fnv::Bytes(fnv::Mix(digest, entry.port), entry.frame.bytes());
     }
   }
 

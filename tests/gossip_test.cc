@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/common/status.h"
 #include "src/core/metrics.h"
 #include "src/fault/fault_plan.h"
@@ -25,8 +26,6 @@
 namespace emu {
 namespace {
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
 constexpr Picoseconds kBootDelay = 5 * kPicosPerMilli;
 
 std::vector<SwimMember> ClusterMembers(usize hosts) {
@@ -63,9 +62,9 @@ struct Cluster {
   }
 
   u64 SwimDigest() const {
-    u64 combined = kFnvOffset;
+    u64 combined = fnv::kOffset;
     for (const auto& peer : peers) {
-      combined = (combined ^ peer->EventsDigest()) * kFnvPrime;
+      combined = fnv::Mix(combined, peer->EventsDigest());
     }
     return combined;
   }

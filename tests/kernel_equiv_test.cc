@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/core/metrics.h"
 #include "src/core/targets.h"
 #include "src/debug/controller.h"
@@ -42,16 +43,10 @@
 namespace emu {
 namespace {
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
 u64 DigestEgress(const std::vector<EgressFrame>& egress) {
-  u64 h = kFnvOffset;
+  u64 h = fnv::kOffset;
   for (const EgressFrame& entry : egress) {
-    h = (h ^ entry.port) * kFnvPrime;
-    for (u8 byte : entry.frame.bytes()) {
-      h = (h ^ byte) * kFnvPrime;
-    }
+    h = fnv::Bytes(fnv::Mix(h, entry.port), entry.frame.bytes());
   }
   return h;
 }
@@ -887,8 +882,8 @@ FaultDigest RunImpairedSwitch(bool fast_path) {
   digest.run.Capture(target, metrics);
   digest.faults_fired = registry.fired_total();
   digest.log_digest = registry.LogDigest();
-  digest.log_digest = digest.log_digest * kFnvPrime ^ tap.delayed();
-  digest.log_digest = digest.log_digest * kFnvPrime ^ tap.duplicated();
+  digest.log_digest = digest.log_digest * fnv::kPrime ^ tap.delayed();
+  digest.log_digest = digest.log_digest * fnv::kPrime ^ tap.duplicated();
   target.sim().AttachFaultRegistry(nullptr);
   return digest;
 }

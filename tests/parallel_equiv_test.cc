@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/core/metrics.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fault_registry.h"
@@ -36,29 +37,13 @@
 namespace emu {
 namespace {
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-void FoldU64(u64& h, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
-  }
-}
-
-void FoldBytes(u64& h, std::span<const u8> bytes) {
-  for (u8 b : bytes) {
-    h = (h ^ b) * kFnvPrime;
-  }
-}
-
 // Per-host arrival log: folds (arrival time, frame bytes) in arrival order.
 struct HostLog {
-  u64 digest = kFnvOffset;
+  u64 digest = fnv::kOffset;
   u64 count = 0;
 
   void Note(Picoseconds at, const Packet& frame) {
-    FoldU64(digest, static_cast<u64>(at));
-    FoldBytes(digest, frame.bytes());
+    digest = fnv::Bytes(fnv::U64(digest, static_cast<u64>(at)), frame.bytes());
     ++count;
   }
 };
@@ -69,7 +54,7 @@ struct TopoDigest {
   std::vector<u64> host_received;
   std::vector<u64> host_sent;
   std::vector<u64> node_forwarded;
-  u64 metrics_digest = kFnvOffset;
+  u64 metrics_digest = fnv::kOffset;
   u64 faults_fired = 0;
   u64 fault_digest = 0;
   u64 events = 0;
@@ -78,8 +63,8 @@ struct TopoDigest {
 
 void FoldMetrics(u64& h, const MetricsRegistry& metrics) {
   for (const auto& [name, value] : metrics.Snapshot()) {
-    FoldBytes(h, std::span<const u8>(reinterpret_cast<const u8*>(name.data()), name.size()));
-    FoldU64(h, value);
+    h = fnv::Bytes(h, std::span<const u8>(reinterpret_cast<const u8*>(name.data()), name.size()));
+    h = fnv::U64(h, value);
   }
 }
 
@@ -229,11 +214,19 @@ TEST(ParallelEquivalence, ShardedStarMatchesUnshardedCounts) {
 
 // --- Scenario 2: NAT ping-pong (long cross-shard causal chains) ---------------------
 
+// The NAT's fault registry seed, the plan armed on it (none when empty), and
+// the length of the ping chain.
+struct NatFaults {
+  u64 seed = 7;
+  std::string plan;
+  usize pings = 8;
+};
+
 // The external host echoes every UDP frame back at the translated source, and
 // the internal host fires the next ping only when the previous reply lands —
 // every frame in the run is causally downstream of a cross-shard delivery,
 // so a single horizon miscalculation would reorder or drop the whole chain.
-TopoDigest RunShardedNat(usize threads, bool with_faults) {
+TopoDigest RunShardedNat(usize threads, const NatFaults& faults = {}) {
   NatConfig config;
   NatService service(config);
   const std::vector<HostSpec> specs = {
@@ -241,18 +234,17 @@ TopoDigest RunShardedNat(usize threads, bool with_faults) {
       {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)}};
   ShardedTopology topo(service, specs);
 
-  FaultRegistry registry(7);
-  if (with_faults) {
+  FaultRegistry registry(faults.seed);
+  if (!faults.plan.empty()) {
     service.RegisterFaultPoints(registry);
     topo.node(0).target().sim().AttachFaultRegistry(&registry);
-    const Expected<FaultPlan> plan =
-        ParseFaultPlan("nat.table_full burst 2000 4000 0.5; nat.flows bernoulli 0.00005");
+    const Expected<FaultPlan> plan = ParseFaultPlan(faults.plan);
     EXPECT_TRUE(plan.ok());
     registry.ArmPlan(*plan);
   }
 
   std::vector<HostLog> logs(specs.size());
-  constexpr usize kPings = 8;
+  const usize pings = faults.pings;
 
   topo.host(0).SetApp([&logs, &topo, &config](SimHost& h, Packet frame) {
     logs[0].Note(h.scheduler().now(), frame);
@@ -268,9 +260,10 @@ TopoDigest RunShardedNat(usize threads, bool with_faults) {
   });
 
   auto pings_sent = std::make_shared<usize>(1);
-  topo.host(1).SetApp([&logs, &topo, &config, &specs, pings_sent](SimHost& h, Packet frame) {
+  topo.host(1).SetApp([&logs, &topo, &config, &specs, pings_sent, pings](SimHost& h,
+                                                                         Packet frame) {
     logs[1].Note(h.scheduler().now(), frame);
-    if (*pings_sent >= kPings) {
+    if (*pings_sent >= pings) {
       return;
     }
     const usize i = (*pings_sent)++;
@@ -300,21 +293,38 @@ TopoDigest RunShardedNat(usize threads, bool with_faults) {
 }
 
 TEST(ParallelEquivalence, ShardedNatPingPongBitExact) {
-  const TopoDigest serial = RunShardedNat(1, /*with_faults=*/false);
+  const TopoDigest serial = RunShardedNat(1);
   // The full request/reply chain must actually run: 8 translated pings out,
   // 8 translated-back replies in.
   ASSERT_EQ(serial.host_received, (std::vector<u64>{8, 8}));
   EXPECT_GT(serial.epochs, 8u);  // each hop crosses at least one barrier
   for (usize threads : {2u, 4u, 8u}) {
-    ExpectIdentical(serial, RunShardedNat(threads, /*with_faults=*/false), threads);
+    ExpectIdentical(serial, RunShardedNat(threads), threads);
   }
 }
 
+// A fixed plan at seed 7 (an armed registry that fires nothing on the
+// 8-ping chain), plus three seeds whose table-exhaustion bursts slide with
+// the seed over a 16-ping chain. Those three must actually fire, or the
+// comparison would only cover the unfaulted path.
 TEST(ParallelEquivalence, ShardedNatWithArmedFaultPlanBitExact) {
-  const TopoDigest serial = RunShardedNat(1, /*with_faults=*/true);
-  EXPECT_GE(serial.host_received[0], 1u);  // at least the first ping got out
-  for (usize threads : {2u, 4u, 8u}) {
-    ExpectIdentical(serial, RunShardedNat(threads, /*with_faults=*/true), threads);
+  const auto expect_bit_exact = [](const NatFaults& faults) {
+    SCOPED_TRACE("seed=" + std::to_string(faults.seed));
+    const TopoDigest serial = RunShardedNat(1, faults);
+    EXPECT_GE(serial.host_received[0], 1u);  // at least the first ping got out
+    for (usize threads : {2u, 4u, 8u}) {
+      ExpectIdentical(serial, RunShardedNat(threads, faults), threads);
+    }
+    return serial;
+  };
+  expect_bit_exact({7, "nat.table_full burst 2000 4000 0.5; nat.flows bernoulli 0.00005", 8});
+  for (u64 seed = 1; seed <= 3; ++seed) {
+    const TopoDigest serial = expect_bit_exact(
+        {seed,
+         "nat.table_full burst " + std::to_string(2000 + 700 * seed) + " " +
+             std::to_string(6000 + 700 * seed) + " 0.5; nat.flows bernoulli 0.0001",
+         16});
+    EXPECT_GE(serial.faults_fired, 1u) << "seed " << seed;
   }
 }
 
@@ -492,17 +502,17 @@ std::pair<u64, usize> RunRawPingPong(usize threads, obs::RunnerPulse* pulse = nu
   runner.ConnectDirection(link, /*to_b=*/false, shard_b, shard_a);
   runner.AttachPulse(pulse);
 
-  u64 digest = kFnvOffset;
+  u64 digest = fnv::kOffset;
   usize volleys = 0;
   link.AttachB([&](Packet frame) {
-    FoldU64(digest, static_cast<u64>(b.now()));
+    digest = fnv::U64(digest, static_cast<u64>(b.now()));
     frame[0] = static_cast<u8>(++volleys);
     if (volleys < 20) {
       link.SendToA(std::move(frame));
     }
   });
   link.AttachA([&](Packet frame) {
-    FoldU64(digest, static_cast<u64>(a.now()));
+    digest = fnv::U64(digest, static_cast<u64>(a.now()));
     link.SendToB(std::move(frame));
   });
 
@@ -512,9 +522,9 @@ std::pair<u64, usize> RunRawPingPong(usize threads, obs::RunnerPulse* pulse = nu
   if (extra_threads != nullptr) {
     *extra_threads = TaskCount() - before;
   }
-  FoldU64(digest, events);
-  FoldU64(digest, runner.epochs());
-  FoldU64(digest, link.delivered());
+  for (const u64 v : {events, runner.epochs(), link.delivered()}) {
+    digest = fnv::U64(digest, v);
+  }
   return {digest, volleys};
 }
 

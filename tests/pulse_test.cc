@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/core/histogram.h"
 #include "src/core/metrics.h"
 #include "src/core/targets.h"
@@ -28,15 +29,6 @@
 namespace emu {
 namespace {
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-void FoldU64(u64& h, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
-  }
-}
-
 // --- Kernel phase profiler -------------------------------------------------
 
 const MacAddress kMacs[4] = {
@@ -47,7 +39,7 @@ const Ipv4Address kIps[4] = {Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),
 
 struct ProfiledRun {
   SimProfile profile;
-  u64 egress_digest = kFnvOffset;
+  u64 egress_digest = fnv::kOffset;
 };
 
 // The kernel_equiv_test learning-switch workload, shortened: teach the MACs,
@@ -77,10 +69,7 @@ ProfiledRun RunProfiledSwitch(ProfilingMode mode,
   ProfiledRun out;
   out.profile = target.sim().ProfileReport();
   for (const EgressFrame& entry : target.TakeEgress()) {
-    FoldU64(out.egress_digest, entry.port);
-    for (u8 byte : entry.frame.bytes()) {
-      out.egress_digest = (out.egress_digest ^ byte) * kFnvPrime;
-    }
+    out.egress_digest = fnv::Bytes(fnv::U64(out.egress_digest, entry.port), entry.frame.bytes());
   }
   return out;
 }
@@ -235,18 +224,18 @@ u64 RunFourShardVolleys(usize threads, obs::RunnerPulse* pulse) {
   // One digest per link: the two ping-pongs run on different shards, so
   // their handlers interleave in wall time — folding into shared state
   // would race. Each link's own arrival order IS deterministic.
-  u64 digests[2] = {kFnvOffset, kFnvOffset};
+  u64 digests[2] = {fnv::kOffset, fnv::kOffset};
   usize volleys[2] = {0, 0};
   const auto wire = [](Link& link, EventScheduler& a_clock, EventScheduler& b_clock,
                        u64& digest, usize& count) {
     link.AttachB([&link, &digest, &b_clock, &count](Packet frame) {
-      FoldU64(digest, static_cast<u64>(b_clock.now()));
+      digest = fnv::U64(digest, static_cast<u64>(b_clock.now()));
       if (++count < 12) {
         link.SendToA(std::move(frame));
       }
     });
     link.AttachA([&link, &digest, &a_clock](Packet frame) {
-      FoldU64(digest, static_cast<u64>(a_clock.now()));
+      digest = fnv::U64(digest, static_cast<u64>(a_clock.now()));
       link.SendToB(std::move(frame));
     });
   };
@@ -256,13 +245,11 @@ u64 RunFourShardVolleys(usize threads, obs::RunnerPulse* pulse) {
   scheds[2].At(1'500'000, [&link_cd] { link_cd.SendToB(Packet(64)); });
 
   const u64 events = runner.Run({.threads = threads});
-  u64 digest = kFnvOffset;
-  FoldU64(digest, digests[0]);
-  FoldU64(digest, digests[1]);
-  FoldU64(digest, events);
-  FoldU64(digest, runner.epochs());
-  FoldU64(digest, volleys[0]);
-  FoldU64(digest, volleys[1]);
+  u64 digest = fnv::kOffset;
+  for (const u64 v : {digests[0], digests[1], events, runner.epochs(), u64{volleys[0]},
+                      u64{volleys[1]}}) {
+    digest = fnv::U64(digest, v);
+  }
   return digest;
 }
 

@@ -5,6 +5,7 @@
 
 #include <fstream>
 
+#include "src/common/fnv.h"
 #include "src/common/rng.h"
 #include "src/core/targets.h"
 #include "src/fault/frame_impairer.h"
@@ -226,17 +227,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Values(17u, 9001u));
 // treat such frames as adversarial input: parse or return an error, never
 // crash or read past the end — and identically for identical seeds.
 
-u64 MixOutcome(u64 digest, u64 value) {
-  return (digest ^ value) * 1099511628211ull;
-}
-
 // Parses one corrupted application payload through every payload parser and
 // folds the outcomes into the digest.
 u64 ProbePayload(u64 digest, std::span<const u8> data) {
-  digest = MixOutcome(digest, ParseDnsQuery(data).ok());
-  digest = MixOutcome(digest, ParseDnsResponse(data).ok());
-  digest = MixOutcome(digest, ParseMcBinaryRequest(data).ok());
-  digest = MixOutcome(digest, ParseMcAsciiRequest(data).ok());
+  digest = fnv::Mix(digest, ParseDnsQuery(data).ok());
+  digest = fnv::Mix(digest, ParseDnsResponse(data).ok());
+  digest = fnv::Mix(digest, ParseMcBinaryRequest(data).ok());
+  digest = fnv::Mix(digest, ParseMcAsciiRequest(data).ok());
   return digest;
 }
 
@@ -246,24 +243,24 @@ u64 ProbePayload(u64 digest, std::span<const u8> data) {
 u64 ProbeFrameViews(u64 digest, Packet& frame) {
   ArpView arp(frame);
   if (arp.Valid()) {
-    digest = MixOutcome(digest, arp.oper_raw());
-    digest = MixOutcome(digest, arp.sender_ip().value());
-    digest = MixOutcome(digest, arp.target_ip().value());
+    digest = fnv::Mix(digest, arp.oper_raw());
+    digest = fnv::Mix(digest, arp.sender_ip().value());
+    digest = fnv::Mix(digest, arp.target_ip().value());
   }
   Ipv4View ip(frame);
   if (ip.Valid()) {
-    digest = MixOutcome(digest, ip.ChecksumValid());
+    digest = fnv::Mix(digest, ip.ChecksumValid());
     if (ip.ProtocolIs(IpProtocol::kTcp)) {
       TcpView tcp(frame, ip.payload_offset());
       if (tcp.Valid()) {
-        digest = MixOutcome(digest, tcp.source_port());
-        digest = MixOutcome(digest, tcp.destination_port());
-        digest = MixOutcome(digest, tcp.sequence());
+        digest = fnv::Mix(digest, tcp.source_port());
+        digest = fnv::Mix(digest, tcp.destination_port());
+        digest = fnv::Mix(digest, tcp.sequence());
       }
     } else if (ip.ProtocolIs(IpProtocol::kUdp)) {
       UdpView udp(frame, ip.payload_offset());
       if (udp.Valid()) {
-        digest = MixOutcome(digest, udp.destination_port());
+        digest = fnv::Mix(digest, udp.destination_port());
       }
     }
   }
@@ -296,7 +293,7 @@ std::vector<Packet> FaultFuzzFrames() {
 
 u64 RunFaultLayerFuzz(u64 seed) {
   Rng rng(seed);
-  u64 digest = 14695981039346656037ull;
+  u64 digest = fnv::kOffset;
   const auto payloads = FaultFuzzPayloads();
   const auto frames = FaultFuzzFrames();
   for (int round = 0; round < 300; ++round) {
