@@ -2,26 +2,26 @@
 // how fast the reproduction itself runs (not a paper table, but what bounds
 // every table's wall-clock time).
 //
-// Besides the google-benchmark suite, `--throughput` runs the quiescence
-// kernel's end-to-end throughput mode: one idle-heavy soak workload twice —
-// exact per-edge stepping vs the fast path — verifying bit-exact egress and
-// reporting cycles/sec for both plus the speedup. `--saturated` instead pins
-// the loadgen at line rate (default one frame per 10 cycles, so fast-forward
-// rarely fires) and runs the same two modes in five back-to-back rounds —
-// verifying bit-exact egress and edge totals and reporting the median
-// fast-over-exact speedup, the busy-path number emu-speed gates.
-// `--json <path>` writes the
-// result as BENCH_kernel.json; `--check <baseline.json>` compares the
-// speedup ratio (machine-independent) against a committed baseline and fails
-// on a >20% regression (`--saturated --check` reads the baseline's
-// "saturated" section). `--compare <other.json>` compares absolute fast-path
-// throughput against a same-machine run (e.g. an EMU_TRACE=OFF build) and
-// fails on a regression beyond `--tolerance <pct>` (default 3%).
-// `--profile-overhead` runs the saturated workload with kernel phase
-// profiling off vs sampled (emu-pulse), verifies bit-exact egress, and fails
-// when the sampled profiler costs more than `--tolerance <pct>` (default 5%)
-// of throughput — the gate that keeps "profiling is cheap enough to leave
-// on" true.
+// Besides the google-benchmark suite, three gated modes each run five
+// interleaved pairs of a learning-switch soak workload and judge the pair
+// with the median ratio (one pair alone flips on host noise). `--throughput`
+// pairs exact per-edge stepping with the fast path on an idle-heavy workload,
+// verifying bit-exact egress and edge totals in every pair and reporting
+// cycles/sec for both plus the speedup. `--saturated` does the same with the
+// loadgen at line rate (default one frame per 10 cycles, so fast-forward
+// rarely fires): the busy-path number emu-speed gates. `--json <path>`
+// writes the median pair plus the median, min and max over the rounds as
+// BENCH_kernel.json; `--check <baseline.json>` compares the median speedup
+// ratio (machine-independent) against a committed baseline and fails on a
+// >20% regression (`--saturated --check` reads the baseline's "saturated"
+// section). `--compare <other.json>` compares the median pair's absolute
+// fast-path throughput against a same-machine run (e.g. an EMU_TRACE=OFF
+// build) and fails on a regression beyond `--tolerance <pct>` (default 3%).
+// `--profile-overhead` pairs kernel phase profiling off with sampled
+// (emu-pulse) on the saturated workload, verifies bit-exact egress, and
+// fails when the median overhead exceeds `--tolerance <pct>` (default 5%) of
+// throughput — the gate that keeps "profiling is cheap enough to leave on"
+// true.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -222,103 +222,205 @@ std::string ResultJson(const ThroughputResult& result, bool with_fast_forward) {
   return out;
 }
 
-std::string ThroughputJson(const ThroughputResult& exact, const ThroughputResult& fast,
-                           u64 total_cycles, u64 frame_gap) {
-  const double speedup =
-      exact.cycles_per_sec > 0 ? fast.cycles_per_sec / exact.cycles_per_sec : 0;
+// --- Paired rounds -------------------------------------------------------------
+//
+// One run of a few tenths of a second reads anywhere from 0.8x to 1.5x of its
+// twin on a shared 4-thread host, so every gate here runs this many
+// interleaved pairs (one run of each flavor, back to back) and judges the
+// pair with the median ratio.
+constexpr int kGateRounds = 5;
+
+struct RunPair {
+  ThroughputResult a;
+  ThroughputResult b;
+  double ratio = 0;  // b's cycles/sec over a's
+};
+
+// Runs kGateRounds pairs of `run_a` then `run_b`, vetting each with
+// `check(a, b)`. Returns false on the first pair that fails it; otherwise
+// fills `pairs` sorted by ratio, so the median pair is pairs[kGateRounds / 2].
+template <typename RunA, typename RunB, typename Check>
+bool RunPairs(RunA run_a, RunB run_b, Check check, std::vector<RunPair>& pairs) {
+  for (int i = 0; i < kGateRounds; ++i) {
+    RunPair pair;
+    pair.a = run_a();
+    pair.b = run_b();
+    if (!check(pair.a, pair.b)) {
+      return false;
+    }
+    pair.ratio = pair.a.cycles_per_sec > 0 ? pair.b.cycles_per_sec / pair.a.cycles_per_sec : 0;
+    pairs.push_back(pair);
+  }
+  std::sort(pairs.begin(), pairs.end(),
+            [](const RunPair& x, const RunPair& y) { return x.ratio < y.ratio; });
+  return true;
+}
+
+const RunPair& MedianPair(const std::vector<RunPair>& pairs) { return pairs[pairs.size() / 2]; }
+
+// `{"rounds": N, "median": ..., "min": ..., "max": ...}` of one gated figure.
+std::string RoundsJson(double median, double min, double max) {
+  return "{\"rounds\": " + std::to_string(kGateRounds) +
+         ", \"median\": " + bench::FormatJsonNumber(median) +
+         ", \"min\": " + bench::FormatJsonNumber(min) +
+         ", \"max\": " + bench::FormatJsonNumber(max) + "}";
+}
+
+std::string SpeedupRoundsJson(const std::vector<RunPair>& pairs) {
+  return RoundsJson(MedianPair(pairs).ratio, pairs.front().ratio, pairs.back().ratio);
+}
+
+bool DigestsMatch(const char* name, const ThroughputResult& got, const ThroughputResult& want) {
+  if (got.egress_digest == want.egress_digest && got.egress_count == want.egress_count) {
+    return true;
+  }
+  std::printf("FAIL: %s diverged from exact (egress %llu/%016llx vs %llu/%016llx)\n", name,
+              static_cast<unsigned long long>(got.egress_count),
+              static_cast<unsigned long long>(got.egress_digest),
+              static_cast<unsigned long long>(want.egress_count),
+              static_cast<unsigned long long>(want.egress_digest));
+  return false;
+}
+
+// The check on every exact/fast pair: bit-exact egress, and every cycle of
+// the exact run either executed or provably quiescent on the fast side.
+bool FastMatchesExact(const ThroughputResult& exact, const ThroughputResult& fast) {
+  if (!DigestsMatch("fast path", fast, exact)) {
+    return false;
+  }
+  if (fast.edges_run + fast.cycles_fast_forwarded != exact.edges_run) {
+    std::printf("FAIL: edge accounting diverged (exact %llu, fast %llu+%llu)\n",
+                static_cast<unsigned long long>(exact.edges_run),
+                static_cast<unsigned long long>(fast.edges_run),
+                static_cast<unsigned long long>(fast.cycles_fast_forwarded));
+    return false;
+  }
+  return true;
+}
+
+bool RunExactFastPairs(u64 total_cycles, u64 frame_gap, std::vector<RunPair>& pairs) {
+  return RunPairs([&] { return RunSoakWorkload(RunMode::kExact, total_cycles, frame_gap); },
+                  [&] { return RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap); },
+                  FastMatchesExact, pairs);
+}
+
+void PrintExactFast(const std::vector<RunPair>& pairs) {
+  const RunPair& median = MedianPair(pairs);
+  std::printf("  exact: %.3g cycles/sec (%llu edges)\n", median.a.cycles_per_sec,
+              static_cast<unsigned long long>(median.a.edges_run));
+  std::printf("  fast:  %.3g cycles/sec (%llu edges + %llu fast-forwarded)\n",
+              median.b.cycles_per_sec, static_cast<unsigned long long>(median.b.edges_run),
+              static_cast<unsigned long long>(median.b.cycles_fast_forwarded));
+  std::printf("  speedup: %.2fx fast over exact, rounds %.2f-%.2fx (egress bit-exact, %llu frames)\n",
+              median.ratio, pairs.front().ratio, pairs.back().ratio,
+              static_cast<unsigned long long>(median.b.egress_count));
+}
+
+// The exact and fast runs of the median pair, its speedup, and the rounds.
+std::string ThroughputJson(const std::vector<RunPair>& pairs, u64 total_cycles, u64 frame_gap) {
+  const RunPair& median = MedianPair(pairs);
   return "{\n"
          "  \"benchmark\": \"kernel_throughput\",\n"
          "  \"workload\": {\"service\": \"learning_switch\", \"cycles\": " +
          std::to_string(total_cycles) + ", \"frame_gap\": " + std::to_string(frame_gap) +
          "},\n"
-         "  \"exact\": " + ResultJson(exact, false) +
+         "  \"exact\": " + ResultJson(median.a, false) +
          ",\n"
-         "  \"fast\": " + ResultJson(fast, true) +
+         "  \"fast\": " + ResultJson(median.b, true) +
          ",\n"
-         "  \"speedup\": " + bench::FormatJsonNumber(speedup) + "\n}\n";
+         "  \"speedup\": " + bench::FormatJsonNumber(median.ratio) +
+         ",\n"
+         "  \"speedup_rounds\": " + SpeedupRoundsJson(pairs) + "\n}\n";
 }
 
 // The saturated busy-path flavor: same schema shape, nested under a
 // "saturated" key so a combined baseline file can hold both the idle
 // ("kernel_throughput") and saturated sections side by side.
-std::string SaturatedJson(const ThroughputResult& exact, const ThroughputResult& fast,
-                          u64 total_cycles, u64 frame_gap) {
-  const double speedup = exact.cycles_per_sec > 0 ? fast.cycles_per_sec / exact.cycles_per_sec : 0;
+std::string SaturatedJson(const std::vector<RunPair>& pairs, u64 total_cycles, u64 frame_gap) {
+  const RunPair& median = MedianPair(pairs);
   return "{\n"
          "  \"benchmark\": \"kernel_throughput_saturated\",\n"
          "  \"saturated\": {\n"
          "    \"workload\": {\"service\": \"learning_switch\", \"cycles\": " +
          std::to_string(total_cycles) + ", \"frame_gap\": " + std::to_string(frame_gap) +
          "},\n"
-         "    \"exact\": " + ResultJson(exact, false) +
+         "    \"exact\": " + ResultJson(median.a, false) +
          ",\n"
-         "    \"fast\": " + ResultJson(fast, true) +
+         "    \"fast\": " + ResultJson(median.b, true) +
          ",\n"
-         "    \"speedup\": " + bench::FormatJsonNumber(speedup) +
+         "    \"speedup\": " + bench::FormatJsonNumber(median.ratio) +
+         ",\n"
+         "    \"speedup_rounds\": " + SpeedupRoundsJson(pairs) +
          "\n  }\n}\n";
+}
+
+bool WriteJson(const std::string& path, const std::string& json) {
+  std::ofstream file(path);
+  file << json;
+  if (!file) {
+    std::printf("FAIL: could not write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
+// The machine-independent gate: the median fast-over-exact speedup (both
+// runs share the host) held within 20% of the committed baseline's, read
+// from the baseline's `section` object, or from its top level when
+// `section` is empty.
+bool PassesSpeedupGate(const std::string& baseline_path, const std::string& section,
+                       double speedup) {
+  std::ifstream file(baseline_path);
+  if (!file) {
+    std::printf("FAIL: could not read baseline %s\n", baseline_path.c_str());
+    return false;
+  }
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  const std::string label = section.empty() ? "" : section + " ";
+  double baseline_speedup = 0;
+  const bool found =
+      section.empty()
+          ? bench::ExtractJsonNumber(buffer.str(), "speedup", &baseline_speedup)
+          : bench::ExtractJsonNumberInSection(buffer.str(), section, "speedup", &baseline_speedup);
+  if (!found) {
+    std::printf("FAIL: no %sspeedup in baseline %s\n", label.c_str(), baseline_path.c_str());
+    return false;
+  }
+  const double floor = baseline_speedup * 0.8;
+  std::printf("  baseline %sspeedup %.2fx, regression floor %.2fx\n", label.c_str(),
+              baseline_speedup, floor);
+  if (speedup < floor) {
+    std::printf("FAIL: %sspeedup %.2fx regressed more than 20%% from baseline %.2fx\n",
+                label.c_str(), speedup, baseline_speedup);
+    return false;
+  }
+  std::printf("  %sperf gate passed\n", label.c_str());
+  return true;
 }
 
 int ThroughputMain(u64 total_cycles, u64 frame_gap, const std::string& json_path,
                    const std::string& baseline_path, const std::string& compare_path,
                    double tolerance_pct) {
-  std::printf("kernel throughput: %llu cycles, one frame per %llu cycles\n",
+  std::printf("kernel throughput: %llu cycles, one frame per %llu cycles, median of %d rounds\n",
               static_cast<unsigned long long>(total_cycles),
-              static_cast<unsigned long long>(frame_gap));
-  const ThroughputResult exact = RunSoakWorkload(RunMode::kExact, total_cycles, frame_gap);
-  const ThroughputResult fast = RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap);
+              static_cast<unsigned long long>(frame_gap), kGateRounds);
+  std::vector<RunPair> pairs;
+  if (!RunExactFastPairs(total_cycles, frame_gap, pairs)) {
+    return 1;
+  }
+  PrintExactFast(pairs);
+  const double speedup = MedianPair(pairs).ratio;
+  const ThroughputResult& fast = MedianPair(pairs).b;
 
-  if (fast.egress_digest != exact.egress_digest || fast.egress_count != exact.egress_count) {
-    std::printf("FAIL: fast path diverged from exact (egress %llu/%016llx vs %llu/%016llx)\n",
-                static_cast<unsigned long long>(fast.egress_count),
-                static_cast<unsigned long long>(fast.egress_digest),
-                static_cast<unsigned long long>(exact.egress_count),
-                static_cast<unsigned long long>(exact.egress_digest));
+  if (!json_path.empty() &&
+      !WriteJson(json_path, ThroughputJson(pairs, total_cycles, frame_gap))) {
     return 1;
   }
 
-  const double speedup =
-      exact.cycles_per_sec > 0 ? fast.cycles_per_sec / exact.cycles_per_sec : 0;
-  std::printf("  exact: %.3g cycles/sec (%llu edges)\n", exact.cycles_per_sec,
-              static_cast<unsigned long long>(exact.edges_run));
-  std::printf("  fast:  %.3g cycles/sec (%llu edges + %llu fast-forwarded)\n",
-              fast.cycles_per_sec, static_cast<unsigned long long>(fast.edges_run),
-              static_cast<unsigned long long>(fast.cycles_fast_forwarded));
-  std::printf("  speedup: %.2fx (egress bit-exact, %llu frames)\n", speedup,
-              static_cast<unsigned long long>(fast.egress_count));
-
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    file << ThroughputJson(exact, fast, total_cycles, frame_gap);
-    if (!file) {
-      std::printf("FAIL: could not write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (!baseline_path.empty()) {
-    std::ifstream file(baseline_path);
-    if (!file) {
-      std::printf("FAIL: could not read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    double baseline_speedup = 0;
-    if (!bench::ExtractJsonNumber(buffer.str(), "speedup", &baseline_speedup)) {
-      std::printf("FAIL: no \"speedup\" in baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    // The speedup ratio is machine-independent (both runs share the host),
-    // so it is the number a perf gate can hold steady across CI runners.
-    const double floor = baseline_speedup * 0.8;
-    std::printf("  baseline speedup %.2fx, regression floor %.2fx\n", baseline_speedup, floor);
-    if (speedup < floor) {
-      std::printf("FAIL: speedup %.2fx regressed more than 20%% from baseline %.2fx\n", speedup,
-                  baseline_speedup);
-      return 1;
-    }
-    std::printf("  perf gate passed\n");
+  if (!baseline_path.empty() && !PassesSpeedupGate(baseline_path, "", speedup)) {
+    return 1;
   }
 
   if (!compare_path.empty()) {
@@ -354,107 +456,24 @@ int ThroughputMain(u64 total_cycles, u64 frame_gap, const std::string& json_path
 
 // --- Saturated busy-path mode (--saturated) ---------------------------------------
 
-bool DigestsMatch(const char* name, const ThroughputResult& got, const ThroughputResult& want) {
-  if (got.egress_digest == want.egress_digest && got.egress_count == want.egress_count) {
-    return true;
-  }
-  std::printf("FAIL: %s diverged from exact (egress %llu/%016llx vs %llu/%016llx)\n", name,
-              static_cast<unsigned long long>(got.egress_count),
-              static_cast<unsigned long long>(got.egress_digest),
-              static_cast<unsigned long long>(want.egress_count),
-              static_cast<unsigned long long>(want.egress_digest));
-  return false;
-}
-
-// One exact/fast pair of ~0.25 s runs reads anywhere from 0.8x to 1.5x on a
-// shared 4-thread host, so the gate takes the pair with the median ratio out
-// of this many back-to-back pairs.
-constexpr int kSaturatedRounds = 5;
-
 int SaturatedMain(u64 total_cycles, u64 frame_gap, const std::string& json_path,
                   const std::string& baseline_path) {
   std::printf("kernel saturated throughput: %llu cycles, one frame per %llu cycles, "
               "median of %d rounds\n",
               static_cast<unsigned long long>(total_cycles),
-              static_cast<unsigned long long>(frame_gap), kSaturatedRounds);
-  struct Round {
-    ThroughputResult exact;
-    ThroughputResult fast;
-    double speedup = 0;
-  };
-  std::vector<Round> rounds;
-  for (int i = 0; i < kSaturatedRounds; ++i) {
-    Round round;
-    round.exact = RunSoakWorkload(RunMode::kExact, total_cycles, frame_gap);
-    round.fast = RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap);
-    if (!DigestsMatch("fast path", round.fast, round.exact)) {
-      return 1;
-    }
-    // Executed-edge accounting must also agree: every cycle is either run or
-    // provably quiescent.
-    if (round.fast.edges_run + round.fast.cycles_fast_forwarded != round.exact.edges_run) {
-      std::printf("FAIL: edge accounting diverged (exact %llu, fast %llu+%llu)\n",
-                  static_cast<unsigned long long>(round.exact.edges_run),
-                  static_cast<unsigned long long>(round.fast.edges_run),
-                  static_cast<unsigned long long>(round.fast.cycles_fast_forwarded));
-      return 1;
-    }
-    round.speedup = round.exact.cycles_per_sec > 0
-                        ? round.fast.cycles_per_sec / round.exact.cycles_per_sec
-                        : 0;
-    rounds.push_back(round);
+              static_cast<unsigned long long>(frame_gap), kGateRounds);
+  std::vector<RunPair> pairs;
+  if (!RunExactFastPairs(total_cycles, frame_gap, pairs)) {
+    return 1;
   }
-  std::sort(rounds.begin(), rounds.end(),
-            [](const Round& a, const Round& b) { return a.speedup < b.speedup; });
-  const Round& median = rounds[rounds.size() / 2];
-  const ThroughputResult& exact = median.exact;
-  const ThroughputResult& fast = median.fast;
-  const double speedup = median.speedup;
-  std::printf("  exact: %.3g cycles/sec (%llu edges)\n", exact.cycles_per_sec,
-              static_cast<unsigned long long>(exact.edges_run));
-  std::printf("  fast:  %.3g cycles/sec (%llu edges + %llu fast-forwarded)\n",
-              fast.cycles_per_sec, static_cast<unsigned long long>(fast.edges_run),
-              static_cast<unsigned long long>(fast.cycles_fast_forwarded));
-  std::printf("  speedup: %.2fx fast over exact, rounds %.2f-%.2fx "
-              "(egress bit-exact, %llu frames)\n",
-              speedup, rounds.front().speedup, rounds.back().speedup,
-              static_cast<unsigned long long>(fast.egress_count));
-
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    file << SaturatedJson(exact, fast, total_cycles, frame_gap);
-    if (!file) {
-      std::printf("FAIL: could not write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+  PrintExactFast(pairs);
+  if (!json_path.empty() &&
+      !WriteJson(json_path, SaturatedJson(pairs, total_cycles, frame_gap))) {
+    return 1;
   }
-
-  if (!baseline_path.empty()) {
-    std::ifstream file(baseline_path);
-    if (!file) {
-      std::printf("FAIL: could not read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    double baseline_speedup = 0;
-    if (!bench::ExtractJsonNumberInSection(buffer.str(), "saturated", "speedup",
-                                           &baseline_speedup)) {
-      std::printf("FAIL: no saturated.speedup in baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    // Same machine-independent gate as --check for the idle workload: the
-    // fast-over-exact ratio, held within 20% of the committed baseline.
-    const double floor = baseline_speedup * 0.8;
-    std::printf("  baseline saturated speedup %.2fx, regression floor %.2fx\n", baseline_speedup,
-                floor);
-    if (speedup < floor) {
-      std::printf("FAIL: saturated speedup %.2fx regressed more than 20%% from baseline %.2fx\n",
-                  speedup, baseline_speedup);
-      return 1;
-    }
-    std::printf("  saturated perf gate passed\n");
+  if (!baseline_path.empty() &&
+      !PassesSpeedupGate(baseline_path, "saturated", MedianPair(pairs).ratio)) {
+    return 1;
   }
   return 0;
 }
@@ -462,56 +481,55 @@ int SaturatedMain(u64 total_cycles, u64 frame_gap, const std::string& json_path,
 // --- Profiler overhead gate (--profile-overhead) ----------------------------------
 //
 // Saturated workload (per-edge cost dominates, the worst case for a per-edge
-// profiler), best-of-3 per configuration to damp scheduler noise, profiling
-// off vs sampled. The sampled mode times 1-in-64 edges, so its cost should
-// amortize to noise; the gate fails when it exceeds `tolerance_pct`.
+// profiler), profiling off vs sampled in kGateRounds interleaved pairs; the
+// pair with the median ratio is the one gated. The sampled mode times 1-in-64
+// edges on average, so its cost should amortize to noise; the gate fails when
+// the median overhead exceeds `tolerance_pct`.
 int ProfileOverheadMain(u64 total_cycles, u64 frame_gap, double tolerance_pct,
                         const std::string& json_path) {
-  std::printf("profiler overhead: %llu cycles, one frame per %llu cycles, best of 3\n",
+  std::printf("profiler overhead: %llu cycles, one frame per %llu cycles, median of %d rounds\n",
               static_cast<unsigned long long>(total_cycles),
-              static_cast<unsigned long long>(frame_gap));
-  ThroughputResult off, sampled;
-  for (int round = 0; round < 3; ++round) {
-    const ThroughputResult o =
-        RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap, ProfilingMode::kOff);
-    const ThroughputResult s =
-        RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap, ProfilingMode::kSampled);
-    if (round == 0) {
-      off = o;
-      sampled = s;
-    } else {
-      if (o.cycles_per_sec > off.cycles_per_sec) off = o;
-      if (s.cycles_per_sec > sampled.cycles_per_sec) sampled = s;
-    }
-  }
-  if (!DigestsMatch("sampled profiling run", sampled, off)) {
+              static_cast<unsigned long long>(frame_gap), kGateRounds);
+  std::vector<RunPair> pairs;
+  const bool bit_exact = RunPairs(
+      [&] { return RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap, ProfilingMode::kOff); },
+      [&] {
+        return RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap, ProfilingMode::kSampled);
+      },
+      [](const ThroughputResult& off, const ThroughputResult& sampled) {
+        return DigestsMatch("sampled profiling run", sampled, off);
+      },
+      pairs);
+  if (!bit_exact) {
     return 1;
   }
-  const double overhead_pct =
-      off.cycles_per_sec > 0
-          ? (1.0 - sampled.cycles_per_sec / off.cycles_per_sec) * 100.0
-          : 0.0;
-  std::printf("  profiling off:     %.3g cycles/sec\n", off.cycles_per_sec);
-  std::printf("  profiling sampled: %.3g cycles/sec\n", sampled.cycles_per_sec);
-  std::printf("  overhead: %.2f%% (gate: <= %g%%)\n", overhead_pct, tolerance_pct);
+  // Overhead falls as the sampled-over-off ratio rises: the lowest ratio is
+  // the highest overhead.
+  const auto overhead = [](const RunPair& pair) { return (1.0 - pair.ratio) * 100.0; };
+  const RunPair& median = MedianPair(pairs);
+  const double overhead_pct = overhead(median);
+  std::printf("  profiling off:     %.3g cycles/sec\n", median.a.cycles_per_sec);
+  std::printf("  profiling sampled: %.3g cycles/sec\n", median.b.cycles_per_sec);
+  std::printf("  overhead: %.2f%%, rounds %.2f%% to %.2f%% (gate: <= %g%%)\n", overhead_pct,
+              overhead(pairs.back()), overhead(pairs.front()), tolerance_pct);
 
   if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    file << "{\n  \"benchmark\": \"kernel_profile_overhead\",\n"
-            "  \"workload\": {\"service\": \"learning_switch\", \"cycles\": " +
-                std::to_string(total_cycles) +
-                ", \"frame_gap\": " + std::to_string(frame_gap) +
-                "},\n"
-                "  \"off\": " + ResultJson(off, true) +
-                ",\n"
-                "  \"sampled\": " + ResultJson(sampled, true) +
-                ",\n"
-                "  \"overhead_pct\": " + bench::FormatJsonNumber(overhead_pct) + "\n}\n";
-    if (!file) {
-      std::printf("FAIL: could not write %s\n", json_path.c_str());
+    const std::string json =
+        "{\n  \"benchmark\": \"kernel_profile_overhead\",\n"
+        "  \"workload\": {\"service\": \"learning_switch\", \"cycles\": " +
+        std::to_string(total_cycles) + ", \"frame_gap\": " + std::to_string(frame_gap) +
+        "},\n"
+        "  \"off\": " + ResultJson(median.a, true) +
+        ",\n"
+        "  \"sampled\": " + ResultJson(median.b, true) +
+        ",\n"
+        "  \"overhead_pct\": " + bench::FormatJsonNumber(overhead_pct) +
+        ",\n"
+        "  \"overhead_pct_rounds\": " +
+        RoundsJson(overhead_pct, overhead(pairs.back()), overhead(pairs.front())) + "\n}\n";
+    if (!WriteJson(json_path, json)) {
       return 1;
     }
-    std::printf("wrote %s\n", json_path.c_str());
   }
 
   const unsigned hw = std::thread::hardware_concurrency();

@@ -28,7 +28,7 @@
 namespace emu {
 namespace {
 
-constexpr usize kLatencySamples = 2000;   // paper: 100K; scaled for runtime
+constexpr usize kLatencySamples = 100000;  // the paper's 100K unloaded RTTs
 constexpr usize kThroughputFrames = 20000;
 constexpr double kSaturationMqps = 12.0;  // above every service's capacity
 

@@ -41,6 +41,9 @@ Expected<Packet> FpgaTarget::SendAndCollect(u8 port, Packet frame, Cycle limit) 
 std::vector<EgressFrame> FpgaTarget::TakeEgress() {
   std::vector<EgressFrame> out = std::move(egress_);
   egress_.clear();
+  // A caller draining in chunks takes about as many frames each time: start
+  // the next log at this one's capacity instead of regrowing it frame by frame.
+  egress_.reserve(out.capacity());
   return out;
 }
 

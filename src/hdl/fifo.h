@@ -6,6 +6,13 @@
 // modules sharing a BRAM FIFO. Depth is enforced against committed occupancy
 // plus same-cycle pushes.
 //
+// Storage is one power-of-two ring holding the committed items followed by
+// the edge's pending pushes. A pop frees its slot at once (nothing is left
+// for Commit() to erase), and Commit() only publishes the pending count. The
+// ring grows on demand, doubling up to the depth rounded up to a power of
+// two; it is never preallocated to the depth, because a design declares far
+// more slots than it ever fills (the NetFPGA shell alone declares 2,432).
+//
 // Design rule (enforced by emu-check in analysis builds): consult CanPush()
 // before Push() in the same cycle. A Push() that returns false without a
 // same-cycle CanPush() query is the LOSTBACKPRESSURE hazard — silently
@@ -16,9 +23,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/hdl/resource_model.h"
 #include "src/hdl/simulator.h"
@@ -46,9 +52,9 @@ class SyncFifo : public Clocked {
     if (depth == 0) {
       Fatal("constructed with depth 0");
     }
-    // Self-announcing: Push/Pop call AnnounceDirty on the clean→dirty
-    // transition, so the scheduler commits this FIFO only on edges where a
-    // port was actually used.
+    // Self-announcing: Push calls AnnounceDirty on the clean→dirty
+    // transition, so the scheduler commits this FIFO only on edges where
+    // something was pushed (a pop leaves nothing to commit).
     sim_.RegisterClocked(this, /*self_announcing=*/true);
     sim_.catalog().AddElement(this, elab::NodeKind::kFifo, name_, /*no_init=*/false, depth);
   }
@@ -67,7 +73,7 @@ class SyncFifo : public Clocked {
 
   // Committed occupancy minus same-cycle pops (what the consumer side sees).
   // A stalled FIFO reads as empty: the consumer port is frozen.
-  usize Size() const { return Stalled() ? 0 : items_.size() - pop_count_; }
+  usize Size() const { return Stalled() ? 0 : count_; }
   bool Empty() const { return Size() == 0; }
 
   // Fault injection (emu-fault): freezes both ports for `cycles` cycles —
@@ -111,10 +117,15 @@ class SyncFifo : public Clocked {
           obs::EmitAsyncBegin(tb, name_, sim_.NowPs(), flight);
         }
       }
-      if (pending_push_.empty()) {
+      if (pending_ == 0) {
         sim_.AnnounceDirty(this);
       }
-      pending_push_.push_back(std::move(value));
+      const usize used = count_ + pending_;
+      if (used == capacity_) {
+        Grow();
+      }
+      ring_[(head_ + used) & (capacity_ - 1)] = std::move(value);
+      ++pending_;
     }
 #ifdef EMU_ANALYSIS
     if (HazardMonitor* m = sim_.monitor()) {
@@ -133,7 +144,7 @@ class SyncFifo : public Clocked {
       m->OnFifoPop(this, name_);
     }
 #endif
-    return items_[pop_count_];
+    return ring_[head_];
   }
 
   T Pop() {
@@ -145,14 +156,11 @@ class SyncFifo : public Clocked {
       m->OnFifoPop(this, name_);
     }
 #endif
-    T value = std::move(items_[pop_count_]);
-    ++pop_count_;
-    if (pop_count_ == 1) {
-      // Deferring the commit-time erase is state-neutral (see CommitPending),
-      // but an uncommitted pop backlog would grow without bound; enqueue a
-      // commit so popped storage is reclaimed at this edge.
-      sim_.AnnounceDirty(this);
-    }
+    // The slot is free at once: a same-edge push may land in it, behind the
+    // committed items.
+    T value = std::move(ring_[head_]);
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --count_;
     if (obs::TraceBuffer* tb = obs::ActiveBuffer()) {
       const u64 flight = obs::FrameTraceId(value);
       if (flight != 0 && !name_.empty()) {
@@ -166,28 +174,34 @@ class SyncFifo : public Clocked {
   }
 
   void Commit() override {
-    items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(pop_count_));
-    pop_count_ = 0;
-    if (!pending_push_.empty()) {
+    if (pending_ > 0) {
       // Pushed items become visible to consumers at this edge's commit; wake
-      // parked consumers for the next edge. (Pops need no commit-time wake:
+      // parked consumers for the next edge. (Pops need no commit at all:
       // Size/CanPush already accounted for them at Pop() time.)
+      count_ += pending_;
+      pending_ = 0;
       sim_.NotifyWake();
     }
-    for (auto& value : pending_push_) {
-      items_.push_back(std::move(value));
-    }
-    pending_push_.clear();
   }
 
-  // Pending pops are not "pending" here: their erase above is state-neutral
-  // (Size/CanPush/Front already index past them), so deferring it across a
-  // quiescent window changes nothing observable.
-  bool CommitPending() const override { return !pending_push_.empty(); }
+  bool CommitPending() const override { return pending_ > 0; }
 
  private:
-  bool CanPushRaw() const {
-    return !Stalled() && items_.size() - pop_count_ + pending_push_.size() < depth_;
+  bool CanPushRaw() const { return !Stalled() && count_ + pending_ < depth_; }
+
+  // Doubles the ring (1 slot at the first push) and lays its items out from
+  // slot 0. Called only when every slot is used, i.e. with fewer than depth_
+  // items, so the ring never outgrows the depth rounded up to a power of two.
+  void Grow() {
+    const usize used = count_ + pending_;
+    const usize grown = capacity_ == 0 ? 1 : capacity_ * 2;
+    auto ring = std::make_unique<T[]>(grown);
+    for (usize i = 0; i < used; ++i) {
+      ring[i] = std::move(ring_[(head_ + i) & (capacity_ - 1)]);
+    }
+    ring_ = std::move(ring);
+    capacity_ = grown;
+    head_ = 0;
   }
 
   // Underflow/misuse is UB in RTL terms; stop with an attributable message
@@ -203,9 +217,11 @@ class SyncFifo : public Clocked {
   std::string name_;
   usize depth_;
   ResourceUsage resources_;
-  std::deque<T> items_;
-  std::vector<T> pending_push_;
-  usize pop_count_ = 0;
+  std::unique_ptr<T[]> ring_;
+  usize capacity_ = 0;  // a power of two once the first push has landed
+  usize head_ = 0;      // ring slot of Front()
+  usize count_ = 0;     // committed items not yet popped
+  usize pending_ = 0;   // this edge's pushes, in the slots behind the committed items
   Cycle stall_until_ = 0;
 };
 

@@ -177,12 +177,29 @@ void Simulator::SweepProcesses(bool lazy, bool timed) {
   }
 }
 
+u64 Simulator::NextSampleGap() {
+  sample_rng_ ^= sample_rng_ << 13;
+  sample_rng_ ^= sample_rng_ >> 7;
+  sample_rng_ ^= sample_rng_ << 17;
+  const u64 half = sample_stride_ / 2;
+  return sample_stride_ - half + sample_rng_ % (2 * half + 1);
+}
+
+bool Simulator::SampleDue(u64& countdown) {
+  if (profiling_mode_ == ProfilingMode::kFull) {
+    return true;
+  }
+  if (--countdown > 0) {
+    return false;
+  }
+  countdown = NextSampleGap();
+  return true;
+}
+
 void Simulator::ProfiledSweepAndCommit(bool lazy) {
   ++phase_resume_.calls;
   ++phase_commit_.calls;
-  const bool timed =
-      profiling_mode_ == ProfilingMode::kFull || (++edge_tick_ % sample_stride_) == 0;
-  if (!timed) {
+  if (!SampleDue(edge_countdown_)) {
     SweepProcesses(lazy, /*timed=*/false);
     CommitEdge();
     return;
@@ -392,9 +409,7 @@ Cycle Simulator::ProfiledQuiescentWindow(Cycle budget) {
     return QuiescentWindow(budget);
   }
   ++phase_scan_.calls;
-  const bool timed =
-      profiling_mode_ == ProfilingMode::kFull || (++scan_tick_ % sample_stride_) == 0;
-  if (!timed) {
+  if (!SampleDue(scan_countdown_)) {
     return QuiescentWindow(budget);
   }
   const auto t0 = std::chrono::steady_clock::now();

@@ -299,12 +299,18 @@ class Simulator {
   // Resume/poll counts are always collected (they are a handful of
   // increments per edge); wall-clock attribution is off by default because
   // kFull adds two steady_clock reads per resume. kSampled times one edge in
-  // `sample_stride` (phases and per-resume attribution alike), amortizing
-  // the clock reads to ~3/stride per edge — cheap enough to leave on for
-  // soak runs (bench/microbench_kernel --profile-overhead gates it ≤5%).
+  // `sample_stride` on average (phases and per-resume attribution alike),
+  // amortizing the clock reads (3 per timed edge plus 2 per resume on it)
+  // over the stride — cheap enough to leave on for soak runs
+  // (bench/microbench_kernel --profile-overhead gates it ≤5%). The gap
+  // between timed edges is drawn from [stride - stride/2, stride +
+  // stride/2], so a design with a fixed period cannot alias with the sample
+  // and hide a process from it.
   void SetProfilingMode(ProfilingMode mode, u64 sample_stride = kDefaultProfilingStride) {
     profiling_mode_ = mode;
     sample_stride_ = mode == ProfilingMode::kFull ? 1 : (sample_stride == 0 ? 1 : sample_stride);
+    edge_countdown_ = NextSampleGap();
+    scan_countdown_ = NextSampleGap();
   }
   ProfilingMode profiling_mode() const { return profiling_mode_; }
   SimProfile ProfileReport() const;
@@ -386,8 +392,17 @@ class Simulator {
   void CommitEdge();
 
   // One edge's sweep + commit with phase accounting (profiling_mode_ !=
-  // kOff): counts every edge, times one in sample_stride_.
+  // kOff): counts every edge, times one in sample_stride_ on average.
   void ProfiledSweepAndCommit(bool lazy);
+
+  // Whether this entry is timed: always under kFull; under kSampled when
+  // `countdown` runs out, which reloads it with the next gap.
+  bool SampleDue(u64& countdown);
+
+  // The next gap between timed entries under kSampled, uniform in
+  // [stride - stride/2, stride + stride/2] from a host-side xorshift64 that
+  // nothing in the simulation reads.
+  u64 NextSampleGap();
 
   // QuiescentWindow with phase accounting; falls through to the plain scan
   // when profiling is off.
@@ -463,8 +478,9 @@ class Simulator {
   // phase accumulators only move while profiling_mode_ != kOff.
   ProfilingMode profiling_mode_ = ProfilingMode::kOff;
   u64 sample_stride_ = kDefaultProfilingStride;
-  u64 edge_tick_ = 0;  // sampled-mode stride counters (edges / scans)
-  u64 scan_tick_ = 0;
+  u64 sample_rng_ = 0x9e3779b97f4a7c15ULL;       // xorshift64 state (nonzero)
+  u64 edge_countdown_ = kDefaultProfilingStride;  // sampled-mode countdowns (edges / scans)
+  u64 scan_countdown_ = kDefaultProfilingStride;
   u64 edges_timed_ = 0;
   PhaseProfile phase_resume_;
   PhaseProfile phase_commit_;

@@ -1,6 +1,7 @@
 #include "src/netfpga/dataplane.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace emu {
 
@@ -20,7 +21,14 @@ void NetFpga::SetFrame(const std::vector<u8>& src, NetFpgaData& dst) {
 u32 NetFpga::ReadInputPort(const NetFpgaData& dataplane) { return dataplane.tdata.src_port(); }
 
 void NetFpga::SetOutputPort(NetFpgaData& dataplane, u64 port) {
-  assert(port < kNetFpgaPortCount);
+  // Checked in every build type: past the last port the one-hot mask would
+  // name no port (the frame vanishes without a drop count) or, from 32 up,
+  // shift out of range.
+  if (port >= kNetFpgaPortCount) [[unlikely]] {
+    std::fprintf(stderr, "emu: fatal: NetFpga::SetOutputPort: port %llu out of range (%zu ports)\n",
+                 static_cast<unsigned long long>(port), kNetFpgaPortCount);
+    std::abort();
+  }
   dataplane.tdata.set_dst_port_mask(static_cast<u8>(1u << port));
   dataplane.output_valid = true;
 }

@@ -34,7 +34,8 @@ class NetFpga {
   // Reads the port on which the frame was received (Fig. 6).
   static u32 ReadInputPort(const NetFpgaData& dataplane);
 
-  // Sets the output port to a specific value (Fig. 6).
+  // Sets the output port to a specific value (Fig. 6). A port past the last
+  // one is a fatal error in every build type.
   static void SetOutputPort(NetFpgaData& dataplane, u64 port);
 
   // Sets the output mask to all ports except the input (Fig. 2 line 8).

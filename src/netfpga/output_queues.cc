@@ -40,7 +40,10 @@ HwProcess OutputQueues::MakeFanoutProcess() {
         // Deliberate tail-drop: check CanPush so the drop is observed
         // backpressure, not an emu-check LOSTBACKPRESSURE hazard.
         if (tx_fifos_[port]->CanPush()) {
-          tx_fifos_[port]->Push(frame);
+          // A multicast frame is copied for each destination but the last,
+          // which takes the frame itself.
+          const bool last = (mask >> (port + 1)) == 0;
+          tx_fifos_[port]->Push(last ? std::move(frame) : Packet(frame));
         } else {
           ++tx_drops_;
         }

@@ -54,7 +54,10 @@ HwProcess TenGigPort::MakeIngressProcess() {
   for (;;) {
     // Park until something is on the wire, then sleep out its serialization
     // time; completion times are monotonic per port, so the front frame is
-    // always the next to land.
+    // always the next to land. After the landings the loop comes straight
+    // back here on the same edge and sleeps until the next frame's
+    // complete_at (or parks on an empty wire), so a streaming port costs one
+    // resume per frame.
     co_await WaitUntil([this] { return !wire_.empty(); });
     if (wire_.front().complete_at > sim().now()) {
       co_await PauseFor(wire_.front().complete_at - sim().now());
@@ -70,7 +73,6 @@ HwProcess TenGigPort::MakeIngressProcess() {
       }
       wire_.pop_front();
     }
-    co_await Pause();
   }
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <deque>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/hdl/fifo.h"
 #include "src/hdl/module.h"
 #include "src/hdl/process.h"
@@ -268,6 +272,121 @@ TEST(SyncFifo, ProducerConsumerAcrossBackpressure) {
   ASSERT_TRUE(sim.RunUntil([&] { return out.size() == 20; }, 200));
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(out[static_cast<usize>(i)], i);
+  }
+}
+
+// The register-transfer semantics the ring must keep, written the obvious
+// way: a committed deque, this edge's pushes on the side, and a stall that
+// freezes both ports.
+struct ReferenceFifo {
+  explicit ReferenceFifo(usize fifo_depth) : depth(fifo_depth) {}
+
+  usize depth;
+  std::deque<int> committed;
+  std::vector<int> pending;
+  Cycle stall_until = 0;
+
+  bool Stalled(Cycle now) const { return now < stall_until; }
+  usize Size(Cycle now) const { return Stalled(now) ? 0 : committed.size(); }
+  bool CanPush(Cycle now) const {
+    return !Stalled(now) && committed.size() + pending.size() < depth;
+  }
+  bool Push(Cycle now, int value) {
+    if (!CanPush(now)) {
+      return false;
+    }
+    pending.push_back(value);
+    return true;
+  }
+  int Pop() {
+    const int value = committed.front();
+    committed.pop_front();
+    return value;
+  }
+  void Commit() {
+    committed.insert(committed.end(), pending.begin(), pending.end());
+    pending.clear();
+  }
+};
+
+// Counts what a schedule exercised, so the test can show it reached the
+// cases that matter for a ring: every growth step, wrap-around, and a pop
+// and a push on one edge while the FIFO is full.
+struct ScheduleCoverage {
+  usize max_occupancy = 0;
+  usize pushes = 0;
+  usize pop_push_at_full = 0;
+  usize stalls = 0;
+};
+
+// Drives a SyncFifo<int> and the reference through one seeded schedule of
+// pushes, pops and stalls, comparing Size, CanPush, Front and every Pop.
+// Phases of 400 edges fill, churn and drain the FIFO in turn, so it crosses
+// every occupancy from empty to full.
+void RunDifferentialSchedule(usize depth, u64 seed, usize edges, ScheduleCoverage& coverage) {
+  Simulator sim;
+  SyncFifo<int> fifo(sim, "dut", depth, 32);
+  ReferenceFifo ref(depth);
+  Rng rng(seed);
+  int next_value = 0;
+  for (usize edge = 0; edge < edges; ++edge) {
+    const Cycle now = sim.now();
+    const usize phase = (edge / 400) % 3;
+    // Push odds out of 8: fill 6, churn 4, drain 2.
+    const u64 push_odds = phase == 0 ? 6 : (phase == 1 ? 4 : 2);
+    if (rng.NextBelow(200) == 0) {
+      const Cycle cycles = 1 + rng.NextBelow(4);
+      fifo.InjectStall(cycles);
+      ref.stall_until = std::max(ref.stall_until, now + cycles);
+      ++coverage.stalls;
+    }
+    const bool full_at_start = ref.Size(now) == depth;
+    bool popped = false;
+    bool pushed = false;
+    const u64 ops = rng.NextBelow(2 * std::min<usize>(depth, 4) + 1);
+    for (u64 op = 0; op < ops; ++op) {
+      ASSERT_EQ(fifo.Size(), ref.Size(now)) << "edge " << edge;
+      ASSERT_EQ(fifo.CanPush(), ref.CanPush(now)) << "edge " << edge;
+      if (ref.Size(now) > 0) {
+        ASSERT_EQ(fifo.Front(), ref.committed.front()) << "edge " << edge;
+      }
+      if (rng.NextBelow(8) < push_odds) {
+        const bool accepted = ref.Push(now, next_value);
+        ASSERT_EQ(fifo.Push(next_value), accepted) << "edge " << edge;
+        pushed |= accepted;
+        coverage.pushes += accepted ? 1 : 0;
+        ++next_value;
+      } else if (ref.Size(now) > 0) {
+        ASSERT_EQ(fifo.Pop(), ref.Pop()) << "edge " << edge;
+        popped = true;
+      }
+    }
+    ASSERT_EQ(fifo.Size(), ref.Size(now)) << "edge " << edge;
+    ASSERT_EQ(fifo.CanPush(), ref.CanPush(now)) << "edge " << edge;
+    if (full_at_start && popped && pushed) {
+      ++coverage.pop_push_at_full;
+    }
+    sim.Step();
+    ref.Commit();
+    coverage.max_occupancy = std::max(coverage.max_occupancy, ref.committed.size());
+  }
+}
+
+TEST(SyncFifo, RingMatchesReferenceModelAcrossGrowthAndWrap) {
+  for (const usize depth : {1u, 3u, 5u, 8u, 512u}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    ScheduleCoverage coverage;
+    RunDifferentialSchedule(depth, 0x5eed + depth, 12'000, coverage);
+    if (HasFatalFailure()) {
+      return;
+    }
+    // Reaching full depth from empty walks the ring through every doubling
+    // (1, 2, 4, ... up to the depth rounded up to a power of two).
+    EXPECT_EQ(coverage.max_occupancy, depth);
+    // Many more pushes than slots: the head and tail wrapped many times.
+    EXPECT_GT(coverage.pushes, 8 * std::bit_ceil(depth));
+    EXPECT_GT(coverage.pop_push_at_full, 0u);
+    EXPECT_GT(coverage.stalls, 0u);
   }
 }
 

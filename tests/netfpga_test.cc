@@ -103,6 +103,17 @@ TEST(NetFpgaApi, SetOutputPortSetsOneHotMask) {
   EXPECT_TRUE(dataplane.output_valid);
 }
 
+// A port past the last one would name no port in the one-hot mask (the frame
+// would vanish without a drop count) or, from 32 up, shift out of range; it
+// stops the run in every build type.
+TEST(NetFpgaApiDeathTest, SetOutputPortPastLastPortAborts) {
+  NetFpgaData dataplane;
+  EXPECT_DEATH(NetFpga::SetOutputPort(dataplane, kNetFpgaPortCount),
+               "emu: fatal: NetFpga::SetOutputPort: port 4 out of range \\(4 ports\\)");
+  EXPECT_DEATH(NetFpga::SetOutputPort(dataplane, 32),
+               "emu: fatal: NetFpga::SetOutputPort: port 32 out of range");
+}
+
 TEST(NetFpgaApi, BroadcastExcludesInputPort) {
   NetFpgaData dataplane;
   dataplane.tdata.set_src_port(1);
@@ -326,6 +337,54 @@ TEST(LearningSwitchFpga, SustainsBackToBack64BytePackets) {
   ASSERT_TRUE(target.RunUntilEgressCount(4 * frames_per_port, 2'000'000));
   EXPECT_EQ(target.pipeline().rx_drops(), 0u);  // line rate sustained, no loss
   EXPECT_EQ(target.pipeline().tx_drops(), 0u);
+}
+
+// Sum of the port*_rx resumes and of the frames the four ports took in.
+struct IngressCounts {
+  u64 resumes = 0;
+  u64 frames = 0;
+};
+
+IngressCounts CountIngress(FpgaTarget& target) {
+  IngressCounts counts;
+  for (const ProcessProfile& process : target.sim().ProfileReport().processes) {
+    if (process.name.starts_with("port") && process.name.ends_with("_rx")) {
+      counts.resumes += process.resumes;
+    }
+  }
+  for (u8 port = 0; port < 4; ++port) {
+    counts.frames += target.pipeline().port(port).rx_frames();
+  }
+  return counts;
+}
+
+// The 4-port line-rate pattern: while frames stream back to back, each one
+// costs its ingress process a single resume, on the edge it lands.
+TEST(LearningSwitchFpga, IngressResumesOncePerFrameAtLineRate) {
+  LearningSwitch service;
+  FpgaTarget target(service);
+  for (u8 port = 0; port < 4; ++port) {
+    target.Inject(port, MakeTestFrame(MacAddress::Broadcast(), kHostMac[port]));
+  }
+  target.Run(50'000);
+  target.TakeEgress();
+
+  const usize frames_per_port = 300;
+  for (usize i = 0; i < frames_per_port; ++i) {
+    for (u8 port = 0; port < 4; ++port) {
+      target.Inject(port, MakeTestFrame(kHostMac[(port + 1) % 4], kHostMac[port], 64));
+    }
+  }
+  // Count from mid-stream, where every port is busy, to the end of the run.
+  ASSERT_TRUE(target.RunUntilEgressCount(4 * 100, 2'000'000));
+  const IngressCounts before = CountIngress(target);
+  ASSERT_TRUE(target.RunUntilEgressCount(4 * frames_per_port, 2'000'000));
+  target.Run(10'000);
+  const IngressCounts after = CountIngress(target);
+  EXPECT_EQ(after.frames, 4 * (frames_per_port + 1));  // every frame entered
+  EXPECT_GE(after.frames - before.frames, 4u * 150);
+  EXPECT_EQ(after.resumes - before.resumes, after.frames - before.frames);
+  EXPECT_EQ(target.pipeline().rx_drops(), 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "src/core/histogram.h"
 #include "src/core/metrics.h"
 #include "src/core/targets.h"
+#include "src/net/ethernet.h"
 #include "src/net/udp.h"
 #include "src/obs/dashboard.h"
 #include "src/obs/pulse.h"
@@ -105,11 +106,37 @@ TEST(SimProfilePulse, SampledModeTimesOneInStride) {
   EXPECT_GT(run.profile.edges_timed, 0u);
   EXPECT_LT(run.profile.edges_timed, run.profile.edges_run);
   // The 1-in-4 sample should land within a factor of two of the exact rate
-  // (the stride grid is deterministic, not random, so this is not flaky).
+  // (the sample gaps come from a fixed-seed generator, so this is not flaky).
   EXPECT_GE(run.profile.edges_timed * 8, run.profile.edges_run);
   // Sample-scaled estimate is bounded below by the raw timed wall time.
   EXPECT_GE(run.profile.resume_dispatch.EstimatedTotalNs(),
             static_cast<double>(run.profile.resume_dispatch.wall_ns));
+}
+
+// microbench_kernel's saturated workload: one frame every 10 cycles, a period
+// that a fixed 1-in-64 stride samples at only a few of its phases. Every
+// process that resumes often must show up in the sampled wall time.
+TEST(SimProfilePulse, SampledModeSeesEveryBusyProcessOfAPeriodicDesign) {
+  LearningSwitch service;
+  FpgaTarget target(service);
+  target.sim().SetProfilingMode(ProfilingMode::kSampled);
+  target.Inject(0, MakeEthernetFrame(MacAddress::Broadcast(), kMacs[0], EtherType::kIpv4, {}));
+  target.Inject(1, MakeEthernetFrame(MacAddress::Broadcast(), kMacs[1], EtherType::kIpv4, {}));
+  target.Run(50'000);
+  target.TakeEgress();
+  for (u64 cycle = 0; cycle < 300'000; cycle += 10) {
+    target.Inject(0, MakeEthernetFrame(kMacs[1], kMacs[0], EtherType::kIpv4, {}));
+    target.Run(10);
+  }
+  const SimProfile profile = target.sim().ProfileReport();
+  usize busy = 0;
+  for (const ProcessProfile& process : profile.processes) {
+    if (process.resumes >= 1'000) {
+      ++busy;
+      EXPECT_GT(process.wall_ns, 0u) << process.name << " (" << process.resumes << " resumes)";
+    }
+  }
+  EXPECT_GE(busy, 7u);  // port0_rx, the arbiter, three switch stages, fan-out, one drain
 }
 
 TEST(SimProfilePulse, ProfilingDoesNotPerturbTheWorkload) {
