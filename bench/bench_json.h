@@ -11,8 +11,9 @@
 //     containing a nested object was silently truncated at the inner close
 //     brace and keys after it were never found.
 // Both directions now use std::to_chars/std::from_chars (locale-independent,
-// round-trip exact, full JSON number grammar including exponents) and the
-// section scanner is brace-depth aware.
+// round-trip exact, full JSON number grammar including exponents; the writer
+// is src/common/json.h's, shared with the library) and the section scanner
+// is brace-depth aware.
 #ifndef BENCH_BENCH_JSON_H_
 #define BENCH_BENCH_JSON_H_
 
@@ -21,6 +22,7 @@
 #include <string_view>
 #include <system_error>
 
+#include "src/common/json.h"
 #include "src/common/types.h"
 
 namespace emu::bench {
@@ -28,12 +30,9 @@ namespace emu::bench {
 // Shortest round-trip decimal representation (may use exponent notation —
 // valid JSON, and ExtractJsonNumber reads it back bit-exactly).
 inline std::string FormatJsonNumber(double value) {
-  char buf[64];
-  const std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), value);
-  if (res.ec != std::errc{}) {
-    return "0";
-  }
-  return std::string(buf, res.ptr);
+  std::string out;
+  json::AppendNumber(out, value);
+  return out;
 }
 
 // Parses the JSON number starting at text[pos] (after optional whitespace).

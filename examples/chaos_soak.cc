@@ -9,6 +9,11 @@
 // tap, SEU bit flips in table state, FIFO stalls in the Memcached worker
 // queues, NAT table exhaustion, and the §5.5 checksum fold bug.
 //
+// The plan is parsed once, before any case runs. A malformed --faults plan
+// exits 2; a --faults entry that matches no point a selected case registers
+// (its service's points or its `ingress` tap), or a topology event, prints a
+// FAULTTARGET error and exits 1, since it would silently inject nothing.
+//
 // Invariants checked per service run (any violation exits nonzero):
 //   - no crash and, under a sanitizer build, no sanitizer finding;
 //   - no hazard report from the attached HazardMonitor, COMBLOOP over the
@@ -45,6 +50,8 @@
 #include <vector>
 
 #include "examples/soak_harness.h"
+#include "src/analysis/elab/elab_graph.h"
+#include "src/analysis/finding.h"
 #include "src/chain/stage_factory.h"
 #include "src/common/fnv.h"
 #include "src/common/rng.h"
@@ -246,7 +253,8 @@ struct SoakOutcome : soak::SoakRun {
 
 struct SoakOptions {
   u64 cycles = 1'000'000;
-  std::string plan_text;  // empty: randomized from seed
+  std::string plan_text;  // --faults; Main fills in the seed's randomized plan
+  FaultPlan plan;         // plan_text, parsed once by Main
   std::string only_service;
   bool replay = false;
 };
@@ -275,18 +283,10 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt, const soak::SoakConfig& 
   c.service->RegisterMetrics(metrics);
   metrics.Register("faults.fired", [&registry] { return registry.fired_total(); });
 
-  const std::string plan_text =
-      opt.plan_text.empty() ? RandomPlanText(cfg.seed, opt.cycles) : opt.plan_text;
-  out.plan_used = plan_text;
-  const Expected<FaultPlan> plan = ParseFaultPlan(plan_text);
-  if (!plan.ok()) {
-    out.ok = false;
-    out.detail = "bad fault plan: " + plan.status().ToString();
-    return out;
-  }
-  registry.ArmPlan(*plan);
+  out.plan_used = opt.plan_text;
+  registry.ArmPlan(opt.plan);
   if (cfg.verbose) {
-    std::printf("  plan: %s\n", plan_text.c_str());
+    std::printf("  plan: %s\n", opt.plan_text.c_str());
   }
 
   // Baselines so prewarm traffic does not enter the balance.
@@ -486,6 +486,27 @@ std::string FailureText(const SoakOptions& opt, u64 seed, const std::string& nam
   return text;
 }
 
+using NamedCase = std::pair<const char*, SoakCase (*)()>;
+
+// FAULTTARGET over a --faults plan: every entry must match a point one of
+// `cases` registers once its service is on a target — the service's own
+// points or the `ingress` tap. The scratch registry is only matched
+// against; each run arms its own. A case is one FpgaTarget with no hosts,
+// so every topology event (crash, restart, partition) is dead too.
+std::vector<Finding> CheckPlanTargets(const FaultPlan& plan, const std::vector<NamedCase>& cases) {
+  FaultRegistry points(0);
+  for (const NamedCase& entry : cases) {
+    const SoakCase c = entry.second();
+    const FpgaTarget target(*c.service);
+    c.service->RegisterFaultPoints(points);
+    const FrameImpairer tap(points, "ingress");
+  }
+  std::vector<Finding> findings;
+  elab::CheckFaultPlanTargets(plan, {&points}, "chaos_soak", findings);
+  elab::CheckTopoFaults(plan, /*hosts=*/{}, "chaos_soak", findings);
+  return findings;
+}
+
 constexpr char kUsage[] =
     "usage: chaos_soak [--seed N] [--cycles N] [--faults \"<plan>\"]\n"
     "                  [--replay] [--service <name>] [--log-dir DIR]\n"
@@ -508,24 +529,50 @@ int Main(int argc, char** argv) {
   }
   const soak::SoakConfig& cfg = harness.config();
 
-  using CaseMaker = SoakCase (*)();
-  const std::pair<const char*, CaseMaker> cases[] = {
+  const NamedCase cases[] = {
       {"icmp_echo", MakeIcmpCase}, {"tcp_ping", MakeTcpPingCase},
       {"dns", MakeDnsCase},        {"nat", MakeNatCase},
       {"memcached", MakeMemcachedCase},
   };
+  std::vector<NamedCase> selected;
+  for (const NamedCase& entry : cases) {
+    if (opt.only_service.empty() || opt.only_service == entry.first) {
+      selected.push_back(entry);
+    }
+  }
+  if (selected.empty()) {
+    return harness.Usage();
+  }
+
+  // A malformed --faults plan is a usage error, as a malformed --slo is. A
+  // randomized plan spans every service on purpose, so only --faults is
+  // target-checked.
+  const bool custom_plan = !opt.plan_text.empty();
+  if (!custom_plan) {
+    opt.plan_text = RandomPlanText(cfg.seed, opt.cycles);
+  }
+  Expected<FaultPlan> plan = ParseFaultPlan(opt.plan_text);
+  if (!plan.ok()) {
+    std::fprintf(stderr, "chaos_soak: --faults: %s\n", plan.status().ToString().c_str());
+    return 2;
+  }
+  opt.plan = std::move(*plan);
+  if (custom_plan) {
+    const std::vector<Finding> findings = CheckPlanTargets(opt.plan, selected);
+    for (const Finding& finding : findings) {
+      std::fprintf(stderr, "%s\n", finding.ToString().c_str());
+    }
+    if (CountErrors(findings) > 0) {
+      return kLintExitFindings;
+    }
+  }
 
   std::printf("chaos_soak: seed=%llu cycles=%llu%s\n",
               static_cast<unsigned long long>(cfg.seed),
               static_cast<unsigned long long>(opt.cycles),
               opt.replay ? " (replay check)" : "");
   bool all_ok = true;
-  bool matched = false;
-  for (const auto& [name, make] : cases) {
-    if (!opt.only_service.empty() && opt.only_service != name) {
-      continue;
-    }
-    matched = true;
+  for (const auto& [name, make] : selected) {
     const SoakOutcome first = RunSoak(make(), opt, cfg);
     PrintOutcome(name, first, cfg.seed);
     all_ok = all_ok && first.ok;
@@ -554,9 +601,6 @@ int Main(int argc, char** argv) {
         harness.WriteLog(stem + ".txt", FailureText(opt, cfg.seed, name, first, &second));
       }
     }
-  }
-  if (!matched) {
-    return harness.Usage();
   }
   return harness.Finish(all_ok);
 }

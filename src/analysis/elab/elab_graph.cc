@@ -492,17 +492,25 @@ void CheckShardCuts(const std::vector<ShardCut>& cuts, const std::string& design
   }
 }
 
-void CheckFaultPlanTargets(const FaultPlan& plan, const FaultRegistry& registry,
+void CheckFaultPlanTargets(const FaultPlan& plan,
+                           const std::vector<const FaultRegistry*>& registries,
                            const std::string& design, std::vector<Finding>& out) {
-  for (const FaultPlanEntry& entry : plan.entries) {
-    bool matched = false;
-    for (const auto& point : registry.points()) {
-      if (FaultPatternMatches(entry.pattern, point->name())) {
-        matched = true;
-        break;
+  usize registered = 0;
+  for (const FaultRegistry* registry : registries) {
+    registered += registry->points().size();
+  }
+  const auto matched = [&registries](const std::string& pattern) {
+    for (const FaultRegistry* registry : registries) {
+      for (const auto& point : registry->points()) {
+        if (FaultPatternMatches(pattern, point->name())) {
+          return true;
+        }
       }
     }
-    if (matched) {
+    return false;
+  };
+  for (const FaultPlanEntry& entry : plan.entries) {
+    if (matched(entry.pattern)) {
       continue;
     }
     Finding f;
@@ -511,7 +519,7 @@ void CheckFaultPlanTargets(const FaultPlan& plan, const FaultRegistry& registry,
     f.design = design;
     f.subject = entry.pattern;
     f.message = "fault plan pattern matches no fault point registered by the design (" +
-                std::to_string(registry.points().size()) +
+                std::to_string(registered) +
                 " points registered): the campaign would silently inject nothing";
     out.push_back(std::move(f));
   }

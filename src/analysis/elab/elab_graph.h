@@ -124,9 +124,10 @@ void CheckShardCuts(const std::vector<ShardCut>& cuts, const std::string& design
                     std::vector<Finding>& out);
 
 // FAULTTARGET: every pattern in `plan` must match at least one point
-// registered in `registry`; an unmatched pattern is a fault campaign that
-// silently does nothing.
-void CheckFaultPlanTargets(const FaultPlan& plan, const FaultRegistry& registry,
+// registered in one of `registries` (the registries the plan will be armed
+// on); an unmatched pattern is a fault campaign that silently does nothing.
+void CheckFaultPlanTargets(const FaultPlan& plan,
+                           const std::vector<const FaultRegistry*>& registries,
                            const std::string& design, std::vector<Finding>& out);
 
 // FAULTTARGET over topology-scoped events (emu-gossip): every host named by

@@ -1,9 +1,10 @@
 #include "src/analysis/finding.h"
 
 #include <cctype>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "src/common/json.h"
 
 namespace emu {
 
@@ -18,26 +19,6 @@ bool SubjectMatches(const std::string& pattern, const std::string& subject) {
     return subject.compare(0, pattern.size() - 1, pattern, 0, pattern.size() - 1) == 0;
   }
   return subject == pattern;
-}
-
-void JsonEscape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -148,20 +129,23 @@ void FormatFindingsText(std::ostream& os, const std::vector<Finding>& findings) 
 }
 
 void FormatFindingsJson(std::ostream& os, const std::vector<Finding>& findings) {
-  os << "[";
+  std::string out = "[";
   for (usize i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
-    os << (i == 0 ? "" : ",") << "\n  {\"check\": \"";
-    JsonEscape(os, f.check);
-    os << "\", \"severity\": \"" << SeverityName(f.severity) << "\", \"design\": \"";
-    JsonEscape(os, f.design);
-    os << "\", \"subject\": \"";
-    JsonEscape(os, f.subject);
-    os << "\", \"message\": \"";
-    JsonEscape(os, f.message);
-    os << "\"}";
+    out += i == 0 ? "\n  {\"check\": " : ",\n  {\"check\": ";
+    json::AppendString(out, f.check);
+    out += ", \"severity\": \"";
+    out += SeverityName(f.severity);
+    out += "\", \"design\": ";
+    json::AppendString(out, f.design);
+    out += ", \"subject\": ";
+    json::AppendString(out, f.subject);
+    out += ", \"message\": ";
+    json::AppendString(out, f.message);
+    out += '}';
   }
-  os << (findings.empty() ? "]" : "\n]") << "\n";
+  out += findings.empty() ? "]\n" : "\n]\n";
+  os << out;
 }
 
 usize CountErrors(const std::vector<Finding>& findings) {

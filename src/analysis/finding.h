@@ -1,8 +1,9 @@
 // Uniform lint findings: one record type, one text formatter, one JSON
-// formatter, one suppression syntax, one exit-code contract — shared by the
-// static elaboration pass (emu_lint), the dynamic hazard scenarios
-// (emu_check), and the metrics exposition linter (PrometheusLint), so every
-// tool in the repo emits machine-consumable diagnostics in the same shape.
+// formatter, one suppression syntax, one exit-code contract — shared by
+// emu_lint (static elaboration and the driven hazard pass, in one report),
+// the chain runtime's findings, and the metrics exposition linter
+// (PrometheusLint), so every tool in the repo emits machine-consumable
+// diagnostics in the same shape.
 #ifndef SRC_ANALYSIS_FINDING_H_
 #define SRC_ANALYSIS_FINDING_H_
 
@@ -63,12 +64,11 @@ void FormatFindingsJson(std::ostream& os, const std::vector<Finding>& findings);
 
 usize CountErrors(const std::vector<Finding>& findings);
 
-// --- Exit-code contract (shared by emu_lint and emu_check) ---
+// --- Exit-code contract (emu_lint, and chaos_soak's --faults check) ---
 //
 //   0  clean: no unsuppressed Severity::kError finding
 //   1  at least one unsuppressed error finding
-//   2  usage/configuration error (bad flag, unreadable file, or the binary
-//      cannot perform the analysis at all — e.g. built without EMU_ANALYSIS)
+//   2  usage/configuration error (bad flag, unparsable plan, unreadable file)
 inline constexpr int kLintExitClean = 0;
 inline constexpr int kLintExitFindings = 1;
 inline constexpr int kLintExitUsage = 2;

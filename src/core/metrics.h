@@ -122,9 +122,9 @@ class MetricsRegistry {
 // histogram invariants (cumulative non-decreasing buckets, increasing `le`
 // bounds, `+Inf` bucket present and equal to `_count`, `_sum` present).
 // Returns EVERY violation (not just the first) as shared Finding records so
-// the diagnostics route through the same text/JSON formatters as emu_lint
-// and emu_check. Check ids: METRICSFMT (syntax), METRICSDUP (duplicate or
-// misplaced TYPE), METRICSHIST (histogram invariants); all Severity::kError.
+// the diagnostics route through the same text/JSON formatters as emu_lint.
+// Check ids: METRICSFMT (syntax), METRICSDUP (duplicate or misplaced TYPE),
+// METRICSHIST (histogram invariants); all Severity::kError.
 std::vector<Finding> PrometheusLintFindings(const std::string& text);
 
 // Convenience wrapper: true when the text scrapes clean; otherwise fills

@@ -104,21 +104,23 @@ HwProcess PearsonHashIp::MakeProcess() {
   }
 }
 
-HwProcess PearsonHashIp::Seed(PearsonHashIp& core, u8 byte) {
+HwProcess PearsonHashIp::Seed(PearsonHashIp& core, std::span<const u8> data) {
   // Client half of the Fig. 5 handshake: wait for ready, present the byte
   // with enable pulsed for one cycle, then wait for the core to come ready
   // again before releasing the bus.
-  while (!core.ready_.Read()) {
+  for (const u8 byte : data) {
+    while (!core.ready_.Read()) {
+      co_await Pause();
+    }
+    core.data_in_.Write(byte);
+    core.enable_.Write(true);
+    co_await Pause();
+    core.enable_.Write(false);
+    while (!core.ready_.Read()) {
+      co_await Pause();
+    }
     co_await Pause();
   }
-  core.data_in_.Write(byte);
-  core.enable_.Write(true);
-  co_await Pause();
-  core.enable_.Write(false);
-  while (!core.ready_.Read()) {
-    co_await Pause();
-  }
-  co_await Pause();
 }
 
 }  // namespace emu

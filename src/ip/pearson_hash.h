@@ -55,10 +55,11 @@ class PearsonHashIp : public Module {
         .Writes(&hash_out_);
   }
 
-  // Client-side helper implementing the Fig. 5 wrapper verbatim: waits for
-  // ready, presents the byte, pulses enable, and waits for ready again. Runs
-  // as (part of) a client process.
-  static HwProcess Seed(PearsonHashIp& core, u8 byte);
+  // Client process implementing the Fig. 5 wrapper verbatim, once per byte
+  // of `data`: waits for ready, presents the byte, pulses enable, and waits
+  // for ready again. It completes once the last byte is absorbed; `data`
+  // must outlive it.
+  static HwProcess Seed(PearsonHashIp& core, std::span<const u8> data);
 
  private:
   Reg<bool> ready_;

@@ -1,6 +1,6 @@
 #include "src/obs/dashboard.h"
 
-#include <charconv>
+#include "src/common/json.h"
 
 namespace emu::obs {
 namespace {
@@ -39,16 +39,6 @@ void AppendJsString(std::string& out, const std::string& text) {
     out += c;
   }
   out += '"';
-}
-
-void AppendDouble(std::string& out, double value) {
-  char buf[64];
-  const std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), value);
-  if (res.ec != std::errc{}) {
-    out += '0';
-    return;
-  }
-  out.append(buf, res.ptr);
 }
 
 // Inline renderer: reads the embedded DATA object, draws one SVG line chart
@@ -185,7 +175,7 @@ std::string RenderSoakDashboardHtml(const DashboardOptions& options,
       if (check.missing) {
         out += "metric missing";
       } else {
-        AppendDouble(out, check.observed);
+        json::AppendNumber(out, check.observed);
       }
       out += check.ok ? "</td><td class=\"pass\">PASS" : "</td><td class=\"fail\">FAIL";
       out += "</td></tr>\n";

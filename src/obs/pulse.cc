@@ -1,9 +1,10 @@
 #include "src/obs/pulse.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
+
+#include "src/common/json.h"
 
 namespace emu::obs {
 namespace {
@@ -11,48 +12,6 @@ namespace {
 void AppendU64(std::string& out, u64 value) { out += std::to_string(value); }
 
 void AppendI64(std::string& out, Picoseconds value) { out += std::to_string(value); }
-
-// Locale-independent shortest round-trip double (same contract as
-// bench::FormatJsonNumber, duplicated here so src/ does not reach into
-// bench/).
-void AppendDouble(std::string& out, double value) {
-  char buf[64];
-  const std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), value);
-  if (res.ec != std::errc{}) {
-    out += '0';
-    return;
-  }
-  out.append(buf, res.ptr);
-}
-
-void AppendJsonString(std::string& out, const std::string& text) {
-  out += '"';
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void AppendPhase(std::string& out, const char* name, const PhaseProfile& phase) {
   out += '"';
@@ -64,7 +23,7 @@ void AppendPhase(std::string& out, const char* name, const PhaseProfile& phase) 
   out += ",\"wall_ns\":";
   AppendU64(out, phase.wall_ns);
   out += ",\"estimated_total_ns\":";
-  AppendDouble(out, phase.EstimatedTotalNs());
+  json::AppendNumber(out, phase.EstimatedTotalNs());
   out += '}';
 }
 
@@ -139,7 +98,7 @@ std::string SimProfileJson(const SimProfile& profile) {
     }
     first = false;
     out += "{\"name\":";
-    AppendJsonString(out, process.name);
+    json::AppendString(out, process.name);
     out += ",\"resumes\":";
     AppendU64(out, process.resumes);
     out += ",\"cycles_awake\":";

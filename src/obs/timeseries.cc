@@ -1,5 +1,7 @@
 #include "src/obs/timeseries.h"
 
+#include "src/common/json.h"
+
 namespace emu::obs {
 
 void TimeSeriesRecorder::Record(Picoseconds ts,
@@ -66,15 +68,9 @@ std::string TimeSeriesRecorder::SeriesJson() const {
     if (i > 0) {
       out += ',';
     }
-    out += "{\"name\":\"";
-    // Registry names are dotted identifiers; escape defensively anyway.
-    for (char c : names[i]) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-      }
-      out += c;
-    }
-    out += "\",\"points\":[";
+    out += "{\"name\":";
+    json::AppendString(out, names[i]);
+    out += ",\"points\":[";
     for (usize p = 0; p < series[i].size(); ++p) {
       if (p > 0) {
         out += ',';

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <tuple>
 
+#include "src/common/json.h"
+
 namespace emu::obs {
 
 #ifdef EMU_TRACE
@@ -26,38 +28,6 @@ void AppendMicros(std::string& out, Picoseconds ps) {
                 static_cast<long long>(ps / 1'000'000),
                 static_cast<long long>(ps % 1'000'000));
   out += buf;
-}
-
-void AppendJsonString(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -234,7 +204,7 @@ std::string TraceSession::ExportChromeJson() const {
         out += ",\"dur\":";
         AppendMicros(out, event.dur);
         out += ",\"name\":";
-        AppendJsonString(out, event.name);
+        json::AppendString(out, event.name);
         out += '}';
         break;
       case Phase::kAsyncBegin:
@@ -248,7 +218,7 @@ std::string TraceSession::ExportChromeJson() const {
         out += ",\"ts\":";
         AppendMicros(out, event.ts);
         out += ",\"name\":";
-        AppendJsonString(out, event.name);
+        json::AppendString(out, event.name);
         out += '}';
         break;
       case Phase::kInstant:
@@ -257,7 +227,7 @@ std::string TraceSession::ExportChromeJson() const {
         out += ",\"ts\":";
         AppendMicros(out, event.ts);
         out += ",\"s\":\"t\",\"name\":";
-        AppendJsonString(out, event.name);
+        json::AppendString(out, event.name);
         out += '}';
         break;
       case Phase::kCounter:
@@ -266,7 +236,7 @@ std::string TraceSession::ExportChromeJson() const {
         out += ",\"ts\":";
         AppendMicros(out, event.ts);
         out += ",\"name\":";
-        AppendJsonString(out, event.name);
+        json::AppendString(out, event.name);
         out += ",\"args\":{\"value\":";
         out += std::to_string(event.id);
         out += "}}";

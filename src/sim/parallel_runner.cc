@@ -109,11 +109,6 @@ void ParallelRunner::ConnectDirection(Link& link, bool to_b, usize from, usize t
   if (from == to) {
     CutFatal(link_id, from, to, "a link direction within one shard needs no routing");
   }
-  if (link.shared_impaired()) {
-    CutFatal(link_id, from, to,
-             "shared impairment and cross-shard routing are mutually exclusive; "
-             "per-direction impairment composes");
-  }
   const Picoseconds lookahead = link.MinTransitPs();
   if (lookahead <= 0) {
     CutFatal(link_id, from, to, "zero-lookahead link admits no conservative window");

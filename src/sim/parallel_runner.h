@@ -100,11 +100,10 @@ class ParallelRunner {
 
   // Routes `link`'s `to_b` direction across the shard boundary from `from`
   // (where the sender lives) into `to` (where the receiving end's callbacks
-  // run). The shards must be distinct registered shards, the link must not
-  // carry a shared impairer (per-direction impairment composes — see
-  // Link::EnableImpairment(to_b, ...)), and its transit floor must be
-  // positive — zero lookahead admits no conservative window. A violation
-  // prints `emu: fatal: ...` and aborts, in every build type.
+  // run). The shards must be distinct registered shards and the link's
+  // transit floor must be positive — zero lookahead admits no conservative
+  // window. A violation prints `emu: fatal: ...` and aborts, in every build
+  // type. Per-direction impairment (Link::EnableImpairment) composes.
   void ConnectDirection(Link& link, bool to_b, usize from, usize to);
 
   // Runs all shards to quiescence (or the event budget); returns the number

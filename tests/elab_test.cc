@@ -322,7 +322,7 @@ TEST(ElabCheck, FaultTargetFlagsUnmatchedPattern) {
   ASSERT_TRUE(plan.ok());
 
   std::vector<Finding> findings;
-  elab::CheckFaultPlanTargets(*plan, registry, "faults", findings);
+  elab::CheckFaultPlanTargets(*plan, {&registry}, "faults", findings);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].check, "FAULTTARGET");
   EXPECT_EQ(findings[0].subject, "dns.cache");

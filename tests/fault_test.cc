@@ -309,7 +309,7 @@ TEST(LinkImpairment, DropsAndDuplicatesWithCounters) {
   link.AttachB([&](Packet p) { received.push_back(std::move(p)); });
 
   FaultRegistry registry(21);
-  link.EnableImpairment(registry, "wire");
+  link.EnableImpairment(/*to_b=*/true, registry, "wire");
   ASSERT_TRUE(link.impaired());
 
   registry.Arm("wire.drop", FaultSchedule::Bernoulli(1.0));

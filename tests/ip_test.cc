@@ -250,33 +250,14 @@ TEST(PearsonHash, DistributesAcrossBuckets) {
   EXPECT_GT(buckets.size(), 48u);  // most of 64 buckets touched
 }
 
-HwProcess SeedAll(PearsonHashIp& core, std::span<const u8> data, Reg<bool>& done) {
-  for (u8 byte : data) {
-    // Inline the client handshake (coroutines cannot call sub-coroutines
-    // without an awaitable wrapper; services do the same).
-    while (!core.init_hash_ready().Read()) {
-      co_await Pause();
-    }
-    core.data_in().Write(byte);
-    core.init_hash_enable().Write(true);
-    co_await Pause();
-    core.init_hash_enable().Write(false);
-    co_await Pause();
-  }
-  done.Write(true);
-  co_await Pause();
-}
-
 TEST(PearsonHashIp, HardwareMatchesSoftware) {
   Simulator sim;
   PearsonHashIp core(sim, "pearson");
-  Reg<bool> done(sim, false);
   const std::array<u8, 5> data = {'e', 'm', 'u', '1', '7'};
   sim.AddProcess(core.MakeProcess(), "core");
-  sim.AddProcess(SeedAll(core, data, done), "client");
-  ASSERT_TRUE(sim.RunUntil([&] { return done.Read(); }, 200));
-  // Let the final absorb commit.
-  sim.Run(2);
+  sim.AddProcess(PearsonHashIp::Seed(core, data), "client");
+  // The client completes once the core has absorbed its last byte.
+  ASSERT_TRUE(sim.RunUntil([&] { return sim.live_process_count() == 1; }, 200));
   EXPECT_EQ(core.hash_out().Read(), PearsonHash64(data));
 }
 
