@@ -38,10 +38,11 @@ namespace emu {
 namespace {
 
 // The Table-4 memcached setup, clustered: `nodes` independent memcached
-// service nodes, each with its own memaslap client host. The inter-shard
-// link delay is a cluster-interconnect 20 us, which is also the runner's
-// lookahead — big windows, so each epoch carries many request FSM
-// executions and the barrier cost amortizes.
+// service nodes, each with its own memaslap client host — `nodes` link
+// components, which the runner queues on its workers without a barrier
+// between them. The inter-shard link delay is a cluster-interconnect 20 us,
+// which is also the runner's lookahead — big windows, so each component
+// epoch carries many request FSM executions.
 bench::SweepRun RunCluster(usize nodes, usize threads, usize requests_per_host) {
   constexpr usize kKeySpace = 64;
   StarTopologyConfig topo_config;

@@ -26,8 +26,8 @@
 // Exit codes (the shared lint contract, src/analysis/finding.h):
 //   0  clean — no unsuppressed Severity::kError finding
 //   1  at least one unsuppressed error finding (warnings never fail the run)
-//   2  usage error (unknown flag or design, unparsable --faults plan,
-//      unreadable spec file)
+//   2  usage error (unknown flag or design, a --dot design that is unknown
+//      or not selected, unparsable --faults plan, unreadable spec file)
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -473,11 +473,28 @@ int main(int argc, char** argv) {
                  "[--spec <file>]... [design...]\n");
     return kLintExitUsage;
   }
+  const auto known = [](const std::string& name) {
+    return std::any_of(std::begin(kDesigns), std::end(kDesigns),
+                       [&](const LintDesign& d) { return name == d.name; });
+  };
   for (const std::string& name : selected) {
-    const bool known = std::any_of(std::begin(kDesigns), std::end(kDesigns),
-                                   [&](const LintDesign& d) { return name == d.name; });
-    if (!known) {
+    if (!known(name)) {
       std::fprintf(stderr, "emu_lint: unknown design '%s' (see --list)\n", name.c_str());
+      return kLintExitUsage;
+    }
+  }
+  // `--spec` alone lints only the spec files; designs still run when named.
+  const bool run_designs = spec_paths.empty() || !selected.empty();
+  if (!dot_target.empty()) {
+    if (!known(dot_target)) {
+      std::fprintf(stderr, "emu_lint: --dot: unknown design '%s' (see --list)\n",
+                   dot_target.c_str());
+      return kLintExitUsage;
+    }
+    if (!run_designs || (!selected.empty() && std::find(selected.begin(), selected.end(),
+                                                        dot_target) == selected.end())) {
+      std::fprintf(stderr, "emu_lint: --dot: design '%s' is not among the selected designs\n",
+                   dot_target.c_str());
       return kLintExitUsage;
     }
   }
@@ -496,8 +513,6 @@ int main(int argc, char** argv) {
   const FaultPlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
 
   std::vector<Finding> all;
-  // `--spec` alone lints only the spec files; designs still run when named.
-  const bool run_designs = spec_paths.empty() || !selected.empty();
   if (run_designs && !kDynamicPass) {
     std::fprintf(stderr,
                  "emu_lint: dynamic pass compiled out (built with -DEMU_ANALYSIS=OFF); "

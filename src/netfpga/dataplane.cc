@@ -1,7 +1,6 @@
 #include "src/netfpga/dataplane.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include "src/common/fatal.h"
 
 namespace emu {
 
@@ -25,9 +24,8 @@ void NetFpga::SetOutputPort(NetFpgaData& dataplane, u64 port) {
   // name no port (the frame vanishes without a drop count) or, from 32 up,
   // shift out of range.
   if (port >= kNetFpgaPortCount) [[unlikely]] {
-    std::fprintf(stderr, "emu: fatal: NetFpga::SetOutputPort: port %llu out of range (%zu ports)\n",
-                 static_cast<unsigned long long>(port), kNetFpgaPortCount);
-    std::abort();
+    Fatal("NetFpga::SetOutputPort", "port %llu out of range (%zu ports)",
+          static_cast<unsigned long long>(port), kNetFpgaPortCount);
   }
   dataplane.tdata.set_dst_port_mask(static_cast<u8>(1u << port));
   dataplane.output_valid = true;

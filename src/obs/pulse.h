@@ -40,9 +40,10 @@ std::string FormatSimProfileTable(const SimProfile& profile);
 
 // --- Parallel-runner epoch observability ------------------------------------
 
-// One PlanEpoch execution (coordinator, single-threaded between barriers).
+// One PlanEpoch execution: one epoch of one link component. Planned on the
+// thread that runs the component, recorded by the calling thread.
 struct PlanRecord {
-  u64 epoch = 0;           // 1-based epoch ordinal within this run
+  u64 epoch = 0;           // 1-based component-plan ordinal of the runner
   u64 begin_ns = 0;        // wall offset from BeginRun
   u64 wall_ns = 0;         // time inside PlanEpoch (drain + relax + horizons)
   u64 relax_sweeps = 0;    // fixpoint sweeps over the cut edges
@@ -51,10 +52,11 @@ struct PlanRecord {
 };
 
 // One shard's slice of one epoch. barrier_wait_ns is the wall time between
-// the shard's work finishing and the epoch closing — in an epoch run inline
-// on the calling thread (every epoch under threads=1) it measures sequential
-// skew (time spent running the shards after this one), in a parallel epoch
-// it is the idle time at the done barrier.
+// the shard's work finishing and the epoch closing — in an epoch whose
+// shards run in sequence on one thread (every epoch under threads=1, and
+// every epoch of a queued component) it measures sequential skew (time
+// spent running the component's shards after this one), in a parallel
+// epoch it is the idle time at the done barrier.
 struct ShardEpochRecord {
   u64 epoch = 0;
   u32 shard = 0;
@@ -108,9 +110,10 @@ class RunnerPulse {
   void RecordPlan(const PlanRecord& record);
   void RecordShardEpoch(const ShardEpochRecord& record);
   // Counts one closed epoch as run inline on the calling thread or in
-  // parallel on the runner's pool. The choice depends on host timing, so
-  // these counts are host-side data like the wall stamps: no digest or
-  // cross-thread-count comparison may include them.
+  // parallel on the runner's pool (a queued component's epoch counts as
+  // parallel when the run used the pool). The choice depends on host
+  // timing, so these counts are host-side data like the wall stamps: no
+  // digest or cross-thread-count comparison may include them.
   void RecordEpochMode(bool parallel);
 
   usize shard_count() const { return shard_count_; }

@@ -1,7 +1,6 @@
 #include "src/sim/hub.h"
 
-#include <cassert>
-
+#include "src/common/fatal.h"
 #include "src/core/metrics.h"
 #include "src/net/ethernet.h"
 
@@ -14,7 +13,9 @@ HubNode::HubNode(EventScheduler& scheduler, usize port_count, Picoseconds forwar
       forward_delay_(forward_delay) {}
 
 void HubNode::AttachPort(usize port, Link* link, bool is_end_a) {
-  assert(port < ports_.size());
+  if (port >= ports_.size()) {
+    Fatal("HubNode::AttachPort", "port %zu out of range (%zu ports)", port, ports_.size());
+  }
   ports_[port] = PortAttachment{link, is_end_a};
   const auto receiver = [this, port](Packet frame) { Receive(port, std::move(frame)); };
   if (is_end_a) {
@@ -25,12 +26,19 @@ void HubNode::AttachPort(usize port, Link* link, bool is_end_a) {
 }
 
 void HubNode::SetBlocked(usize from_port, usize to_port, bool blocked) {
-  assert(from_port < ports_.size() && to_port < ports_.size());
+  if (from_port >= ports_.size() || to_port >= ports_.size()) {
+    Fatal("HubNode::SetBlocked", "port pair (%zu, %zu) out of range (%zu ports)", from_port,
+          to_port, ports_.size());
+  }
   u32& count = BlockCount(from_port, to_port);
   if (blocked) {
     ++count;
   } else {
-    assert(count > 0 && "unbalanced partition unblock");
+    if (count == 0) {
+      // Wrapping the count would block the pair for the rest of the run.
+      Fatal("HubNode::SetBlocked", "unblock of port pair (%zu, %zu), which is not blocked",
+            from_port, to_port);
+    }
     --count;
   }
 }

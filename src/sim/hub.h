@@ -38,6 +38,7 @@ class HubNode {
   usize port_count() const { return ports_.size(); }
 
   // Attaches a link end as port `port`; frames arriving there enter the hub.
+  // A port past the last is fatal in every build type.
   void AttachPort(usize port, Link* link, bool is_end_a);
 
   // Delivers a frame as if received on `port` (links call this).
@@ -45,6 +46,8 @@ class HubNode {
 
   // Counted directional block: `blocked=true` increments the (from, to)
   // count, `false` decrements it. The pair is partitioned while count > 0.
+  // A port past the last, or an unblock of a pair that is not blocked, is
+  // fatal in every build type.
   void SetBlocked(usize from_port, usize to_port, bool blocked);
   bool Blocked(usize from_port, usize to_port) const;
 

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <tuple>
+#include <utility>
 
+#include "src/common/fatal.h"
 #include "src/obs/pulse.h"
 #include "src/obs/trace.h"
 
@@ -41,6 +42,13 @@ constexpr u64 kSampleEvery = 16;
 constexpr u64 kProbeGapMin = 64;
 constexpr u64 kProbeGapMax = 1'024;
 constexpr double kBlend = 0.25;
+
+// A worker in a queued run holds a component for whole epochs until it has
+// run this many events, then queues it again: long enough that the queue
+// lock and the hand-over cost nothing against the slice (~3 ms of
+// memcached-cluster work on a 4-vCPU Xeon), short enough that three
+// workers sharing four components finish within one slice of each other.
+constexpr u64 kSliceEvents = 4'096;
 
 void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -82,14 +90,32 @@ u64 HostNowNs() {
 }
 
 [[noreturn]] void CutFatal(u64 link_id, usize from, usize to, const char* what) {
-  std::fprintf(stderr,
-               "emu: fatal: ParallelRunner::ConnectDirection: link %llu from shard %zu to "
-               "shard %zu: %s\n",
-               static_cast<unsigned long long>(link_id), from, to, what);
-  std::abort();
+  Fatal("ParallelRunner::ConnectDirection", "link %llu from shard %zu to shard %zu: %s",
+        static_cast<unsigned long long>(link_id), from, to, what);
 }
 
 }  // namespace
+
+struct ParallelRunner::Component {
+  std::vector<usize> shards;  // ascending shard indices
+  // Plan buffers, reused every epoch; next and lb are indexed by position
+  // in `shards`.
+  std::vector<PendingDelivery> drain;
+  std::vector<Picoseconds> next;
+  std::vector<Picoseconds> lb;
+  // This run's share of the event budget and the events run against it.
+  u64 share = 0;
+  u64 executed = 0;
+  // Not yet folded into the runner (Fold).
+  u64 epochs = 0;
+  u64 relax_sweeps = 0;
+  u64 relaxations = 0;
+  u64 frames_drained = 0;
+  std::vector<obs::PlanRecord> plans;              // one per epoch
+  std::vector<obs::ShardEpochRecord> shard_epochs;  // shards.size() per epoch
+};
+
+ParallelRunner::ParallelRunner() = default;
 
 ParallelRunner::~ParallelRunner() { StopPool(); }
 
@@ -98,6 +124,7 @@ usize ParallelRunner::AddShard(EventScheduler& scheduler) {
   shard->index = shards_.size();
   shard->scheduler = &scheduler;
   shards_.push_back(std::move(shard));
+  components_stale_ = true;
   return shards_.size() - 1;
 }
 
@@ -115,8 +142,9 @@ void ParallelRunner::ConnectDirection(Link& link, bool to_b, usize from, usize t
   }
   ++next_link_id_;
   cuts_.push_back(ShardCut{from, to, link_id, lookahead});
+  components_stale_ = true;
   Shard& receiver = *shards_[to];
-  receiver.inbound.push_back(InboundEdge{from, lookahead});
+  receiver.inbound.push_back(InboundEdge{.from = from, .lookahead = lookahead});
   link.RouteRemote(to_b, *shards_[from]->scheduler, link_id,
                    [&receiver, &link, to_b](Link::RemoteFrame rf) {
                      std::lock_guard<std::mutex> lock(receiver.inbox_mu);
@@ -125,43 +153,81 @@ void ParallelRunner::ConnectDirection(Link& link, bool to_b, usize from, usize t
                    });
 }
 
-usize ParallelRunner::PlanEpoch(usize budget) {
+void ParallelRunner::FindComponents() {
+  // Union-find over the cuts; the root of a set is its lowest shard, so
+  // components come out ordered by their first shard.
+  std::vector<usize> parent(shards_.size());
+  std::iota(parent.begin(), parent.end(), usize{0});
+  const auto find = [&parent](usize s) {
+    while (parent[s] != s) {
+      s = parent[s] = parent[parent[s]];
+    }
+    return s;
+  };
+  for (const ShardCut& cut : cuts_) {
+    const usize a = find(cut.from);
+    const usize b = find(cut.to);
+    parent[std::max(a, b)] = std::min(a, b);
+  }
+  components_.clear();
+  std::vector<usize> slot(shards_.size(), 0);
+  for (usize s = 0; s < shards_.size(); ++s) {
+    const usize root = find(s);
+    if (root == s) {
+      slot[s] = components_.size();
+      components_.push_back(std::make_unique<Component>());
+    }
+    Component& comp = *components_[slot[root]];
+    shards_[s]->local = comp.shards.size();
+    comp.shards.push_back(s);
+  }
+  for (auto& shard : shards_) {
+    for (InboundEdge& edge : shard->inbound) {
+      edge.from_local = shards_[edge.from]->local;
+    }
+  }
+  components_stale_ = false;
+}
+
+usize ParallelRunner::PlanEpoch(Component& comp) {
   const u64 plan_begin_ns = pulse_ != nullptr ? pulse_->NowNs() : 0;
   u64 drained = 0;
   // Drain every inbox in canonical (arrival, link, seq) order so the
   // receiving scheduler's tie-break sequence numbers are independent of the
   // order worker threads pushed the frames.
-  for (auto& entry : shards_) {
-    Shard& shard = *entry;
+  for (const usize index : comp.shards) {
+    Shard& shard = *shards_[index];
     {
       std::lock_guard<std::mutex> lock(shard.inbox_mu);
       if (shard.inbox.empty()) {
         continue;
       }
-      drain_.swap(shard.inbox);
+      comp.drain.swap(shard.inbox);
     }
-    std::sort(drain_.begin(), drain_.end(),
+    std::sort(comp.drain.begin(), comp.drain.end(),
               [](const PendingDelivery& a, const PendingDelivery& b) {
                 return std::tie(a.arrival, a.link_id, a.seq) <
                        std::tie(b.arrival, b.link_id, b.seq);
               });
-    drained += drain_.size();
-    for (PendingDelivery& delivery : drain_) {
+    drained += comp.drain.size();
+    for (PendingDelivery& delivery : comp.drain) {
       shard.scheduler->At(delivery.arrival,
                           [link = delivery.link, to_b = delivery.to_b,
                            frame = std::move(delivery.frame)]() mutable {
                             link->CompleteRemote(std::move(frame), to_b);
                           });
     }
-    drain_.clear();
+    comp.drain.clear();
   }
-  frames_drained_ += drained;
+  comp.frames_drained += drained;
 
+  const usize n = comp.shards.size();
   bool any_pending = false;
-  next_.assign(shards_.size(), kNever);
-  for (usize i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]->scheduler->Empty()) {
-      next_[i] = shards_[i]->scheduler->NextEventTime();
+  comp.next.assign(n, kNever);
+  for (usize i = 0; i < n; ++i) {
+    const EventScheduler& scheduler = *shards_[comp.shards[i]]->scheduler;
+    if (!scheduler.Empty()) {
+      comp.next[i] = scheduler.NextEventTime();
       any_pending = true;
     }
   }
@@ -175,68 +241,71 @@ usize ParallelRunner::PlanEpoch(usize budget) {
   // Chandy-Misra null messages; positive lookaheads guarantee convergence in
   // at most |shards| sweeps — so lb[i] bounds the earliest time shard i can
   // execute ANY event this epoch, woken or not.
-  lb_.assign(next_.begin(), next_.end());
+  std::vector<Picoseconds>& lb = comp.lb;
+  lb.assign(comp.next.begin(), comp.next.end());
   u64 sweeps = 0;
   u64 relaxations = 0;
   for (bool changed = true; changed;) {
     changed = false;
     ++sweeps;
-    for (auto& entry : shards_) {
-      Shard& shard = *entry;
-      for (const InboundEdge& edge : shard.inbound) {
-        if (lb_[edge.from] == kNever) {
+    for (usize i = 0; i < n; ++i) {
+      for (const InboundEdge& edge : shards_[comp.shards[i]]->inbound) {
+        if (lb[edge.from_local] == kNever) {
           continue;
         }
-        const Picoseconds candidate = lb_[edge.from] + edge.lookahead;
-        if (candidate < lb_[shard.index]) {
-          lb_[shard.index] = candidate;
+        const Picoseconds candidate = lb[edge.from_local] + edge.lookahead;
+        if (candidate < lb[i]) {
+          lb[i] = candidate;
           changed = true;
           ++relaxations;
         }
       }
     }
   }
-  relax_sweeps_ += sweeps;
-  null_message_relaxations_ += relaxations;
-  // At least the globally earliest shard is busy: every horizon lies a
-  // positive lookahead past some next-event time.
+  comp.relax_sweeps += sweeps;
+  comp.relaxations += relaxations;
+  // At least the component's earliest shard is busy: every horizon lies a
+  // positive lookahead past some next-event time. A finite horizon bounds
+  // the epoch by itself, so only an unbounded one takes the budget left.
+  const usize left = static_cast<usize>(comp.share - comp.executed);
   usize busy = 0;
-  for (auto& entry : shards_) {
-    Shard& shard = *entry;
+  for (usize i = 0; i < n; ++i) {
+    Shard& shard = *shards_[comp.shards[i]];
     Picoseconds horizon = kNever;
     for (const InboundEdge& edge : shard.inbound) {
-      if (lb_[edge.from] == kNever) {
+      if (lb[edge.from_local] == kNever) {
         continue;  // nothing anywhere can ever reach this sender: truly silent
       }
-      horizon = std::min(horizon, lb_[edge.from] + edge.lookahead);
+      horizon = std::min(horizon, lb[edge.from_local] + edge.lookahead);
     }
     shard.horizon = horizon;
-    shard.budget = budget;
+    shard.budget = horizon == kNever ? left : std::numeric_limits<usize>::max();
     shard.epoch_executed = 0;
-    if (next_[shard.index] < horizon) {
+    if (comp.next[i] < horizon) {
       ++busy;
     }
   }
-  ++epochs_;
+  ++comp.epochs;
   if (pulse_ != nullptr) {
     obs::PlanRecord record;
-    record.epoch = epochs_;
     record.begin_ns = plan_begin_ns;
     record.wall_ns = pulse_->NowNs() - plan_begin_ns;
     record.relax_sweeps = sweeps;
     record.relaxations = relaxations;
     record.frames_drained = drained;
-    pulse_->RecordPlan(record);
+    comp.plans.push_back(record);
   }
   return busy;
 }
 
-void ParallelRunner::FlushEpochRecords(u64 epoch_end_ns, bool parallel) {
-  pulse_->RecordEpochMode(parallel);
-  for (auto& entry : shards_) {
-    Shard& shard = *entry;
+void ParallelRunner::CloseEpoch(Component& comp, u64 epoch_end_ns) {
+  for (const usize index : comp.shards) {
+    const Shard& shard = *shards_[index];
+    comp.executed += shard.epoch_executed;
+    if (pulse_ == nullptr) {
+      continue;
+    }
     obs::ShardEpochRecord record;
-    record.epoch = epochs_;
     record.shard = static_cast<u32>(shard.index);
     record.horizon_ps = shard.horizon == kNever ? -1 : shard.horizon;
     record.executed = shard.epoch_executed;
@@ -244,8 +313,32 @@ void ParallelRunner::FlushEpochRecords(u64 epoch_end_ns, bool parallel) {
     record.work_end_ns = shard.work_end_ns;
     record.barrier_wait_ns =
         epoch_end_ns > shard.work_end_ns ? epoch_end_ns - shard.work_end_ns : 0;
-    pulse_->RecordShardEpoch(record);
+    comp.shard_epochs.push_back(record);
   }
+}
+
+void ParallelRunner::Fold(Component& comp, bool parallel) {
+  if (pulse_ != nullptr) {
+    // Epoch ordinals are assigned here, in fold order: component by
+    // component after a queued run.
+    const usize n = comp.shards.size();
+    for (usize e = 0; e < comp.plans.size(); ++e) {
+      obs::PlanRecord& plan = comp.plans[e];
+      plan.epoch = epochs_ + e + 1;
+      pulse_->RecordPlan(plan);
+      pulse_->RecordEpochMode(parallel);
+      for (usize i = e * n; i < (e + 1) * n; ++i) {
+        comp.shard_epochs[i].epoch = plan.epoch;
+        pulse_->RecordShardEpoch(comp.shard_epochs[i]);
+      }
+    }
+  }
+  comp.plans.clear();
+  comp.shard_epochs.clear();
+  epochs_ += std::exchange(comp.epochs, 0);
+  relax_sweeps_ += std::exchange(comp.relax_sweeps, 0);
+  null_message_relaxations_ += std::exchange(comp.relaxations, 0);
+  frames_drained_ += std::exchange(comp.frames_drained, 0);
 }
 
 void ParallelRunner::RunShardEpoch(Shard& shard) {
@@ -307,23 +400,90 @@ void ParallelRunner::RecordSample(const EpochMode& mode, u64 wall_ns, u64 events
   }
 }
 
-void ParallelRunner::RunParallelEpoch() {
-  // Ordered before the pool reads it by the start release below.
+void ParallelRunner::RunEpochs(Component& comp) {
+  while (comp.executed < comp.share) {
+    const usize busy = PlanEpoch(comp);
+    if (busy == 0) {
+      break;
+    }
+    const EpochMode mode = ChooseMode(busy);
+    if (mode.parallel && pool_.empty()) {
+      StartPool();  // before the timed window: a sample must not include thread creation
+    }
+    const u64 executed_before = comp.executed;
+    const u64 begin_ns = mode.timed ? HostNowNs() : 0;
+    if (mode.parallel) {
+      RunOnPool(&comp);
+    } else {
+      RunBlock(comp, 0, 1);  // inline: every shard, in index order
+    }
+    const u64 end_ns = mode.timed ? HostNowNs() : 0;
+    CloseEpoch(comp, pulse_ != nullptr ? pulse_->NowNs() : 0);
+    Fold(comp, mode.parallel);
+    if (mode.timed) {
+      RecordSample(mode, end_ns - begin_ns, comp.executed - executed_before);
+    }
+  }
+}
+
+void ParallelRunner::RunOnPool(Component* block_job) {
+  // Ordered before the pool reads them by the start release below.
+  block_job_ = block_job;
   working_.store(static_cast<u32>(threads_ - 1) * kStep, std::memory_order_relaxed);
   start_word_ += kStep;
   Publish(start_, start_word_);
-  RunBlock(0, threads_);
+  RunJob(0, threads_);
   SpinThenPark(working_, [](u32 w) { return w < kStep; });
+}
+
+void ParallelRunner::RunJob(usize worker, usize threads) {
+  if (block_job_ != nullptr) {
+    RunBlock(*block_job_, worker, threads);
+  } else {
+    RunQueue();
+  }
 }
 
 // Contiguous block partition: topology builders register each service node
 // right before its hosts, so a block keeps a node and its hosts on one
 // thread while different nodes (the heavy shards) land on different threads.
-void ParallelRunner::RunBlock(usize worker, usize threads) {
-  const usize n = shards_.size();
+void ParallelRunner::RunBlock(Component& comp, usize worker, usize threads) {
+  const usize n = comp.shards.size();
   for (usize i = worker * n / threads; i < (worker + 1) * n / threads; ++i) {
-    RunShardEpoch(*shards_[i]);
+    RunShardEpoch(*shards_[comp.shards[i]]);
   }
+}
+
+void ParallelRunner::RunQueue() {
+  for (;;) {
+    Component* comp = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      if (queue_.empty()) {
+        // Every component still unfinished is held by a worker that queues
+        // it again (and can take it back) after its slice.
+        return;
+      }
+      comp = queue_.front();
+      queue_.pop_front();
+    }
+    if (RunSlice(*comp)) {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      queue_.push_back(comp);
+    }
+  }
+}
+
+bool ParallelRunner::RunSlice(Component& comp) {
+  const u64 slice_end = comp.executed + kSliceEvents;
+  while (comp.executed < slice_end) {
+    if (comp.executed >= comp.share || PlanEpoch(comp) == 0) {
+      return false;
+    }
+    RunBlock(comp, 0, 1);
+    CloseEpoch(comp, pulse_ != nullptr ? pulse_->NowNs() : 0);
+  }
+  return true;
 }
 
 void ParallelRunner::PoolLoop(usize worker, usize threads, u32 seen) {
@@ -333,7 +493,7 @@ void ParallelRunner::PoolLoop(usize worker, usize threads, u32 seen) {
     if (stopping_) {
       return;
     }
-    RunBlock(worker, threads);
+    RunJob(worker, threads);
     if (working_.fetch_sub(kStep, std::memory_order_acq_rel) == (kStep | kParked)) {
       working_.notify_all();
     }
@@ -375,6 +535,9 @@ u64 ParallelRunner::Run(const ParallelRunOptions& opts) {
     threads_ = threads;
     estimates_ = {};
   }
+  if (components_stale_) {
+    FindComponents();
+  }
   if (obs::TraceSession* session = obs::TraceSession::Current()) {
     // Grow the shard buffers while no epoch runs; EnsureShards is
     // single-threaded by contract.
@@ -383,34 +546,46 @@ u64 ParallelRunner::Run(const ParallelRunOptions& opts) {
   if (pulse_ != nullptr) {
     pulse_->BeginRun(shards_.size(), threads);
   }
-  u64 total = 0;
-  while (total < opts.max_events) {
-    const usize busy = PlanEpoch(static_cast<usize>(opts.max_events - total));
-    if (busy == 0) {
-      break;
+  // The components with work, and the budget split by their shard counts.
+  std::vector<Component*> busy;
+  usize busy_shards = 0;
+  const auto has_work = [this](usize s) {
+    Shard& shard = *shards_[s];
+    std::lock_guard<std::mutex> lock(shard.inbox_mu);
+    return !shard.scheduler->Empty() || !shard.inbox.empty();
+  };
+  for (auto& comp : components_) {
+    if (opts.max_events > 0 && std::any_of(comp->shards.begin(), comp->shards.end(), has_work)) {
+      busy.push_back(comp.get());
+      busy_shards += comp->shards.size();
     }
-    const EpochMode mode = ChooseMode(busy);
-    if (mode.parallel && pool_.empty()) {
-      StartPool();  // before the timed window: a sample must not include thread creation
-    }
-    const u64 begin_ns = mode.timed ? HostNowNs() : 0;
-    if (mode.parallel) {
-      RunParallelEpoch();
+  }
+  const u64 budget = opts.max_events;
+  for (Component* comp : busy) {
+    const u64 size = comp->shards.size();
+    comp->share = std::max<u64>(
+        1, budget / busy_shards * size + budget % busy_shards * size / busy_shards);
+    comp->executed = 0;
+  }
+  if (busy.size() == 1) {
+    RunEpochs(*busy.front());
+  } else if (busy.size() > 1) {
+    queue_.assign(busy.begin(), busy.end());
+    if (threads_ > 1) {
+      if (pool_.empty()) {
+        StartPool();
+      }
+      RunOnPool(nullptr);
     } else {
-      RunBlock(0, 1);  // inline: every shard, in index order
+      RunQueue();
     }
-    const u64 end_ns = mode.timed ? HostNowNs() : 0;
-    if (pulse_ != nullptr) {
-      FlushEpochRecords(pulse_->NowNs(), mode.parallel);
+    for (Component* comp : busy) {
+      Fold(*comp, threads_ > 1);
     }
-    u64 executed = 0;
-    for (auto& shard : shards_) {
-      executed += shard->epoch_executed;
-    }
-    total += executed;
-    if (mode.timed) {
-      RecordSample(mode, end_ns - begin_ns, executed);
-    }
+  }
+  u64 total = 0;
+  for (Component* comp : busy) {
+    total += comp->executed;
   }
   if (pulse_ != nullptr) {
     pulse_->EndRun(total);

@@ -29,27 +29,44 @@
 // canonical order independent of thread interleaving — so the receiving
 // scheduler assigns the same tie-break sequence numbers every run.
 //
+// Components: shards joined, directly or through other shards, by routed
+// link directions form one link component (a star and its hosts, a chain
+// around its hub, one node/client pair of a cluster). No frame ever crosses
+// two components, so each one plans and runs its own epochs: the inbox
+// drain, the bound relaxation and the horizons above all range over one
+// component. The runner finds the components with a union-find over its
+// cuts once per topology change.
+//
 // Determinism: a shard's epoch depends only on its own queue, its horizon,
-// and its drained inbox, all of which are fixed when the plan is published.
-// Which OS thread runs a shard's epoch therefore cannot affect results —
-// Run(threads=N) is bit-exact against Run(threads=1). Each ServiceNode's
-// embedded Simulator keeps its quiescence fast-forward: idle stretches
-// inside a shard are jumped, not stepped.
+// and its drained inbox, all of which are fixed when its component's plan
+// is published. Which OS thread runs a shard's epoch, and when other
+// components run theirs, therefore cannot affect results — Run(threads=N)
+// is bit-exact against Run(threads=1). Each ServiceNode's embedded
+// Simulator keeps its quiescence fast-forward: idle stretches inside a shard
+// are jumped, not stepped.
 //
 // Epoch execution: the runner owns a pool of threads - 1 threads that lives
-// as long as the runner, with the calling thread as worker 0; worker w runs
-// the contiguous shard block [w*n/threads, (w+1)*n/threads). One
-// spin-then-park barrier (an atomic start generation and a count of pool
-// threads still working) hands each planned epoch to the pool and collects
-// it. An epoch runs inline on the calling thread instead when at most one
-// shard has an event before its horizon, or when the host-side estimates
-// of wall time per event say a barrier round trip costs more than it
-// saves. Inline and parallel epochs execute the same epoch schedule, so the
-// choice changes which thread runs a shard, never what it computes.
+// as long as the runner, with the calling thread as worker 0.
+//  - One busy component (a star, a hub, a chain): worker w runs the
+//    contiguous shard block [w*n/threads, (w+1)*n/threads) of it. One
+//    spin-then-park barrier (an atomic start generation and a count of pool
+//    threads still working) hands each planned epoch to the pool and
+//    collects it. An epoch runs inline on the calling thread instead when
+//    at most one shard has an event before its horizon, or when the
+//    host-side estimates of wall time per event say a barrier round trip
+//    costs more than it saves.
+//  - Two or more busy components (a cluster): the calling thread and the
+//    pool take components from one shared queue. A worker runs a
+//    component's epochs back to back, its shards inline in index order,
+//    for a slice of whole epochs, then queues it again. The run costs one
+//    pool start and one join, and no barrier per epoch.
+// Either way a component executes the same epoch schedule, so the choice
+// changes which thread runs a shard, never what it computes.
 #ifndef SRC_SIM_PARALLEL_RUNNER_H_
 #define SRC_SIM_PARALLEL_RUNNER_H_
 
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -69,8 +86,13 @@ struct ParallelRunOptions {
   // (the bit-exact serial reference) and starts no thread. Clamped to the
   // shard count.
   usize threads = 1;
-  // Global event budget; checked at epoch barriers, so a run may overshoot
-  // by at most one epoch.
+  // Event budget. It is split across the components that have work when the
+  // run starts, in proportion to their shard counts (each gets at least
+  // one event). A component checks its share at its own epoch boundaries
+  // and never cuts short an epoch with a finite horizon, so a run may
+  // overshoot by one epoch per component, and chunked runs execute the
+  // same epochs as one run. Only a shard no other shard can reach (an
+  // unbounded horizon) stops mid-epoch, at its component's share.
   usize max_events = 10'000'000;
 };
 
@@ -87,7 +109,7 @@ struct ShardCut {
 
 class ParallelRunner {
  public:
-  ParallelRunner() = default;
+  ParallelRunner();
   // Stops and joins the pool. Touches no shard: the schedulers may already
   // be gone (TopologyBuilder destroys them first).
   ~ParallelRunner();
@@ -108,12 +130,14 @@ class ParallelRunner {
 
   // Runs all shards to quiescence (or the event budget); returns the number
   // of events executed. Identical results for any `threads` value. The pool
-  // starts on the first epoch that runs parallel and is rebuilt when a call
-  // brings a different clamped thread count.
+  // starts on the first epoch that runs parallel (or the first queue of
+  // components) and is rebuilt when a call brings a different clamped
+  // thread count.
   u64 Run(const ParallelRunOptions& opts = {});
 
   usize shard_count() const { return shards_.size(); }
-  // Epochs planned over this runner's lifetime (for tests/bench).
+  // Component plans over this runner's lifetime (for tests/bench): each
+  // epoch of each component counts once.
   u64 epochs() const { return epochs_; }
   // Every registered cross-shard link direction, for static validation.
   const std::vector<ShardCut>& cuts() const { return cuts_; }
@@ -142,10 +166,12 @@ class ParallelRunner {
   };
   struct InboundEdge {
     usize from = 0;
+    usize from_local = 0;  // the sender's position in its component
     Picoseconds lookahead = 0;
   };
   struct Shard {
     usize index = 0;
+    usize local = 0;  // position in its component's shard list
     EventScheduler* scheduler = nullptr;
     std::vector<InboundEdge> inbound;
     std::mutex inbox_mu;
@@ -156,11 +182,15 @@ class ParallelRunner {
     usize budget = 0;
     usize epoch_executed = 0;
     // Wall stamps of this shard's epoch work (ns since RunnerPulse base);
-    // written by the thread that ran the epoch, read by the calling thread
-    // once the epoch closes. Only maintained while a pulse is attached.
+    // written by the thread that ran the epoch, read by the thread that
+    // records it once the epoch closes. Only maintained while a pulse is
+    // attached.
     u64 work_begin_ns = 0;
     u64 work_end_ns = 0;
   };
+  // One link component: its shards, plan buffers, budget and the plan
+  // statistics and pulse records not yet folded into the runner's totals.
+  struct Component;
 
   // Host-side wall ns per executed event for each execution mode, behind
   // the choice for epochs in which two or more shards have work. Zero means
@@ -178,30 +208,48 @@ class ParallelRunner {
     bool probe = false;  // the losing mode, run to replace its stale estimate
   };
 
-  // Drains inboxes, snapshots next-event times, computes horizons and
-  // budgets. Returns how many shards have an event before their horizon;
-  // 0 when every shard is quiescent.
-  usize PlanEpoch(usize budget);
-  void RunShardEpoch(Shard& shard);
+  // Rebuilds components_ from cuts_ (union-find) after a topology change.
+  void FindComponents();
 
-  // Epoch execution: the mode, then either every shard on the calling
-  // thread (RunBlock(0, 1)), or block 0 here and blocks 1..threads_-1 on
-  // the pool.
+  // Drains the component's inboxes, snapshots its next-event times,
+  // computes its horizons and budgets. Returns how many of its shards have
+  // an event before their horizon; 0 when the component is quiescent.
+  usize PlanEpoch(Component& comp);
+  void RunShardEpoch(Shard& shard);
+  // Sums the closed epoch's events into the component and, with a pulse
+  // attached, stamps one record per shard (`epoch_end_ns` closes it).
+  void CloseEpoch(Component& comp, u64 epoch_end_ns);
+  // Adds the component's plan statistics to the runner's totals and flushes
+  // its pulse records (calling thread only, between epochs or after the
+  // join).
+  void Fold(Component& comp, bool parallel);
+
+  // One busy component: the mode, then either every shard on the calling
+  // thread (RunBlock(comp, 0, 1)), or block 0 here and blocks
+  // 1..threads_-1 on the pool.
+  void RunEpochs(Component& comp);
   EpochMode ChooseMode(usize busy_shards);
   void RecordSample(const EpochMode& mode, u64 wall_ns, u64 events);
-  void RunParallelEpoch();
-  // Runs shard block `worker` of `threads` contiguous blocks.
-  void RunBlock(usize worker, usize threads);
+  // Runs shard block `worker` of `threads` contiguous blocks of `comp`.
+  void RunBlock(Component& comp, usize worker, usize threads);
+
+  // Several busy components: every worker takes components off queue_ and
+  // runs a slice of each (RunSlice returns false once it is finished).
+  void RunQueue();
+  bool RunSlice(Component& comp);
+
+  // Starts the pool on one job — `block_job`'s epoch in blocks, or, when
+  // null, queue_ — runs worker 0's part of it here and waits for the pool.
+  void RunOnPool(Component* block_job);
+  void RunJob(usize worker, usize threads);
   void StartPool();
   void StopPool();
   void PoolLoop(usize worker, usize threads, u32 seen);
 
-  // Stamps per-shard epoch records into the pulse after an epoch closes
-  // (calling thread only; `epoch_end_ns` is the epoch's closing wall stamp).
-  void FlushEpochRecords(u64 epoch_end_ns, bool parallel);
-
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ShardCut> cuts_;
+  std::vector<std::unique_ptr<Component>> components_;
+  bool components_stale_ = false;
   u64 next_link_id_ = 0;
   u64 epochs_ = 0;
   u64 relax_sweeps_ = 0;
@@ -209,21 +257,21 @@ class ParallelRunner {
   u64 frames_drained_ = 0;
   obs::RunnerPulse* pulse_ = nullptr;
 
-  // Plan buffers, reused every epoch.
-  std::vector<PendingDelivery> drain_;
-  std::vector<Picoseconds> next_;
-  std::vector<Picoseconds> lb_;
-
   usize threads_ = 1;  // clamped thread count of the latest Run()
   ModeEstimates estimates_;
+  // The components waiting for a worker in a queued run.
+  std::mutex queue_mu_;
+  std::deque<Component*> queue_;
   // Barrier. start_ holds the epoch generation, working_ the number of pool
   // threads still running their block, each shifted left one bit; bit 0
   // says a waiter has parked in atomic::wait and needs a notify. Their
   // release/acquire pairs are the only hand-off between the plan and the
-  // shards. stopping_ is written before a start release and read after the
-  // matching acquire.
+  // shards. stopping_ and block_job_ (the component whose epoch the pool
+  // runs in blocks; null: the pool drains queue_) are written before a
+  // start release and read after the matching acquire.
   u32 start_word_ = 0;  // the calling thread's copy of start_
   bool stopping_ = false;
+  Component* block_job_ = nullptr;
   alignas(64) std::atomic<u32> start_{0};
   alignas(64) std::atomic<u32> working_{0};
   std::vector<std::thread> pool_;  // threads_ - 1 threads once started

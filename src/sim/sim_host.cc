@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "src/common/fatal.h"
 #include "src/core/metrics.h"
 #include "src/obs/trace_hooks.h"
 
@@ -122,7 +123,10 @@ ServiceNode::ServiceNode(EventScheduler& scheduler, Service& service)
     : scheduler_(scheduler), target_(service), ports_(kNetFpgaPortCount) {}
 
 void ServiceNode::AttachPort(u8 port, Link* link, bool is_end_a) {
-  assert(port < ports_.size());
+  if (port >= ports_.size()) {
+    Fatal("ServiceNode::AttachPort", "port %u out of range (%zu ports)", unsigned{port},
+          ports_.size());
+  }
   ports_[port] = PortAttachment{link, is_end_a};
   const auto receiver = [this, port](Packet frame) { Receive(port, std::move(frame)); };
   if (is_end_a) {
@@ -152,16 +156,25 @@ void ServiceNode::Receive(u8 port, Packet frame) {
 
 void ServiceNode::Emit(Packet frame) {
   const u8 mask = frame.dst_port_mask();
+  u32 linked = 0;  // bit p: port p is addressed and has a link
   for (u8 port = 0; port < ports_.size(); ++port) {
-    if (((mask >> port) & 1u) == 0 || ports_[port].link == nullptr) {
+    if (((mask >> port) & 1u) != 0 && ports_[port].link != nullptr) {
+      linked |= 1u << port;
+    }
+  }
+  for (u8 port = 0; port < ports_.size(); ++port) {
+    if (((linked >> port) & 1u) == 0) {
       continue;
     }
     ++forwarded_;
-    Packet copy = frame;
+    // A multicast frame is copied for each port but the last, which takes
+    // the frame itself.
+    const bool last = (linked >> (port + 1)) == 0;
+    Packet out = last ? std::move(frame) : Packet(frame);
     if (ports_[port].is_end_a) {
-      ports_[port].link->SendToB(std::move(copy));
+      ports_[port].link->SendToB(std::move(out));
     } else {
-      ports_[port].link->SendToA(std::move(copy));
+      ports_[port].link->SendToA(std::move(out));
     }
   }
 }

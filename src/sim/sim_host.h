@@ -109,6 +109,7 @@ class ServiceNode {
   ServiceNode(EventScheduler& scheduler, Service& service);
 
   // Attaches a link as NetFPGA-style port `port` (end A or B of the link).
+  // A port past kNetFpgaPortCount is fatal in every build type.
   void AttachPort(u8 port, Link* link, bool is_end_a);
 
   // Delivers a frame as if received on `port`.

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "src/common/fatal.h"
 #include "src/fault/fault_registry.h"
 
 namespace emu {
@@ -31,7 +32,10 @@ ServiceNode& TopologyBuilder::AddServiceNode(Service& service) {
 }
 
 HubNode& TopologyBuilder::AddHub(usize ports) {
-  assert(hub_ == nullptr && "one hub per topology");
+  if (hub_ != nullptr) {
+    // Replacing it would destroy a hub whose links still deliver to it.
+    Fatal("TopologyBuilder::AddHub", "one hub per topology");
+  }
   EventScheduler& scheduler = NewScheduler(hub_shard_);
   hub_ = std::make_unique<HubNode>(scheduler, ports);
   return *hub_;
@@ -52,8 +56,8 @@ usize TopologyBuilder::HostIndex(const SimHost& host) const {
       return i;
     }
   }
-  assert(false && "host not owned by this builder");
-  return hosts_.size();
+  Fatal("TopologyBuilder::HostIndex", "host '%s' not owned by this builder",
+        host.name().c_str());
 }
 
 Link& TopologyBuilder::MakeUplink(SimHost& host, const StarTopologyConfig& config) {
@@ -78,22 +82,24 @@ void TopologyBuilder::RouteBothWays(Link& link, usize host_shard, usize peer_sha
 Link& TopologyBuilder::LinkHostToNode(SimHost& host, ServiceNode& node, u8 port,
                                       const StarTopologyConfig& config) {
   const usize host_index = HostIndex(host);
+  usize node_index = 0;
+  while (node_index < nodes_.size() && nodes_[node_index].get() != &node) {
+    ++node_index;
+  }
+  if (node_index == nodes_.size()) {
+    Fatal("TopologyBuilder::LinkHostToNode", "node not owned by this builder");
+  }
   Link& link = MakeUplink(host, config);
   node.AttachPort(port, &link, /*is_end_a=*/false);
-  usize node_index = 0;
-  for (; node_index < nodes_.size(); ++node_index) {
-    if (nodes_[node_index].get() == &node) {
-      break;
-    }
-  }
-  assert(node_index < nodes_.size() && "node not owned by this builder");
   RouteBothWays(link, host_shards_[host_index], node_shards_[node_index]);
   return link;
 }
 
 Link& TopologyBuilder::LinkHostToHub(SimHost& host, HubNode& hub, usize port,
                                      const StarTopologyConfig& config) {
-  assert(&hub == hub_.get() && "hub not owned by this builder");
+  if (&hub != hub_.get()) {
+    Fatal("TopologyBuilder::LinkHostToHub", "hub not owned by this builder");
+  }
   const usize host_index = HostIndex(host);
   Link& link = MakeUplink(host, config);
   hub.AttachPort(port, &link, /*is_end_a=*/false);

@@ -56,14 +56,16 @@ class TopologyBuilder {
 
   Mode mode() const { return mode_; }
 
-  // --- Elements (sharded mode: each call creates that element's shard) ---
+  // --- Elements (sharded mode: each call creates that element's shard).
+  // A topology has at most one hub; a second AddHub is fatal. ---
   ServiceNode& AddServiceNode(Service& service);
   HubNode& AddHub(usize ports);
   SimHost& AddHost(const HostSpec& spec);
 
   // --- Wiring (host on end A — the StarTopology convention). The link is
   // created on the host's scheduler and becomes the host's uplink; in
-  // sharded mode both directions are routed across the shard cut. ---
+  // sharded mode both directions are routed across the shard cut. A host,
+  // node or hub this builder does not own is fatal in every build type. ---
   Link& LinkHostToNode(SimHost& host, ServiceNode& node, u8 port,
                        const StarTopologyConfig& config);
   Link& LinkHostToHub(SimHost& host, HubNode& hub, usize port,
@@ -146,7 +148,9 @@ class StarTopology {
 //  - Star: all hosts around ONE service node (the StarTopology shape).
 //    Shards: the node, plus one per host.
 //  - Cluster: one service node PER host (services side by side, as in the
-//    Table 4 service-comparison setups). Shards: one per node, one per host.
+//    Table 4 service-comparison setups). Shards: one per node, one per host;
+//    each node/host pair is its own link component, which the runner runs
+//    on whichever worker is free.
 //
 // In both, every host-node link crosses a shard boundary in both
 // directions, so each ServiceNode's software-semantics work (its embedded

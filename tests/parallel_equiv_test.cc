@@ -6,9 +6,10 @@
 // epoch totals — for every topology shape the runner supports. Each
 // scenario below runs the identical workload at threads 1/2/4/8 on fresh
 // topologies and compares full digests, the same bar kernel_equiv_test.cc
-// sets for the quiescence fast path. The runner's thread pool and its
-// inline/parallel epoch choice are tested here too, so the TSan job's
-// ParallelEquivalence.* filter covers them.
+// sets for the quiescence fast path. The runner's thread pool, its
+// inline/parallel epoch choice and its queue of independent link components
+// are tested here too, so the TSan job's ParallelEquivalence.* and
+// TraceDeterminism.* filters cover them.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -28,6 +29,7 @@
 #include "src/net/ipv4.h"
 #include "src/net/udp.h"
 #include "src/obs/pulse.h"
+#include "src/obs/trace.h"
 #include "src/services/learning_switch.h"
 #include "src/services/memcached_service.h"
 #include "src/services/nat_service.h"
@@ -159,8 +161,11 @@ TopoDigest RunShardedSwitch(usize threads) {
 TEST(ParallelEquivalence, ShardedSwitchBitExactAcrossThreadCounts) {
   const TopoDigest serial = RunShardedSwitch(1);
   // Teach broadcasts flood to 3 peers each; 24 unicasts arrive once each.
+  // The floods are the node's multicast Emit: one frame copied to two
+  // ports and moved into the third, counted once per port.
   ASSERT_EQ(serial.host_received,
             (std::vector<u64>{9, 9, 9, 9}));
+  EXPECT_EQ(serial.node_forwarded, (std::vector<u64>{4 * 3 + 24}));
   EXPECT_GT(serial.epochs, 1u);
   for (usize threads : {2u, 4u, 8u}) {
     ExpectIdentical(serial, RunShardedSwitch(threads), threads);
@@ -416,23 +421,29 @@ TEST(ParallelEquivalence, ShardedMemcachedClusterBitExact) {
 }
 
 // The runner keeps one pool across Run() calls: chunked runs reproduce one
-// run, and the pool never holds more than threads - 1 OS threads.
+// run — digests, events and epochs, since a component never cuts an epoch
+// short at its share of the budget — and the pool never holds more than
+// threads - 1 OS threads. A budget of 1 gives each of the four components
+// one epoch per call.
 TEST(ParallelEquivalence, ChunkedRunsMatchOneRun) {
   const TopoDigest serial = RunShardedMemcachedCluster(1, kLongWorkload);
   ASSERT_GT(serial.events, 3 * 5'000u);  // several chunks
-  for (usize threads : {1u, 2u, 4u}) {
-    long extra_threads = 0;
-    const TopoDigest chunked = RunShardedMemcachedCluster([&](ShardedTopology& topo) {
-      const long before = TaskCount();
-      u64 events = 0;
-      while (const u64 ran = topo.Run({.threads = threads, .max_events = 5'000})) {
-        events += ran;
-      }
-      extra_threads = TaskCount() - before;
-      return events;
-    }, kLongWorkload);
-    ExpectIdentical(serial, chunked, threads);
-    EXPECT_LE(extra_threads, static_cast<long>(threads) - 1) << "threads=" << threads;
+  for (usize budget : {5'000u, 997u, 1u}) {
+    for (usize threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget));
+      long extra_threads = 0;
+      const TopoDigest chunked = RunShardedMemcachedCluster([&](ShardedTopology& topo) {
+        const long before = TaskCount();
+        u64 events = 0;
+        while (const u64 ran = topo.Run({.threads = threads, .max_events = budget})) {
+          events += ran;
+        }
+        extra_threads = TaskCount() - before;
+        return events;
+      }, kLongWorkload);
+      ExpectIdentical(serial, chunked, threads);
+      EXPECT_LE(extra_threads, static_cast<long>(threads) - 1) << "threads=" << threads;
+    }
   }
 }
 
@@ -484,7 +495,159 @@ TEST(ParallelEquivalence, ThreadCountChangeRebuildsThePool) {
   EXPECT_EQ(pulse.inline_epochs() + pulse.parallel_epochs(), pulse.epochs());
 }
 
-// --- Scenario 4: raw runner, no topology sugar --------------------------------------
+// --- Scenario 4: uneven link components ---------------------------------------------
+
+// Three components of different sizes on one builder: a memcached node with
+// two memaslap clients, a memcached node with one, and a NAT node between a
+// pinging internal host and an echoing external one (3 + 2 + 3 shards). No
+// frame crosses components, so each plans its own epochs; the budget splits
+// 3:2:3 between them. A TraceSession records the run, and the exported trace
+// is part of what must not depend on the thread count.
+struct UnevenRun {
+  TopoDigest digest;
+  std::string trace;
+};
+
+UnevenRun RunUnevenComponents(usize threads, usize budget) {
+  obs::TraceSession session;
+  session.Install();
+
+  std::vector<std::unique_ptr<MemcachedService>> caches;
+  NatConfig nat_config;
+  NatService nat_service(nat_config);
+  TopologyBuilder topo;
+  std::vector<HostLog> logs;
+  std::vector<MemcachedConfig> cache_configs;
+  for (usize n = 0; n < 2; ++n) {
+    MemcachedConfig config;
+    config.mac = MacAddress::FromU48(0x02'00'00'00'ee'00ULL + n);
+    config.ip = Ipv4Address(10, 0, 0, static_cast<u8>(200 + n));
+    cache_configs.push_back(config);
+    caches.push_back(std::make_unique<MemcachedService>(config));
+  }
+  ServiceNode& big = topo.AddServiceNode(*caches[0]);
+  for (u8 port = 0; port < 2; ++port) {
+    topo.LinkHostToNode(topo.AddHost({"a" + std::to_string(port),
+                                      MacAddress::FromU48(0x02'00'00'00'c1'00ULL + port),
+                                      Ipv4Address(10, 0, 0, static_cast<u8>(50 + port))}),
+                        big, port, StarTopologyConfig{});
+  }
+  ServiceNode& small = topo.AddServiceNode(*caches[1]);
+  topo.LinkHostToNode(topo.AddHost({"b0", MacAddress::FromU48(0x02'00'00'00'c1'10ULL),
+                                    Ipv4Address(10, 0, 0, 60)}),
+                      small, 0, StarTopologyConfig{});
+  ServiceNode& nat = topo.AddServiceNode(nat_service);
+  SimHost& ext = topo.AddHost(
+      {"ext", MacAddress::FromU48(0x02ffffffff01), Ipv4Address(8, 8, 8, 8)});
+  topo.LinkHostToNode(ext, nat, 0, StarTopologyConfig{});
+  SimHost& internal = topo.AddHost(
+      {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)});
+  topo.LinkHostToNode(internal, nat, 1, StarTopologyConfig{});
+  logs.resize(topo.host_count());
+  for (usize i = 0; i < topo.host_count(); ++i) {
+    topo.host(i).SetApp(
+        [&logs, i](SimHost& h, Packet frame) { logs[i].Note(h.scheduler().now(), frame); });
+  }
+
+  // Memcached clients: hosts 0 and 1 on the big node, host 2 on the small.
+  for (usize i = 0; i < 3; ++i) {
+    const MemcachedConfig& server = cache_configs[i < 2 ? 0 : 1];
+    MemaslapConfig mc;
+    mc.server_mac = server.mac;
+    mc.server_ip = server.ip;
+    mc.client_mac = topo.host(i).mac();
+    mc.client_ip = topo.host(i).ip();
+    mc.key_space = 16;
+    mc.seed = 2000 + 31 * i;
+    MemaslapLoadgen loadgen(mc);
+    SimHost& host = topo.host(i);
+    for (usize k = 0; k < loadgen.prewarm_count(); ++k) {
+      host.scheduler().At((5 + 2 * static_cast<Picoseconds>(k)) * kPicosPerMicro,
+                          [&host, frame = loadgen.PrewarmFrame(k)] { host.Send(frame); });
+    }
+    for (usize k = 0; k < 40; ++k) {
+      host.scheduler().At(
+          (100 + 6 * static_cast<Picoseconds>(k) + static_cast<Picoseconds>(i)) * kPicosPerMicro,
+          [&host, frame = loadgen.WorkloadFrame(k)] { host.Send(frame); });
+    }
+  }
+  // NAT: the internal host fires 12 staggered pings; the external host
+  // echoes each translated datagram.
+  ext.SetApp([&logs, &nat_config](SimHost& h, Packet frame) {
+    logs[3].Note(h.scheduler().now(), frame);
+    Ipv4View ip(frame);
+    if (!ip.Valid() || !ip.ProtocolIs(IpProtocol::kUdp)) {
+      return;
+    }
+    UdpView udp(frame, ip.payload_offset());
+    Packet reply = MakeUdpPacket({nat_config.external_mac, h.mac(), h.ip(), ip.source(),
+                                  udp.destination_port(), udp.source_port()},
+                                 std::vector<u8>{'r'});
+    h.scheduler().After(3 * kPicosPerMicro, [&h, reply] { h.Send(reply); });
+  });
+  for (usize k = 0; k < 12; ++k) {
+    internal.scheduler().At(
+        (30 + 25 * static_cast<Picoseconds>(k)) * kPicosPerMicro,
+        [&internal, &ext, &nat_config, k] {
+          internal.Send(MakeUdpPacket({nat_config.internal_mac, internal.mac(), internal.ip(),
+                                       ext.ip(), static_cast<u16>(4000 + k), 53},
+                                      std::vector<u8>{static_cast<u8>('a' + k)}));
+        });
+  }
+
+  UnevenRun run;
+  TopoDigest& d = run.digest;
+  while (const u64 ran = topo.Run({.threads = threads, .max_events = budget})) {
+    d.events += ran;
+  }
+  d.epochs = topo.runner().epochs();
+  for (usize i = 0; i < topo.host_count(); ++i) {
+    d.host_digests.push_back(logs[i].digest);
+    d.host_received.push_back(topo.host(i).received());
+    d.host_sent.push_back(topo.host(i).sent());
+  }
+  for (usize i = 0; i < topo.node_count(); ++i) {
+    d.node_forwarded.push_back(topo.node(i).forwarded());
+  }
+  for (Service* service : {static_cast<Service*>(caches[0].get()),
+                           static_cast<Service*>(caches[1].get()),
+                           static_cast<Service*>(&nat_service)}) {
+    MetricsRegistry metrics;  // one each: the two caches register the same names
+    service->RegisterMetrics(metrics);
+    FoldMetrics(d.metrics_digest, metrics);
+  }
+  obs::TraceSession::Detach();
+  run.trace = session.ExportChromeJson();
+  return run;
+}
+
+TEST(ParallelEquivalence, UnevenComponentsBitExactAcrossThreadCounts) {
+  const UnevenRun serial = RunUnevenComponents(1, 10'000'000);
+  // Every prewarm SET and workload request is answered, every ping echoed.
+  EXPECT_EQ(serial.digest.host_received, (std::vector<u64>{16 + 40, 16 + 40, 16 + 40, 12, 12}));
+  for (usize threads : {2u, 3u, 4u, 8u}) {
+    ExpectIdentical(serial.digest, RunUnevenComponents(threads, 10'000'000).digest, threads);
+  }
+  // Uneven shares of a small budget: still the same epochs.
+  for (usize threads : {1u, 3u}) {
+    SCOPED_TRACE("chunked");
+    ExpectIdentical(serial.digest, RunUnevenComponents(threads, 997).digest, threads);
+  }
+}
+
+TEST(TraceDeterminism, UnevenComponentsTraceIsThreadCountFree) {
+  const std::string serial = RunUnevenComponents(1, 10'000'000).trace;
+#ifdef EMU_TRACE
+  // The run must actually trace flights, or the comparison is vacuous.
+  EXPECT_NE(serial.find("pkt.flight"), std::string::npos);
+#endif
+  for (usize threads : {2u, 3u, 4u, 8u}) {
+    EXPECT_EQ(RunUnevenComponents(threads, 10'000'000).trace, serial)
+        << "threads=" << threads << " exported different trace bytes";
+  }
+}
+
+// --- Scenario 5: raw runner, no topology sugar --------------------------------------
 
 // Two shards joined by one Link, ping-ponging a frame 20 times. Exercises
 // ParallelRunner + Link::RouteRemote directly: sender-side serialization

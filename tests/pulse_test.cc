@@ -228,9 +228,10 @@ TEST(RunnerPulse, AggregatesStayExactWhenDetailRingCaps) {
   EXPECT_NE(json.find("\"barrier_wait_ns\""), std::string::npos);
 }
 
-// Two independent link ping-pongs across four shards: every shard does real
-// work and the conservative planner must relax horizons across the cut, so
-// the pulse sees plans, per-shard epochs, and null-message relaxations.
+// Two independent link ping-pongs across four shards (two link components):
+// every shard does real work and the conservative planner must relax
+// horizons across the cut, so the pulse sees component plans, per-shard
+// epochs, and null-message relaxations.
 u64 RunFourShardVolleys(usize threads, obs::RunnerPulse* pulse) {
   EventScheduler scheds[4];
   Link link_ab(scheds[0], 10'000'000'000ULL, 500'000);
@@ -300,8 +301,11 @@ TEST(RunnerPulse, FourShardRunReportsPerShardDetail) {
   }
   EXPECT_GT(relaxations, 0u);  // cut edges force null-message relaxation
 
-  // Every epoch ran either inline or on the pool; which one is host timing.
+  // Every epoch ran either inline or on the pool. Both ping-pongs have work
+  // from the start, so their two link components share the pool's queue,
+  // and each component epoch counts as parallel.
   EXPECT_EQ(pulse.inline_epochs() + pulse.parallel_epochs(), pulse.epochs());
+  EXPECT_EQ(pulse.parallel_epochs(), pulse.epochs());
 
   const std::string json = pulse.SummaryJson();
   EXPECT_NE(json.find("\"shards\":4"), std::string::npos);

@@ -148,6 +148,33 @@ TEST(SimTarget, SwitchFloodsThenUnicasts) {
   EXPECT_EQ(h1_received, 1u);
 }
 
+// A flood is the node's multicast Emit: the frame is copied for every
+// addressed port but the last, which takes the frame itself. Every port
+// must still see the sent bytes, and forwarded() counts one per port.
+TEST(SimTarget, FloodDeliversIntactCopiesToEveryPort) {
+  LearningSwitch service;
+  std::vector<HostSpec> specs = TwoHosts();
+  specs.push_back({"h2", MacAddress::FromU48(0x020000000003), Ipv4Address(10, 0, 0, 3)});
+  specs.push_back({"h3", MacAddress::FromU48(0x020000000004), Ipv4Address(10, 0, 0, 4)});
+  StarTopology topo(service, specs);
+  std::vector<std::vector<u8>> got(specs.size());
+  for (usize i = 0; i < specs.size(); ++i) {
+    topo.host(i).SetApp([&got, i](SimHost&, Packet frame) {
+      got[i].assign(frame.bytes().begin(), frame.bytes().end());
+    });
+  }
+  const Packet sent = MakeEthernetFrame(MacAddress::Broadcast(), topo.host(0).mac(),
+                                        EtherType::kIpv4, std::vector<u8>{1, 2, 3, 4});
+  topo.host(0).Send(sent);
+  topo.Run();
+  const std::vector<u8> want(sent.bytes().begin(), sent.bytes().end());
+  EXPECT_TRUE(got[0].empty());
+  for (usize i = 1; i < specs.size(); ++i) {
+    EXPECT_EQ(got[i], want) << "host " << i;
+  }
+  EXPECT_EQ(topo.service_node().forwarded(), 3u);
+}
+
 TEST(SimTarget, IcmpEchoServiceAnswersInSimulator) {
   IcmpEchoConfig config;
   IcmpEchoService service(config);
@@ -633,6 +660,103 @@ TEST(HubTopologyTest, FindHostByName) {
   EXPECT_EQ(topo.FindHost("h0"), 0u);
   EXPECT_EQ(topo.FindHost("h2"), 2u);
   EXPECT_EQ(topo.FindHost("nope"), topo.host_count());
+}
+
+// --- Topology invariants: checked in every build type -------------------------------
+//
+// Each of these used to be an assert (or nothing) that vanished under NDEBUG
+// and let the builder or a node write out of bounds. The runner's component
+// discovery trusts the structures they protect.
+
+TEST(TopologyDeathTest, LinkingAHostOfAnotherBuilderAborts) {
+  EXPECT_DEATH(
+      {
+        LearningSwitch service;
+        TopologyBuilder builder;
+        TopologyBuilder other;
+        ServiceNode& node = builder.AddServiceNode(service);
+        SimHost& stranger = other.AddHost(HubSpecs(1)[0]);
+        builder.LinkHostToNode(stranger, node, 0, StarTopologyConfig{});
+      },
+      "emu: fatal: TopologyBuilder::HostIndex: host 'h0' not owned by this builder");
+}
+
+TEST(TopologyDeathTest, LinkingToANodeOfAnotherBuilderAborts) {
+  EXPECT_DEATH(
+      {
+        LearningSwitch service;
+        TopologyBuilder builder;
+        TopologyBuilder other;
+        SimHost& host = builder.AddHost(HubSpecs(1)[0]);
+        builder.LinkHostToNode(host, other.AddServiceNode(service), 0, StarTopologyConfig{});
+      },
+      "emu: fatal: TopologyBuilder::LinkHostToNode: node not owned by this builder");
+}
+
+TEST(TopologyDeathTest, LinkingToAHubOfAnotherBuilderAborts) {
+  EXPECT_DEATH(
+      {
+        TopologyBuilder builder;
+        TopologyBuilder other;
+        builder.AddHub(2);
+        SimHost& host = builder.AddHost(HubSpecs(1)[0]);
+        builder.LinkHostToHub(host, other.AddHub(2), 0, StarTopologyConfig{});
+      },
+      "emu: fatal: TopologyBuilder::LinkHostToHub: hub not owned by this builder");
+}
+
+TEST(TopologyDeathTest, SecondHubAborts) {
+  EXPECT_DEATH(
+      {
+        HubTopology topo(HubSpecs(2));
+        topo.builder().AddHub(2);
+      },
+      "emu: fatal: TopologyBuilder::AddHub: one hub per topology");
+}
+
+TEST(TopologyDeathTest, ServiceNodePortPastLastPortAborts) {
+  EXPECT_DEATH(
+      {
+        LearningSwitch service;
+        TopologyBuilder builder;
+        ServiceNode& node = builder.AddServiceNode(service);
+        SimHost& host = builder.AddHost(HubSpecs(1)[0]);
+        builder.LinkHostToNode(host, node, static_cast<u8>(kNetFpgaPortCount),
+                               StarTopologyConfig{});
+      },
+      "emu: fatal: ServiceNode::AttachPort: port 4 out of range \\(4 ports\\)");
+}
+
+TEST(TopologyDeathTest, HubPortPastLastPortAborts) {
+  EXPECT_DEATH(
+      {
+        TopologyBuilder builder;
+        HubNode& hub = builder.AddHub(2);
+        SimHost& host = builder.AddHost(HubSpecs(1)[0]);
+        builder.LinkHostToHub(host, hub, 2, StarTopologyConfig{});
+      },
+      "emu: fatal: HubNode::AttachPort: port 2 out of range \\(2 ports\\)");
+}
+
+TEST(TopologyDeathTest, HubBlockPastLastPortAborts) {
+  EXPECT_DEATH(
+      {
+        HubTopology topo(HubSpecs(2));
+        topo.hub().SetBlocked(0, 2, true);
+      },
+      "emu: fatal: HubNode::SetBlocked: port pair \\(0, 2\\) out of range \\(2 ports\\)");
+}
+
+TEST(TopologyDeathTest, UnbalancedHubUnblockAborts) {
+  EXPECT_DEATH(
+      {
+        HubTopology topo(HubSpecs(2));
+        topo.hub().SetBlocked(0, 1, true);
+        topo.hub().SetBlocked(0, 1, false);
+        topo.hub().SetBlocked(0, 1, false);
+      },
+      "emu: fatal: HubNode::SetBlocked: unblock of port pair \\(0, 1\\), which is not "
+      "blocked");
 }
 
 }  // namespace chaos_plumbing
