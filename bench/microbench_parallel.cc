@@ -15,7 +15,11 @@
 //                    when the baseline itself was measured on a multicore
 //                    host). Hosts with fewer threads skip the gate:
 //                    conservative epochs still run there, but wall-clock
-//                    parallelism cannot.
+//                    parallelism cannot. The JSON and the gate line also
+//                    report host_capacity before and after the rounds: how
+//                    many of 4 concurrent CPU loops the host ran at full
+//                    speed. It says whether a FAIL had cores to use; it
+//                    never passes, fails or skips the gate.
 //   --requests N     workload requests per host (default 512)
 #include <algorithm>
 #include <chrono>
@@ -112,6 +116,42 @@ bench::SweepRun RunCluster(usize nodes, usize threads, usize requests_per_host) 
   return result;
 }
 
+// --- Host capacity -------------------------------------------------------------------
+
+// Wall seconds of one fixed pure-CPU loop: a dependent multiply-add chain
+// that touches no memory (~25 ms on a 4-vCPU Xeon).
+double TimeCpuLoop() {
+  const auto start = std::chrono::steady_clock::now();
+  u64 x = 1;
+  for (u64 i = 0; i < 20'000'000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    asm volatile("" : "+r"(x));  // keep every step of the chain
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+// The cores the host gives this process right now: 4 x the loop's time
+// alone over the slowest of 4 concurrent copies. About 4 on an idle 4-core
+// host, about 1 when other tenants hold the cores.
+double HostCapacity() {
+  constexpr usize kCopies = 4;
+  const double alone = TimeCpuLoop();
+  std::vector<double> copies(kCopies);
+  std::vector<std::thread> threads;
+  for (usize i = 0; i < kCopies; ++i) {
+    threads.emplace_back([&copies, i] { copies[i] = TimeCpuLoop(); });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  return static_cast<double>(kCopies) * alone / *std::max_element(copies.begin(), copies.end());
+}
+
+struct HostCapacityReading {
+  double before = 0;
+  double after = 0;
+};
+
 // --- Sweep + JSON + gate -------------------------------------------------------------
 
 constexpr usize kGateNodes = 4;
@@ -123,7 +163,8 @@ bool GateSkippedOnHost() { return std::thread::hardware_concurrency() < 4; }
 // `parallel` is the threads=4 cell of the gate point; its speedup is the
 // median round's.
 std::string MeasurementJson(usize requests, const bench::SweepCell& serial,
-                            const bench::SweepCell& parallel) {
+                            const bench::SweepCell& parallel,
+                            const HostCapacityReading& capacity) {
   const unsigned hw = std::thread::hardware_concurrency();
   const bool skipped = GateSkippedOnHost();
   std::string out;
@@ -133,6 +174,8 @@ std::string MeasurementJson(usize requests, const bench::SweepCell& serial,
          std::to_string(kGateNodes) + ", \"requests_per_host\": " + std::to_string(requests) +
          "},\n";
   out += "  \"host_threads\": " + std::to_string(hw) + ",\n";
+  out += "  \"host_capacity\": {\"before\": " + bench::FormatJsonNumber(capacity.before) +
+         ", \"after\": " + bench::FormatJsonNumber(capacity.after) + "},\n";
   out += "  \"gate_skipped\": " + std::string(skipped ? "true" : "false") + ",\n";
   out += "  \"gate_skip_reason\": \"" +
          std::string(skipped ? "host has fewer than 4 hardware threads" : "") + "\",\n";
@@ -169,10 +212,12 @@ int SweepMain(usize requests) {
   return 0;
 }
 
-int GateMain(const bench::SweepCell& parallel, const std::string& baseline_path) {
+int GateMain(const bench::SweepCell& parallel, const HostCapacityReading& capacity,
+             const std::string& baseline_path) {
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("  threads=4 median speedup %.2fx on %u hardware threads\n", parallel.speedup,
-              hw);
+  std::printf("  threads=4 median speedup %.2fx on %u hardware threads, host capacity "
+              "%.2f before / %.2f after (of 4)\n",
+              parallel.speedup, hw, capacity.before, capacity.after);
   if (GateSkippedOnHost()) {
     // Bit-exactness was still enforced above; only the wall-clock ratio is
     // meaningless without cores to run the shards on. Shout, don't whisper:
@@ -226,10 +271,13 @@ int GateMain(const bench::SweepCell& parallel, const std::string& baseline_path)
 // one pair reads anywhere from 0.8x to 2.6x on a shared 4-vCPU host).
 int GatePointMain(usize requests, const std::string& json_path,
                   const std::string& baseline_path) {
+  HostCapacityReading capacity;
+  capacity.before = HostCapacity();
   bench::RunnerSweep sweep("nodes", 6, bench::kCheckRounds, /*check=*/false);
   const std::vector<bench::SweepCell> cells =
       sweep.Row(std::to_string(kGateNodes), std::to_string(kGateNodes), {1, 4},
                 [requests](usize threads) { return RunCluster(kGateNodes, threads, requests); });
+  capacity.after = HostCapacity();
   if (!sweep.ok()) {
     std::printf("FAIL: threads=4 diverged from its serial twin\n");
     return 1;
@@ -242,14 +290,14 @@ int GatePointMain(usize requests, const std::string& json_path,
               bench::kCheckRounds, parallel.speedup_min, parallel.speedup_max);
   if (!json_path.empty()) {
     std::ofstream file(json_path);
-    file << MeasurementJson(requests, serial, parallel);
+    file << MeasurementJson(requests, serial, parallel, capacity);
     if (!file) {
       std::printf("FAIL: could not write %s\n", json_path.c_str());
       return 1;
     }
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return baseline_path.empty() ? 0 : GateMain(parallel, baseline_path);
+  return baseline_path.empty() ? 0 : GateMain(parallel, capacity, baseline_path);
 }
 
 }  // namespace

@@ -7,19 +7,20 @@
 // (link transit, FIFO residency, service stage spans, per-node service time)
 // while a MetricsSampler snapshots the memcached node's counters in-run.
 //
-// Artifacts:
-//   /tmp/emu_scope.trace.json   — Chrome/Perfetto trace; open in
-//                                 https://ui.perfetto.dev
-//   /tmp/emu_scope.prom         — Prometheus text exposition of every counter,
-//                                 gauge and latency histogram in the run
-//   /tmp/emu_scope.profile.json — emu-pulse kernel phase profile of the
-//                                 memcached node (sampled profiling mode)
+// Artifacts, in a fresh directory /tmp/emu_scope.XXXXXX per run (mkdtemp;
+// printed on stdout, so concurrent runs never overwrite each other):
+//   trace.json   — Chrome/Perfetto trace; open in https://ui.perfetto.dev
+//   metrics.prom — Prometheus text exposition of every counter, gauge and
+//                  latency histogram in the run
+//   profile.json — emu-pulse kernel phase profile of the memcached node
+//                  (sampled profiling mode)
 //
 // The driver then re-runs the identical workload at threads=4 and checks the
 // exported trace is byte-identical — the emu-par determinism contract
 // extended to observability. Kernel profiling is wall-clock-only state, so
 // it stays enabled across both runs without perturbing the comparison.
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -265,6 +266,12 @@ bool WriteText(const std::string& path, const std::string& text) {
 
 int main() {
   std::printf("== emu-scope: flight recorder + telemetry over a mixed topology ==\n\n");
+  char dir_template[] = "/tmp/emu_scope.XXXXXX";
+  if (mkdtemp(dir_template) == nullptr) {
+    std::perror("emu_scope: mkdtemp /tmp/emu_scope.XXXXXX");
+    return 1;
+  }
+  const std::string dir = dir_template;
 #ifndef EMU_TRACE
   std::printf("(built with EMU_TRACE=OFF: trace hooks fold away; the exported trace\n"
               " is empty but telemetry and the Prometheus pipeline still work)\n\n");
@@ -305,15 +312,16 @@ int main() {
                     : "profiling disabled (Simulator::SetProfilingMode to enable)");
   }
 
-  const bool json_written = WriteText("/tmp/emu_scope.trace.json", run.trace_json);
-  const bool prom_written = WriteText("/tmp/emu_scope.prom", run.prom_text);
+  const bool json_written = WriteText(dir + "/trace.json", run.trace_json);
+  const bool prom_written = WriteText(dir + "/metrics.prom", run.prom_text);
   const bool profile_written =
-      WriteText("/tmp/emu_scope.profile.json", obs::SimProfileJson(run.profile));
-  std::printf("\nwrote /tmp/emu_scope.trace.json (%s) — open in ui.perfetto.dev\n",
+      WriteText(dir + "/profile.json", obs::SimProfileJson(run.profile));
+  std::printf("\nartifacts in %s\n", dir.c_str());
+  std::printf("wrote trace.json (%s) — open in ui.perfetto.dev\n",
               json_written ? "ok" : "FAILED");
-  std::printf("wrote /tmp/emu_scope.prom (%s) — scrape-ready Prometheus text\n",
+  std::printf("wrote metrics.prom (%s) — scrape-ready Prometheus text\n",
               prom_written ? "ok" : "FAILED");
-  std::printf("wrote /tmp/emu_scope.profile.json (%s) — kernel phase profile\n",
+  std::printf("wrote profile.json (%s) — kernel phase profile\n",
               profile_written ? "ok" : "FAILED");
   std::printf("in-run sampler captured %zu snapshots of the memcached node\n",
               run.sampler_rows);

@@ -46,11 +46,13 @@ class PearsonHashIp : public Module {
   HwProcess MakeProcess();
 
   // Declares the core process's register IO (emu-lint): the client drives
-  // enable/data_in; the core drives ready/hash_out.
+  // enable/data_in; the core drives ready/hash_out and reads ready back
+  // before it absorbs a byte.
   void DeclareIo(usize process_index) {
     elab::IoDecl(sim().catalog(), process_index)
         .Reads(&enable_)
         .Reads(&data_in_)
+        .Reads(&ready_)
         .Writes(&ready_)
         .Writes(&hash_out_);
   }

@@ -52,11 +52,9 @@ struct PlanRecord {
 };
 
 // One shard's slice of one epoch. barrier_wait_ns is the wall time between
-// the shard's work finishing and the epoch closing — in an epoch whose
-// shards run in sequence on one thread (every epoch under threads=1, and
-// every epoch of a queued component) it measures sequential skew (time
-// spent running the component's shards after this one), in a parallel
-// epoch it is the idle time at the done barrier.
+// the shard's work finishing and the epoch closing. A component's shards
+// run in sequence on one thread, so it is always sequential skew: the time
+// spent running the component's shards after this one.
 struct ShardEpochRecord {
   u64 epoch = 0;
   u32 shard = 0;
@@ -109,11 +107,12 @@ class RunnerPulse {
 
   void RecordPlan(const PlanRecord& record);
   void RecordShardEpoch(const ShardEpochRecord& record);
-  // Counts one closed epoch as run inline on the calling thread or in
-  // parallel on the runner's pool (a queued component's epoch counts as
-  // parallel when the run used the pool). The choice depends on host
-  // timing, so these counts are host-side data like the wall stamps: no
-  // digest or cross-thread-count comparison may include them.
+  // Counts one closed epoch as inline (its component ran on the calling
+  // thread alone) or parallel (a run with two or more busy components
+  // queued it on the runner's pool, threads > 1). The split follows from
+  // the thread count and the busy components, not from host timing, but it
+  // differs across thread counts, so no digest or cross-thread-count
+  // comparison may include it.
   void RecordEpochMode(bool parallel);
 
   usize shard_count() const { return shard_count_; }

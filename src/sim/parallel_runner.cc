@@ -1,7 +1,6 @@
 #include "src/sim/parallel_runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <numeric>
 #include <tuple>
@@ -22,26 +21,11 @@ constexpr u32 kParked = 1;
 constexpr u32 kStep = 2;
 
 // A waiter spins this many `pause` iterations (~70 us on a 4-vCPU Xeon)
-// before it parks: long enough that back-to-back parallel epochs, a plan of
-// a few microseconds apart, never sleep; short enough that a pool idling
-// through inline epochs or an oversubscribed host does not burn a core per
-// waiter.
+// before it parks: long enough that back-to-back queued runs (a run in
+// chunks, a few microseconds apart) find the pool awake; short enough that
+// a pool idle between runs, a join behind a worker's last slice or an
+// oversubscribed host does not burn a core per waiter.
 constexpr u32 kSpinIterations = 4'000;
-
-// The inline/parallel choice for epochs in which two or more shards have
-// work. A runner's first kWarmupParallelEpochs such epochs run parallel and
-// the next kWarmupInlineEpochs inline, whatever the host, which seeds both
-// estimates (and keeps the pool exercised by every multi-thread test). Then
-// the mode with the lower estimate runs, timed 1 in kSampleEvery epochs and
-// blended in by kBlend. Every probe gap, the losing mode runs once and its
-// sample replaces its estimate; the gap doubles up to kProbeGapMax while the
-// winner holds and falls back to kProbeGapMin when the winner flips.
-constexpr u64 kWarmupParallelEpochs = 8;
-constexpr u64 kWarmupInlineEpochs = 8;
-constexpr u64 kSampleEvery = 16;
-constexpr u64 kProbeGapMin = 64;
-constexpr u64 kProbeGapMax = 1'024;
-constexpr double kBlend = 0.25;
 
 // A worker in a queued run holds a component for whole epochs until it has
 // run this many events, then queues it again: long enough that the queue
@@ -83,12 +67,6 @@ void Publish(std::atomic<u32>& word, u32 value) {
   }
 }
 
-u64 HostNowNs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-
 [[noreturn]] void CutFatal(u64 link_id, usize from, usize to, const char* what) {
   Fatal("ParallelRunner::ConnectDirection", "link %llu from shard %zu to shard %zu: %s",
         static_cast<unsigned long long>(link_id), from, to, what);
@@ -98,10 +76,8 @@ u64 HostNowNs() {
 
 struct ParallelRunner::Component {
   std::vector<usize> shards;  // ascending shard indices
-  // Plan buffers, reused every epoch; next and lb are indexed by position
-  // in `shards`.
+  // Plan buffers, reused every epoch; lb is indexed by position in `shards`.
   std::vector<PendingDelivery> drain;
-  std::vector<Picoseconds> next;
   std::vector<Picoseconds> lb;
   // This run's share of the event budget and the events run against it.
   u64 share = 0;
@@ -189,7 +165,7 @@ void ParallelRunner::FindComponents() {
   components_stale_ = false;
 }
 
-usize ParallelRunner::PlanEpoch(Component& comp) {
+bool ParallelRunner::PlanEpoch(Component& comp) {
   const u64 plan_begin_ns = pulse_ != nullptr ? pulse_->NowNs() : 0;
   u64 drained = 0;
   // Drain every inbox in canonical (arrival, link, seq) order so the
@@ -222,17 +198,18 @@ usize ParallelRunner::PlanEpoch(Component& comp) {
   comp.frames_drained += drained;
 
   const usize n = comp.shards.size();
+  std::vector<Picoseconds>& lb = comp.lb;
+  lb.assign(n, kNever);
   bool any_pending = false;
-  comp.next.assign(n, kNever);
   for (usize i = 0; i < n; ++i) {
     const EventScheduler& scheduler = *shards_[comp.shards[i]]->scheduler;
     if (!scheduler.Empty()) {
-      comp.next[i] = scheduler.NextEventTime();
+      lb[i] = scheduler.NextEventTime();
       any_pending = true;
     }
   }
   if (!any_pending) {
-    return 0;
+    return false;
   }
   // Transitive earliest-action bound. A shard with an empty queue is NOT
   // silent for the epoch: a frame arriving mid-epoch can wake it and make it
@@ -241,8 +218,6 @@ usize ParallelRunner::PlanEpoch(Component& comp) {
   // Chandy-Misra null messages; positive lookaheads guarantee convergence in
   // at most |shards| sweeps — so lb[i] bounds the earliest time shard i can
   // execute ANY event this epoch, woken or not.
-  std::vector<Picoseconds>& lb = comp.lb;
-  lb.assign(comp.next.begin(), comp.next.end());
   u64 sweeps = 0;
   u64 relaxations = 0;
   for (bool changed = true; changed;) {
@@ -268,7 +243,6 @@ usize ParallelRunner::PlanEpoch(Component& comp) {
   // positive lookahead past some next-event time. A finite horizon bounds
   // the epoch by itself, so only an unbounded one takes the budget left.
   const usize left = static_cast<usize>(comp.share - comp.executed);
-  usize busy = 0;
   for (usize i = 0; i < n; ++i) {
     Shard& shard = *shards_[comp.shards[i]];
     Picoseconds horizon = kNever;
@@ -281,9 +255,6 @@ usize ParallelRunner::PlanEpoch(Component& comp) {
     shard.horizon = horizon;
     shard.budget = horizon == kNever ? left : std::numeric_limits<usize>::max();
     shard.epoch_executed = 0;
-    if (comp.next[i] < horizon) {
-      ++busy;
-    }
   }
   ++comp.epochs;
   if (pulse_ != nullptr) {
@@ -295,7 +266,7 @@ usize ParallelRunner::PlanEpoch(Component& comp) {
     record.frames_drained = drained;
     comp.plans.push_back(record);
   }
-  return busy;
+  return true;
 }
 
 void ParallelRunner::CloseEpoch(Component& comp, u64 epoch_end_ns) {
@@ -320,7 +291,7 @@ void ParallelRunner::CloseEpoch(Component& comp, u64 epoch_end_ns) {
 void ParallelRunner::Fold(Component& comp, bool parallel) {
   if (pulse_ != nullptr) {
     // Epoch ordinals are assigned here, in fold order: component by
-    // component after a queued run.
+    // component.
     const usize n = comp.shards.size();
     for (usize e = 0; e < comp.plans.size(); ++e) {
       obs::PlanRecord& plan = comp.plans[e];
@@ -352,7 +323,7 @@ void ParallelRunner::RunShardEpoch(Shard& shard) {
   }
   if (pulse_ != nullptr) {
     // Worker-side wall stamps: safe concurrently (NowNs only reads the run
-    // base) and each worker owns its shards' fields for the epoch.
+    // base) and each worker owns its component's shards for the slice.
     shard.work_begin_ns = pulse_->NowNs();
     shard.epoch_executed = shard.scheduler->RunWhileBefore(shard.horizon, shard.budget);
     shard.work_end_ns = pulse_->NowNs();
@@ -361,96 +332,6 @@ void ParallelRunner::RunShardEpoch(Shard& shard) {
   }
   if (session != nullptr) {
     obs::BindThreadToBuffer(previous);
-  }
-}
-
-ParallelRunner::EpochMode ParallelRunner::ChooseMode(usize busy_shards) {
-  // Structural rule, exact and free: with at most one shard holding an
-  // event before its horizon there is nothing to overlap.
-  if (threads_ == 1 || busy_shards <= 1) {
-    return {};
-  }
-  ModeEstimates& e = estimates_;
-  const u64 k = e.multi_epochs++;
-  if (k < kWarmupParallelEpochs + kWarmupInlineEpochs) {
-    return {.parallel = k < kWarmupParallelEpochs, .timed = true};
-  }
-  const bool parallel_wins = e.parallel_ns < e.inline_ns;
-  if (++e.since_probe >= (kProbeGapMin << e.probe_doublings)) {
-    e.since_probe = 0;
-    return {.parallel = !parallel_wins, .timed = true, .probe = true};
-  }
-  return {.parallel = parallel_wins, .timed = k % kSampleEvery == 0};
-}
-
-void ParallelRunner::RecordSample(const EpochMode& mode, u64 wall_ns, u64 events) {
-  ModeEstimates& e = estimates_;
-  const bool parallel_won = e.parallel_ns < e.inline_ns;
-  const double sample =
-      static_cast<double>(wall_ns) / static_cast<double>(std::max<u64>(events, 1));
-  double& estimate = mode.parallel ? e.parallel_ns : e.inline_ns;
-  estimate = mode.probe || estimate == 0 ? sample : estimate + kBlend * (sample - estimate);
-  if (e.multi_epochs <= kWarmupParallelEpochs + kWarmupInlineEpochs) {
-    return;
-  }
-  if ((e.parallel_ns < e.inline_ns) != parallel_won) {
-    e.probe_doublings = 0;
-  } else if (mode.probe && (kProbeGapMin << e.probe_doublings) < kProbeGapMax) {
-    ++e.probe_doublings;
-  }
-}
-
-void ParallelRunner::RunEpochs(Component& comp) {
-  while (comp.executed < comp.share) {
-    const usize busy = PlanEpoch(comp);
-    if (busy == 0) {
-      break;
-    }
-    const EpochMode mode = ChooseMode(busy);
-    if (mode.parallel && pool_.empty()) {
-      StartPool();  // before the timed window: a sample must not include thread creation
-    }
-    const u64 executed_before = comp.executed;
-    const u64 begin_ns = mode.timed ? HostNowNs() : 0;
-    if (mode.parallel) {
-      RunOnPool(&comp);
-    } else {
-      RunBlock(comp, 0, 1);  // inline: every shard, in index order
-    }
-    const u64 end_ns = mode.timed ? HostNowNs() : 0;
-    CloseEpoch(comp, pulse_ != nullptr ? pulse_->NowNs() : 0);
-    Fold(comp, mode.parallel);
-    if (mode.timed) {
-      RecordSample(mode, end_ns - begin_ns, comp.executed - executed_before);
-    }
-  }
-}
-
-void ParallelRunner::RunOnPool(Component* block_job) {
-  // Ordered before the pool reads them by the start release below.
-  block_job_ = block_job;
-  working_.store(static_cast<u32>(threads_ - 1) * kStep, std::memory_order_relaxed);
-  start_word_ += kStep;
-  Publish(start_, start_word_);
-  RunJob(0, threads_);
-  SpinThenPark(working_, [](u32 w) { return w < kStep; });
-}
-
-void ParallelRunner::RunJob(usize worker, usize threads) {
-  if (block_job_ != nullptr) {
-    RunBlock(*block_job_, worker, threads);
-  } else {
-    RunQueue();
-  }
-}
-
-// Contiguous block partition: topology builders register each service node
-// right before its hosts, so a block keeps a node and its hosts on one
-// thread while different nodes (the heavy shards) land on different threads.
-void ParallelRunner::RunBlock(Component& comp, usize worker, usize threads) {
-  const usize n = comp.shards.size();
-  for (usize i = worker * n / threads; i < (worker + 1) * n / threads; ++i) {
-    RunShardEpoch(*shards_[comp.shards[i]]);
   }
 }
 
@@ -477,23 +358,33 @@ void ParallelRunner::RunQueue() {
 bool ParallelRunner::RunSlice(Component& comp) {
   const u64 slice_end = comp.executed + kSliceEvents;
   while (comp.executed < slice_end) {
-    if (comp.executed >= comp.share || PlanEpoch(comp) == 0) {
+    if (comp.executed >= comp.share || !PlanEpoch(comp)) {
       return false;
     }
-    RunBlock(comp, 0, 1);
+    for (const usize index : comp.shards) {
+      RunShardEpoch(*shards_[index]);
+    }
     CloseEpoch(comp, pulse_ != nullptr ? pulse_->NowNs() : 0);
   }
   return true;
 }
 
-void ParallelRunner::PoolLoop(usize worker, usize threads, u32 seen) {
+void ParallelRunner::RunOnPool() {
+  working_.store(static_cast<u32>(threads_ - 1) * kStep, std::memory_order_relaxed);
+  start_word_ += kStep;
+  Publish(start_, start_word_);
+  RunQueue();
+  SpinThenPark(working_, [](u32 w) { return w < kStep; });
+}
+
+void ParallelRunner::PoolLoop(u32 seen) {
   for (;;) {
     SpinThenPark(start_, [seen](u32 s) { return (s & ~kParked) != seen; });
     seen += kStep;  // the calling thread publishes one generation at a time
     if (stopping_) {
       return;
     }
-    RunJob(worker, threads);
+    RunQueue();
     if (working_.fetch_sub(kStep, std::memory_order_acq_rel) == (kStep | kParked)) {
       working_.notify_all();
     }
@@ -504,8 +395,7 @@ void ParallelRunner::StartPool() {
   pool_.reserve(threads_ - 1);
   try {
     for (usize w = 1; w < threads_; ++w) {
-      pool_.emplace_back(
-          [this, w, threads = threads_, seen = start_word_] { PoolLoop(w, threads, seen); });
+      pool_.emplace_back([this, seen = start_word_] { PoolLoop(seen); });
     }
   } catch (...) {
     StopPool();
@@ -533,7 +423,6 @@ u64 ParallelRunner::Run(const ParallelRunOptions& opts) {
   if (threads != threads_) {
     StopPool();
     threads_ = threads;
-    estimates_ = {};
   }
   if (components_stale_) {
     FindComponents();
@@ -567,20 +456,23 @@ u64 ParallelRunner::Run(const ParallelRunOptions& opts) {
         1, budget / busy_shards * size + budget % busy_shards * size / busy_shards);
     comp->executed = 0;
   }
-  if (busy.size() == 1) {
-    RunEpochs(*busy.front());
-  } else if (busy.size() > 1) {
+  if (busy.size() > 1 && threads_ > 1) {
     queue_.assign(busy.begin(), busy.end());
-    if (threads_ > 1) {
-      if (pool_.empty()) {
-        StartPool();
-      }
-      RunOnPool(nullptr);
-    } else {
-      RunQueue();
+    if (pool_.empty()) {
+      StartPool();
     }
+    RunOnPool();
     for (Component* comp : busy) {
-      Fold(*comp, threads_ > 1);
+      Fold(*comp, /*parallel=*/true);
+    }
+  } else {
+    // The calling thread runs the components one after another; folding
+    // after every slice keeps the buffered pulse records bounded.
+    for (Component* comp : busy) {
+      for (bool more = true; more;) {
+        more = RunSlice(*comp);
+        Fold(*comp, /*parallel=*/false);
+      }
     }
   }
   u64 total = 0;

@@ -45,23 +45,15 @@
 // Simulator keeps its quiescence fast-forward: idle stretches inside a shard
 // are jumped, not stepped.
 //
-// Epoch execution: the runner owns a pool of threads - 1 threads that lives
-// as long as the runner, with the calling thread as worker 0.
-//  - One busy component (a star, a hub, a chain): worker w runs the
-//    contiguous shard block [w*n/threads, (w+1)*n/threads) of it. One
-//    spin-then-park barrier (an atomic start generation and a count of pool
-//    threads still working) hands each planned epoch to the pool and
-//    collects it. An epoch runs inline on the calling thread instead when
-//    at most one shard has an event before its horizon, or when the
-//    host-side estimates of wall time per event say a barrier round trip
-//    costs more than it saves.
-//  - Two or more busy components (a cluster): the calling thread and the
-//    pool take components from one shared queue. A worker runs a
-//    component's epochs back to back, its shards inline in index order,
-//    for a slice of whole epochs, then queues it again. The run costs one
-//    pool start and one join, and no barrier per epoch.
-// Either way a component executes the same epoch schedule, so the choice
-// changes which thread runs a shard, never what it computes.
+// Epoch execution: a component runs its epochs back to back on one thread,
+// its shards in index order, one slice of whole epochs at a time. That
+// thread is the calling thread, unless a run starts with two or more busy
+// components and threads > 1: then the calling thread and a pool of
+// threads - 1 threads (which lives as long as the runner) take components
+// from one shared queue, run a slice of each and queue it again. A queued
+// run costs one pool start and one join, and no barrier per epoch. Every
+// way a component is run executes the same epoch schedule, so the thread
+// count changes which thread runs a shard, never what it computes.
 #ifndef SRC_SIM_PARALLEL_RUNNER_H_
 #define SRC_SIM_PARALLEL_RUNNER_H_
 
@@ -82,9 +74,11 @@ class RunnerPulse;
 }  // namespace obs
 
 struct ParallelRunOptions {
-  // OS threads, including the calling thread; 1 runs every epoch inline
-  // (the bit-exact serial reference) and starts no thread. Clamped to the
-  // shard count.
+  // OS threads, including the calling thread. Clamped to the shard count.
+  // Only a run that starts with two or more busy link components uses more
+  // than one: they share the calling thread and threads - 1 pool threads.
+  // Any other run, and every run at 1 (the bit-exact serial reference),
+  // stays on the calling thread and starts no thread.
   usize threads = 1;
   // Event budget. It is split across the components that have work when the
   // run starts, in proportion to their shard counts (each gets at least
@@ -130,9 +124,8 @@ class ParallelRunner {
 
   // Runs all shards to quiescence (or the event budget); returns the number
   // of events executed. Identical results for any `threads` value. The pool
-  // starts on the first epoch that runs parallel (or the first queue of
-  // components) and is rebuilt when a call brings a different clamped
-  // thread count.
+  // starts on the first queued run and is rebuilt when a call brings a
+  // different clamped thread count.
   u64 Run(const ParallelRunOptions& opts = {});
 
   usize shard_count() const { return shards_.size(); }
@@ -176,15 +169,14 @@ class ParallelRunner {
     std::vector<InboundEdge> inbound;
     std::mutex inbox_mu;
     std::vector<PendingDelivery> inbox;
-    // Per-epoch plan (written by the plan, read by the thread that runs
-    // the shard's epoch).
+    // Per-epoch plan, written by the plan and read when the shard's epoch
+    // runs, on the thread that runs its component.
     Picoseconds horizon = 0;
     usize budget = 0;
     usize epoch_executed = 0;
-    // Wall stamps of this shard's epoch work (ns since RunnerPulse base);
-    // written by the thread that ran the epoch, read by the thread that
-    // records it once the epoch closes. Only maintained while a pulse is
-    // attached.
+    // Wall stamps of this shard's epoch work (ns since RunnerPulse base),
+    // written and recorded by the thread that runs its component. Only
+    // maintained while a pulse is attached.
     u64 work_begin_ns = 0;
     u64 work_end_ns = 0;
   };
@@ -192,59 +184,34 @@ class ParallelRunner {
   // statistics and pulse records not yet folded into the runner's totals.
   struct Component;
 
-  // Host-side wall ns per executed event for each execution mode, behind
-  // the choice for epochs in which two or more shards have work. Zero means
-  // no sample yet; the whole struct resets when the pool is rebuilt.
-  struct ModeEstimates {
-    u64 multi_epochs = 0;      // multi-shard epochs chosen so far
-    u64 since_probe = 0;       // multi-shard epochs since the last probe
-    u32 probe_doublings = 0;   // probe gap = kProbeGapMin << probe_doublings
-    double inline_ns = 0;
-    double parallel_ns = 0;
-  };
-  struct EpochMode {
-    bool parallel = false;
-    bool timed = false;  // wall-clock the epoch and update its mode's estimate
-    bool probe = false;  // the losing mode, run to replace its stale estimate
-  };
-
   // Rebuilds components_ from cuts_ (union-find) after a topology change.
   void FindComponents();
 
-  // Drains the component's inboxes, snapshots its next-event times,
-  // computes its horizons and budgets. Returns how many of its shards have
-  // an event before their horizon; 0 when the component is quiescent.
-  usize PlanEpoch(Component& comp);
+  // Drains the component's inboxes, bounds each shard's earliest action and
+  // computes its horizons and budgets. Returns false, planning nothing, when
+  // the component is quiescent.
+  bool PlanEpoch(Component& comp);
   void RunShardEpoch(Shard& shard);
   // Sums the closed epoch's events into the component and, with a pulse
   // attached, stamps one record per shard (`epoch_end_ns` closes it).
   void CloseEpoch(Component& comp, u64 epoch_end_ns);
   // Adds the component's plan statistics to the runner's totals and flushes
-  // its pulse records (calling thread only, between epochs or after the
+  // its pulse records (calling thread only, between slices or after the
   // join).
   void Fold(Component& comp, bool parallel);
 
-  // One busy component: the mode, then either every shard on the calling
-  // thread (RunBlock(comp, 0, 1)), or block 0 here and blocks
-  // 1..threads_-1 on the pool.
-  void RunEpochs(Component& comp);
-  EpochMode ChooseMode(usize busy_shards);
-  void RecordSample(const EpochMode& mode, u64 wall_ns, u64 events);
-  // Runs shard block `worker` of `threads` contiguous blocks of `comp`.
-  void RunBlock(Component& comp, usize worker, usize threads);
-
-  // Several busy components: every worker takes components off queue_ and
-  // runs a slice of each (RunSlice returns false once it is finished).
-  void RunQueue();
+  // Runs a slice of whole epochs of `comp`, its shards in index order;
+  // returns false once the component is quiescent or has used its share.
   bool RunSlice(Component& comp);
+  // A queued run: every worker takes components off queue_ and runs a
+  // slice of each until the queue is empty.
+  void RunQueue();
 
-  // Starts the pool on one job — `block_job`'s epoch in blocks, or, when
-  // null, queue_ — runs worker 0's part of it here and waits for the pool.
-  void RunOnPool(Component* block_job);
-  void RunJob(usize worker, usize threads);
+  // Starts the pool on queue_, drains it here too and waits for the pool.
+  void RunOnPool();
   void StartPool();
   void StopPool();
-  void PoolLoop(usize worker, usize threads, u32 seen);
+  void PoolLoop(u32 seen);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ShardCut> cuts_;
@@ -258,20 +225,17 @@ class ParallelRunner {
   obs::RunnerPulse* pulse_ = nullptr;
 
   usize threads_ = 1;  // clamped thread count of the latest Run()
-  ModeEstimates estimates_;
   // The components waiting for a worker in a queued run.
   std::mutex queue_mu_;
   std::deque<Component*> queue_;
-  // Barrier. start_ holds the epoch generation, working_ the number of pool
-  // threads still running their block, each shifted left one bit; bit 0
-  // says a waiter has parked in atomic::wait and needs a notify. Their
-  // release/acquire pairs are the only hand-off between the plan and the
-  // shards. stopping_ and block_job_ (the component whose epoch the pool
-  // runs in blocks; null: the pool drains queue_) are written before a
-  // start release and read after the matching acquire.
+  // Barrier. start_ holds the run generation, working_ the number of pool
+  // threads still draining the queue, each shifted left one bit; bit 0 says
+  // a waiter has parked in atomic::wait and needs a notify. Their
+  // release/acquire pairs hand a queued run to the pool and back; queue_mu_
+  // orders a component's hand-over between workers. stopping_ is written
+  // before a start release and read after the matching acquire.
   u32 start_word_ = 0;  // the calling thread's copy of start_
   bool stopping_ = false;
-  Component* block_job_ = nullptr;
   alignas(64) std::atomic<u32> start_{0};
   alignas(64) std::atomic<u32> working_{0};
   std::vector<std::thread> pool_;  // threads_ - 1 threads once started

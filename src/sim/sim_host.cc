@@ -1,7 +1,5 @@
 #include "src/sim/sim_host.h"
 
-#include <cassert>
-
 #include "src/common/fatal.h"
 #include "src/core/metrics.h"
 #include "src/obs/trace_hooks.h"
@@ -79,7 +77,9 @@ void SimHost::RegisterMetrics(MetricsRegistry& metrics, const std::string& prefi
 }
 
 void SimHost::Send(Packet frame) {
-  assert(uplink_ != nullptr && "host must be attached to a link");
+  if (uplink_ == nullptr) {
+    Fatal("SimHost::Send", "host '%s' has no uplink", name_.c_str());
+  }
   if (!up()) {
     ++lifecycle_dropped_;  // a dead host transmits nothing
     return;

@@ -44,6 +44,7 @@ class SimHost {
 
   void SetApp(App app) { app_ = std::move(app); }
 
+  // Transmits on the uplink; a host with none is fatal in every build type.
   void Send(Packet frame);
   void Receive(Packet frame);
 

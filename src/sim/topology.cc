@@ -139,7 +139,9 @@ u64 TopologyBuilder::Run(const ParallelRunOptions& opts) {
 }
 
 EventScheduler& TopologyBuilder::scheduler() {
-  assert(mode_ == Mode::kFlat && "sharded topologies have one scheduler per shard");
+  if (mode_ != Mode::kFlat) {
+    Fatal("TopologyBuilder::scheduler", "a sharded topology has one scheduler per shard");
+  }
   return *flat_scheduler_;
 }
 
@@ -183,9 +185,14 @@ ShardedTopology::ShardedTopology(Service& service, std::vector<HostSpec> specs,
 ShardedTopology::ShardedTopology(const std::vector<Service*>& services,
                                  std::vector<HostSpec> specs, StarTopologyConfig config)
     : builder_(TopologyBuilder::Mode::kSharded) {
-  assert(services.size() == specs.size());
+  if (services.size() != specs.size()) {
+    Fatal("ShardedTopology::ShardedTopology", "%zu services for %zu hosts", services.size(),
+          specs.size());
+  }
   for (usize i = 0; i < specs.size(); ++i) {
-    assert(services[i] != nullptr);
+    if (services[i] == nullptr) {
+      Fatal("ShardedTopology::ShardedTopology", "service %zu is null", i);
+    }
     ServiceNode& node = builder_.AddServiceNode(*services[i]);
     SimHost& host = builder_.AddHost(specs[i]);
     builder_.LinkHostToNode(host, node, /*port=*/0, config);

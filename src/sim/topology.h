@@ -88,7 +88,7 @@ class TopologyBuilder {
   // (one scheduler) and opts.max_events bounds the run.
   u64 Run(const ParallelRunOptions& opts = {});
 
-  // Flat-mode scheduler (asserts kFlat).
+  // Flat-mode scheduler; fatal on a sharded builder, in every build type.
   EventScheduler& scheduler();
   ParallelRunner& runner() { return runner_; }
 
@@ -162,7 +162,8 @@ class ShardedTopology {
   ShardedTopology(Service& service, std::vector<HostSpec> hosts,
                   StarTopologyConfig config = StarTopologyConfig());
 
-  // Cluster shape: `services[i]` is paired with `hosts[i]`; sizes must match.
+  // Cluster shape: `services[i]` is paired with `hosts[i]`. A size mismatch
+  // or a null service is fatal in every build type.
   ShardedTopology(const std::vector<Service*>& services, std::vector<HostSpec> hosts,
                   StarTopologyConfig config = StarTopologyConfig());
 

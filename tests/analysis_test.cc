@@ -4,7 +4,11 @@
 // COMBLOOP finding and DOT dump.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/elab/elab_graph.h"
@@ -15,6 +19,7 @@
 #include "src/hdl/process.h"
 #include "src/hdl/signal.h"
 #include "src/hdl/simulator.h"
+#include "src/ip/pearson_hash.h"
 
 namespace emu {
 namespace {
@@ -517,6 +522,48 @@ TEST(AnalysisHooks, SummaryCountsFindings) {
 }
 
 #endif  // EMU_ANALYSIS
+
+// The Pearson core's declared IO (PearsonHashIp::DeclareIo) is the IO the
+// monitor sees it perform over the Fig. 5 handshake. A declaration that
+// drifts from the code feeds the static checks a different design.
+TEST(AnalysisHooks, PearsonCoreDeclaredIoMatchesObserved) {
+#ifndef EMU_ANALYSIS
+  GTEST_SKIP() << "library built with EMU_ANALYSIS=OFF; kernel hooks compiled out";
+#else
+  static constexpr std::array<u8, 3> kSeed = {'e', 'm', 'u'};
+  Simulator sim;
+  HazardMonitor monitor(sim);
+  PearsonHashIp core(sim, "pearson");
+  core.DeclareIo(sim.AddProcess(core.MakeProcess(), "pearson.core"));
+  sim.AddProcess(PearsonHashIp::Seed(core, kSeed), "pearson.client");
+  // The element names one process reads and writes in `graph`.
+  using NameSets = std::pair<std::set<std::string>, std::set<std::string>>;
+  const auto core_io = [](const elab::ElabGraph& graph) {
+    NameSets io;
+    for (const elab::ElabProcess& process : graph.processes()) {
+      if (process.name != "pearson.core") {
+        continue;
+      }
+      for (const usize node : process.reads) {
+        io.first.insert(graph.nodes()[node].name);
+      }
+      for (const usize node : process.writes) {
+        io.second.insert(graph.nodes()[node].name);
+      }
+    }
+    return io;
+  };
+  const NameSets declared = core_io(elab::ElabGraph::FromSimulator(sim, "pearson_ip"));
+  ASSERT_TRUE(sim.RunUntil([&] { return sim.live_process_count() == 1; }, 200));
+  const NameSets observed = core_io(monitor.ObservedGraph("pearson_ip"));
+  EXPECT_EQ(declared.first, observed.first) << "reads";
+  EXPECT_EQ(declared.second, observed.second) << "writes";
+  EXPECT_EQ(observed.first, (std::set<std::string>{"pearson.data_in", "pearson.init_hash_enable",
+                                                   "pearson.init_hash_ready"}));
+  EXPECT_EQ(observed.second,
+            (std::set<std::string>{"pearson.hash_out", "pearson.init_hash_ready"}));
+#endif
+}
 
 }  // namespace
 }  // namespace emu

@@ -759,6 +759,43 @@ TEST(TopologyDeathTest, UnbalancedHubUnblockAborts) {
       "blocked");
 }
 
+TEST(TopologyDeathTest, SchedulerOfAShardedBuilderAborts) {
+  EXPECT_DEATH(
+      {
+        TopologyBuilder builder(TopologyBuilder::Mode::kSharded);
+        builder.scheduler();
+      },
+      "emu: fatal: TopologyBuilder::scheduler: a sharded topology has one scheduler per "
+      "shard");
+}
+
+TEST(TopologyDeathTest, ClusterWithFewerServicesThanHostsAborts) {
+  EXPECT_DEATH(
+      {
+        LearningSwitch service;
+        ShardedTopology topo(std::vector<Service*>{&service}, HubSpecs(2));
+      },
+      "emu: fatal: ShardedTopology::ShardedTopology: 1 services for 2 hosts");
+}
+
+TEST(TopologyDeathTest, ClusterWithANullServiceAborts) {
+  EXPECT_DEATH(
+      {
+        LearningSwitch service;
+        ShardedTopology topo(std::vector<Service*>{&service, nullptr}, HubSpecs(2));
+      },
+      "emu: fatal: ShardedTopology::ShardedTopology: service 1 is null");
+}
+
+TEST(TopologyDeathTest, SendFromAHostWithNoUplinkAborts) {
+  EXPECT_DEATH(
+      {
+        TopologyBuilder builder;
+        builder.AddHost(HubSpecs(1)[0]).Send(Packet(64));
+      },
+      "emu: fatal: SimHost::Send: host 'h0' has no uplink");
+}
+
 }  // namespace chaos_plumbing
 
 }  // namespace
