@@ -146,10 +146,11 @@ class FaultRegistry {
   // chaos without any cross-thread logging at fire time.
   void LogTopoEvent(u64 tick, const std::string& site, FaultClass cls, u64 detail = 0);
 
-  // The raw log in append order. On a run where several shards sample their
-  // own points (per-direction link impairment on routed links) the append
-  // interleaving is thread-dependent; use CanonicalLog()/LogDigest() for
-  // order-independent views. Read after Run() returns.
+  // The raw log in append order. On a run where several link components
+  // sample points of one registry (per-direction impairment on the uplinks
+  // of a cluster) the append interleaving is thread-dependent; use
+  // CanonicalLog()/LogDigest() for order-independent views. Read after
+  // Run() returns.
   const std::vector<FaultEvent>& log() const { return log_; }
   u64 fired_total() const { return log_.size(); }
   // The log sorted by (tick, site, per-site fire ordinal) — a canonical
@@ -177,9 +178,10 @@ class FaultRegistry {
   std::vector<std::unique_ptr<FaultPoint>> points_;
   std::vector<CallbackTarget> callback_targets_;
   std::vector<FaultPlanEntry> armed_patterns_;  // replayed onto new points
-  // Guards log_ appends: points on different shards (per-direction link
-  // impairment across a shard cut) fire concurrently. Registration, arming,
-  // and every read stay single-threaded around Run() as before.
+  // Guards log_ appends: points in different link components (the uplinks
+  // of a cluster impaired through one registry) fire concurrently on a
+  // queued run. Registration, arming, and every read stay single-threaded
+  // around Run() as before.
   mutable std::mutex log_mu_;
   std::vector<FaultEvent> log_;
   u64 topo_seq_ = 0;  // ordinal stream for LogTopoEvent sites

@@ -55,7 +55,7 @@ class SyncFifo : public Clocked {
     // Self-announcing: Push calls AnnounceDirty on the clean→dirty
     // transition, so the scheduler commits this FIFO only on edges where
     // something was pushed (a pop leaves nothing to commit).
-    sim_.RegisterClocked(this, /*self_announcing=*/true);
+    sim_.RegisterClocked(this);
     sim_.catalog().AddElement(this, elab::NodeKind::kFifo, name_, /*no_init=*/false, depth);
   }
 

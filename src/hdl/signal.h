@@ -45,13 +45,13 @@ class Reg : public Clocked {
       : sim_(sim), name_(std::move(name)), current_(initial), next_(std::move(initial)) {
     // Self-announcing: Write() calls AnnounceDirty, so clean registers are
     // never touched by the per-edge commit sweep.
-    sim_.RegisterClocked(this, /*self_announcing=*/true);
+    sim_.RegisterClocked(this);
     sim_.catalog().AddElement(this, elab::NodeKind::kReg, name_);
   }
 
   Reg(Simulator& sim, std::string name, NoInit)
       : sim_(sim), name_(std::move(name)), no_default_(true) {
-    sim_.RegisterClocked(this, /*self_announcing=*/true);
+    sim_.RegisterClocked(this);
     sim_.catalog().AddElement(this, elab::NodeKind::kReg, name_, /*no_init=*/true);
   }
 

@@ -48,15 +48,12 @@ usize Simulator::AddProcess(HwProcess process, std::string name) {
   return index;
 }
 
-void Simulator::RegisterClocked(Clocked* element, bool self_announcing) {
+void Simulator::RegisterClocked(Clocked* element) {
   assert(element != nullptr);
 #ifdef EMU_ANALYSIS
   element->analysis_owner_ = this;
 #endif
   clocked_.push_back(element);
-  if (!self_announcing) {
-    always_commit_.push_back(element);
-  }
 }
 
 void Simulator::UnregisterClocked(Clocked* element) {
@@ -69,7 +66,6 @@ void Simulator::UnregisterClocked(Clocked* element) {
     list.erase(std::remove(list.begin(), list.end(), element), list.end());
   };
   drop(clocked_);
-  drop(always_commit_);
   drop(dirty_);
   if (element != nullptr) {
     element->commit_enqueued_ = false;
@@ -83,10 +79,8 @@ void Simulator::NotifyClockedDestroyed(Clocked* element) {
       ++dead_clocked_;
     }
   }
-  // The commit lists are walked without null checks on the fast path; a
-  // dying element must leave them immediately.
-  always_commit_.erase(std::remove(always_commit_.begin(), always_commit_.end(), element),
-                       always_commit_.end());
+  // The commit queue is walked without null checks on the fast path; a
+  // dying element must leave it immediately.
   dirty_.erase(std::remove(dirty_.begin(), dirty_.end(), element), dirty_.end());
 }
 
@@ -217,9 +211,6 @@ void Simulator::ProfiledSweepAndCommit(bool lazy) {
 }
 
 void Simulator::CommitEdge() {
-  for (Clocked* element : always_commit_) {
-    element->Commit();
-  }
   // Index loop: a Commit() that re-announces (none in the kernel do, but the
   // contract allows it) grows the queue mid-walk.
   for (usize i = 0; i < dirty_.size(); ++i) {

@@ -24,12 +24,12 @@
 //     per process per edge. Sleeps are absolute wake cycles (no per-edge
 //     decrement), which also makes FastForward O(1).
 //
-//   * Commits are demand-driven. Elements whose mutators announce themselves
-//     (SyncFifo, Reg, Bram, Cam — RegisterClocked(self_announcing=true))
-//     are committed only on edges where they actually buffered something
-//     (AnnounceDirty → dirty queue); a clean element's Commit() is an
-//     idempotent no-op by kernel invariant, so skipping it is invisible.
-//     Elements that never announce stay on the unconditional commit list.
+//   * Commits are demand-driven. Every Clocked element (SyncFifo, Reg,
+//     Bram, Cam, LogicCam) announces itself from the mutator that buffers
+//     a write, and is committed only on edges where it actually buffered
+//     something (AnnounceDirty → dirty queue); a clean element's Commit()
+//     is an idempotent no-op by kernel invariant, so skipping it is
+//     invisible.
 //
 //   * Coroutine frames bump-allocate from the Simulator's arena when design
 //     construction is wrapped in a CoroFrameArenaScope (NetFpgaPipeline does
@@ -104,9 +104,8 @@ class Clocked {
   // True when the next Commit() would apply buffered state (a written Reg, a
   // pending FIFO push, a buffered BRAM/CAM write, ...). The scheduler only
   // fast-forwards across a quiescent window when every registered element
-  // reports no pending commit; the conservative default pins subclasses that
-  // do not implement the query to exact per-edge stepping.
-  virtual bool CommitPending() const { return true; }
+  // reports no pending commit.
+  virtual bool CommitPending() const = 0;
 
  private:
   friend class Simulator;
@@ -215,21 +214,19 @@ class Simulator {
   // its read/write sets.
   usize AddProcess(HwProcess process, std::string name);
 
-  // Clocked elements register themselves on construction. `self_announcing`
-  // elements promise that every mutation that can leave them with a pending
-  // commit calls AnnounceDirty(); the scheduler then commits them only on
-  // dirty edges. Elements registered without the promise are committed on
-  // every executed edge (the conservative default).
+  // Clocked elements register themselves on construction, and promise that
+  // every mutation that can leave them with a pending commit calls
+  // AnnounceDirty(); the scheduler commits them only on dirty edges.
   //
   // LIFETIME RULE: a Clocked element and its Simulator may be destroyed in
   // either order, but Step() must never run after any registered element has
   // died (element destructors deliberately do not unregister, so a design
   // and its simulator can be torn down together in any member order).
   // UnregisterClocked exists for dynamic reconfiguration of a live design.
-  void RegisterClocked(Clocked* element, bool self_announcing = false);
+  void RegisterClocked(Clocked* element);
   void UnregisterClocked(Clocked* element);
 
-  // Enqueues a self-announcing element for commit on the current edge.
+  // Enqueues an element for commit on the current edge.
   // Idempotent per edge; called by the element's mutators on the clean→dirty
   // transition.
   void AnnounceDirty(Clocked* element) {
@@ -456,8 +453,7 @@ class Simulator {
   std::vector<Slot> sched_;  // parallel to processes_
   elab::Catalog catalog_;
   std::vector<Clocked*> clocked_;         // every registered element (master list)
-  std::vector<Clocked*> always_commit_;   // subset committed on every edge
-  std::vector<Clocked*> dirty_;           // self-announcing elements pending commit
+  std::vector<Clocked*> dirty_;           // elements pending commit this edge
   HazardMonitor* monitor_ = nullptr;
   isize current_process_ = -1;
   usize dead_clocked_ = 0;

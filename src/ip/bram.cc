@@ -12,7 +12,7 @@ Bram::Bram(Simulator& sim, std::string name, usize words, usize word_bits)
   assert(words > 0);
   assert(word_bits > 0 && word_bits <= 64);
   AddResources(BramResources(words * word_bits));
-  sim.RegisterClocked(this, /*self_announcing=*/true);
+  sim.RegisterClocked(this);
   sim.catalog().AddElement(this, elab::NodeKind::kBram, this->name());
 }
 

@@ -87,8 +87,9 @@ struct ShardAggregate {
 // Collects wall-clock epoch records from a ParallelRunner (AttachPulse).
 // Recording discipline: BeginRun / RecordPlan / RecordShardEpoch /
 // RecordEpochMode / EndRun are calling-thread-only calls (the
-// single-threaded sections between epochs); NowNs() is safe from pool
-// threads (it only reads the base stamp set in BeginRun).
+// single-threaded sections between epochs); NowNs() is safe from the
+// threads a queued run starts (it only reads the base stamp set in
+// BeginRun, before they start).
 //
 // Detail records are bounded: past `max_records` per-epoch entries the
 // recorder keeps the prefix and counts the rest in dropped_records(), while
@@ -109,10 +110,10 @@ class RunnerPulse {
   void RecordShardEpoch(const ShardEpochRecord& record);
   // Counts one closed epoch as inline (its component ran on the calling
   // thread alone) or parallel (a run with two or more busy components
-  // queued it on the runner's pool, threads > 1). The split follows from
-  // the thread count and the busy components, not from host timing, but it
-  // differs across thread counts, so no digest or cross-thread-count
-  // comparison may include it.
+  // queued it, threads > 1). The split follows from the thread count and
+  // the busy components, not from host timing, but it differs across
+  // thread counts, so no digest or cross-thread-count comparison may
+  // include it.
   void RecordEpochMode(bool parallel);
 
   usize shard_count() const { return shard_count_; }

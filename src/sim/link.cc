@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/common/fatal.h"
 #include "src/core/metrics.h"
 #include "src/obs/trace_hooks.h"
 
@@ -10,7 +11,10 @@ namespace emu {
 
 void Link::EnableImpairment(bool to_b, FaultRegistry& registry, const std::string& name) {
   std::unique_ptr<FrameImpairer>& slot = to_b ? impairer_to_b_ : impairer_to_a_;
-  assert(slot == nullptr && "direction already impaired");
+  if (slot != nullptr) {
+    Fatal("Link::EnableImpairment", "direction to_%s is already impaired (points '%s')",
+          to_b ? "b" : "a", name.c_str());
+  }
   slot = std::make_unique<FrameImpairer>(registry, name);
 }
 
@@ -34,11 +38,10 @@ Picoseconds Link::MinTransitPs() const {
 }
 
 void Link::Transmit(Packet frame, bool to_b) {
-  const usize dir = to_b ? 1 : 0;
   if (to_b ? gate_to_b_ : gate_to_a_) {
     // Partitioned direction: the frame never reaches the wire, so it charges
     // no occupancy and leaves the busy window untouched.
-    ++gated_dropped_[dir];
+    ++gated_dropped_;
     return;
   }
   EventScheduler& clock = SchedulerFor(to_b);
@@ -57,16 +60,16 @@ void Link::Transmit(Packet frame, bool to_b) {
     const FrameImpairer::Decision decision =
         imp->Decide(static_cast<u64>(clock.now()), frame.size());
     if (decision.drop) {
-      ++dropped_[dir];
+      ++dropped_;
       return;
     }
     if (decision.corrupt_bit != FrameImpairer::kNoCorrupt) {
       FrameImpairer::FlipBit(frame, decision.corrupt_bit);
-      ++corrupted_[dir];
+      ++corrupted_;
     }
     if (decision.duplicate) {
       // The copy occupies the wire like a real retransmission would.
-      ++duplicated_[dir];
+      ++duplicated_;
       Packet copy = frame;
       busy_until += serialization;
       Deliver(std::move(copy), to_b, busy_until + propagation_delay_);
@@ -101,7 +104,7 @@ void Link::Deliver(Packet frame, bool to_b, Picoseconds arrival) {
   }
   Receiver& receiver = to_b ? end_b_ : end_a_;
   scheduler_.At(arrival, [this, &receiver, frame = std::move(frame)]() mutable {
-    delivered_.fetch_add(1, std::memory_order_relaxed);
+    ++delivered_;
     receiver(std::move(frame));
   });
 }
@@ -109,7 +112,7 @@ void Link::Deliver(Packet frame, bool to_b, Picoseconds arrival) {
 void Link::CompleteRemote(Packet frame, bool to_b) {
   Receiver& receiver = to_b ? end_b_ : end_a_;
   assert(receiver && "remote delivery on an unattached link end");
-  delivered_.fetch_add(1, std::memory_order_relaxed);
+  ++delivered_;
   receiver(std::move(frame));
 }
 

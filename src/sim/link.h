@@ -17,7 +17,6 @@
 #ifndef SRC_SIM_LINK_H_
 #define SRC_SIM_LINK_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -63,7 +62,8 @@ class Link {
   // direction's sending shard in its deterministic event order, so the
   // streams replay bit-exactly for any thread count. The two directions must
   // use distinct names — sharing a prefix would share FaultPoints (and their
-  // RNG streams) across two sender shards.
+  // RNG streams) across two sender shards. A direction is impaired once; a
+  // second call for it aborts, in every build type.
   void EnableImpairment(bool to_b, FaultRegistry& registry, const std::string& name);
 
   bool impaired() const { return impairer_to_b_ != nullptr || impairer_to_a_ != nullptr; }
@@ -77,8 +77,8 @@ class Link {
   // dropped (and counted) instead of transmitted — an asymmetric cable cut.
   // Gating is checked sender-side in Transmit, so on a cross-shard link the
   // gate must only be toggled from the sending shard (schedule the toggle on
-  // the sender's EventScheduler); the counters then stay shard-local and
-  // thread-count independent.
+  // the sender's EventScheduler); the toggle then falls at the same point of
+  // the sender's event order, and the counts match, at any thread count.
   void SetGate(bool to_b, bool blocked) { (to_b ? gate_to_b_ : gate_to_a_) = blocked; }
   bool gated(bool to_b) const { return to_b ? gate_to_b_ : gate_to_a_; }
 
@@ -97,14 +97,14 @@ class Link {
   // lookahead a parallel run may advance a receiving shard by.
   Picoseconds MinTransitPs() const;
 
-  // Counters are kept per direction (each direction's Transmit runs on its
-  // own sending shard, so a shared counter would race on a routed link); the
-  // accessors sum both. Read after Run() returns, as with all sim counters.
-  u64 delivered() const { return delivered_.load(std::memory_order_relaxed); }
-  u64 dropped() const { return dropped_[0] + dropped_[1]; }
-  u64 corrupted() const { return corrupted_[0] + corrupted_[1]; }
-  u64 duplicated() const { return duplicated_[0] + duplicated_[1]; }
-  u64 gated_dropped() const { return gated_dropped_[0] + gated_dropped_[1]; }
+  // Counters over both directions. A routed link joins its two shards into
+  // one link component, which one thread runs at a time, so both ends bump
+  // them without a lock. Read after Run() returns, as with all sim counters.
+  u64 delivered() const { return delivered_; }
+  u64 dropped() const { return dropped_; }
+  u64 corrupted() const { return corrupted_; }
+  u64 duplicated() const { return duplicated_; }
+  u64 gated_dropped() const { return gated_dropped_; }
 
   // Registers delivered/dropped/corrupted/duplicated as counters under
   // `prefix` (e.g. "link.uplink0").
@@ -130,15 +130,11 @@ class Link {
   Receiver end_b_;
   Picoseconds busy_until_a_to_b_ = 0;
   Picoseconds busy_until_b_to_a_ = 0;
-  // `delivered_` is bumped on the receiving shard's thread while the sender
-  // bumps the impairment counters; atomic keeps the cross-shard counter safe
-  // without a lock (relaxed: counters, not synchronization).
-  std::atomic<u64> delivered_{0};
-  // Index 0: the to_a direction; index 1: to_b. Bumped sender-side only.
-  u64 dropped_[2] = {0, 0};
-  u64 corrupted_[2] = {0, 0};
-  u64 duplicated_[2] = {0, 0};
-  u64 gated_dropped_[2] = {0, 0};
+  u64 delivered_ = 0;  // bumped by the receiving end
+  u64 dropped_ = 0;    // these four sender-side, in Transmit
+  u64 corrupted_ = 0;
+  u64 duplicated_ = 0;
+  u64 gated_dropped_ = 0;
   bool gate_to_b_ = false;  // partition gates, per direction
   bool gate_to_a_ = false;
   RemoteRoute remote_a_;  // deliveries toward end A

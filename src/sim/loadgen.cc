@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/common/fatal.h"
 #include "src/core/metrics.h"
 
 namespace emu {
@@ -17,7 +18,9 @@ void LoadgenReport::RegisterMetrics(MetricsRegistry& registry,
 
 LoadgenReport OsntLoadgen::RunFixedRate(FpgaTarget& target, const FrameFactory& factory,
                                         const FixedRateConfig& config) {
-  assert(!config.ports.empty());
+  if (config.ports.empty()) {
+    Fatal("OsntLoadgen::RunFixedRate", "no ingress ports to spread frames over");
+  }
   LoadgenReport report;
   report.offered_mqps = config.offered_mqps;
 

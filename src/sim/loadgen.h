@@ -57,7 +57,8 @@ class OsntLoadgen {
   };
 
   // Replays `frames` frames at the offered rate and reports achieved rate,
-  // loss, and per-frame latency.
+  // loss, and per-frame latency. An empty `ports` list aborts, in every
+  // build type.
   static LoadgenReport RunFixedRate(FpgaTarget& target, const FrameFactory& factory,
                                     const FixedRateConfig& config);
 

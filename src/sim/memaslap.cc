@@ -1,15 +1,20 @@
 #include "src/sim/memaslap.h"
 
-#include <cassert>
 #include <cstdio>
 
+#include "src/common/fatal.h"
 #include "src/net/udp.h"
 
 namespace emu {
 
 MemaslapLoadgen::MemaslapLoadgen(MemaslapConfig config)
     : config_(config), rng_(config.seed) {
-  assert(config_.key_bytes >= 4);
+  if (config_.key_bytes < 4) {
+    Fatal("MemaslapLoadgen", "key_bytes %zu is below 4", config_.key_bytes);
+  }
+  if (config_.key_space == 0) {
+    Fatal("MemaslapLoadgen", "key_space is 0: no key to draw");
+  }
 }
 
 std::string MemaslapLoadgen::KeyName(usize key) const {

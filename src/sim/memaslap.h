@@ -31,6 +31,7 @@ struct MemaslapConfig {
 
 class MemaslapLoadgen {
  public:
+  // Aborts, in every build type, when key_bytes < 4 or key_space == 0.
   explicit MemaslapLoadgen(MemaslapConfig config);
 
   // SET frames that populate every key once.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -15,57 +16,12 @@ namespace {
 
 constexpr Picoseconds kNever = std::numeric_limits<Picoseconds>::max();
 
-// Barrier words (see the header): bit 0 is the parked flag, the count or
-// generation sits above it.
-constexpr u32 kParked = 1;
-constexpr u32 kStep = 2;
-
-// A waiter spins this many `pause` iterations (~70 us on a 4-vCPU Xeon)
-// before it parks: long enough that back-to-back queued runs (a run in
-// chunks, a few microseconds apart) find the pool awake; short enough that
-// a pool idle between runs, a join behind a worker's last slice or an
-// oversubscribed host does not burn a core per waiter.
-constexpr u32 kSpinIterations = 4'000;
-
-// A worker in a queued run holds a component for whole epochs until it has
+// A thread in a queued run holds a component for whole epochs until it has
 // run this many events, then queues it again: long enough that the queue
 // lock and the hand-over cost nothing against the slice (~3 ms of
 // memcached-cluster work on a 4-vCPU Xeon), short enough that three
-// workers sharing four components finish within one slice of each other.
+// threads sharing four components finish within one slice of each other.
 constexpr u64 kSliceEvents = 4'096;
-
-void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-// Waits until `done(word)`: spins, then parks with the parked bit set.
-template <typename Done>
-void SpinThenPark(std::atomic<u32>& word, Done done) {
-  u32 cur = word.load(std::memory_order_acquire);
-  for (u32 spin = 0; spin < kSpinIterations && !done(cur); ++spin) {
-    CpuRelax();
-    cur = word.load(std::memory_order_acquire);
-  }
-  while (!done(cur)) {
-    if ((cur & kParked) == 0 &&
-        !word.compare_exchange_weak(cur, cur | kParked, std::memory_order_acquire)) {
-      continue;  // `cur` was reloaded
-    }
-    word.wait(cur | kParked, std::memory_order_acquire);
-    cur = word.load(std::memory_order_acquire);
-  }
-}
-
-// Stores `value` into a barrier word and wakes its waiters if one parked.
-void Publish(std::atomic<u32>& word, u32 value) {
-  if ((word.exchange(value, std::memory_order_release) & kParked) != 0) {
-    word.notify_all();
-  }
-}
 
 [[noreturn]] void CutFatal(u64 link_id, usize from, usize to, const char* what) {
   Fatal("ParallelRunner::ConnectDirection", "link %llu from shard %zu to shard %zu: %s",
@@ -93,7 +49,7 @@ struct ParallelRunner::Component {
 
 ParallelRunner::ParallelRunner() = default;
 
-ParallelRunner::~ParallelRunner() { StopPool(); }
+ParallelRunner::~ParallelRunner() = default;
 
 usize ParallelRunner::AddShard(EventScheduler& scheduler) {
   auto shard = std::make_unique<Shard>();
@@ -123,7 +79,6 @@ void ParallelRunner::ConnectDirection(Link& link, bool to_b, usize from, usize t
   receiver.inbound.push_back(InboundEdge{.from = from, .lookahead = lookahead});
   link.RouteRemote(to_b, *shards_[from]->scheduler, link_id,
                    [&receiver, &link, to_b](Link::RemoteFrame rf) {
-                     std::lock_guard<std::mutex> lock(receiver.inbox_mu);
                      receiver.inbox.push_back(PendingDelivery{
                          rf.arrival, rf.link_id, rf.seq, &link, to_b, std::move(rf.frame)});
                    });
@@ -170,16 +125,13 @@ bool ParallelRunner::PlanEpoch(Component& comp) {
   u64 drained = 0;
   // Drain every inbox in canonical (arrival, link, seq) order so the
   // receiving scheduler's tie-break sequence numbers are independent of the
-  // order worker threads pushed the frames.
+  // order the senders pushed the frames.
   for (const usize index : comp.shards) {
     Shard& shard = *shards_[index];
-    {
-      std::lock_guard<std::mutex> lock(shard.inbox_mu);
-      if (shard.inbox.empty()) {
-        continue;
-      }
-      comp.drain.swap(shard.inbox);
+    if (shard.inbox.empty()) {
+      continue;
     }
+    comp.drain.swap(shard.inbox);
     std::sort(comp.drain.begin(), comp.drain.end(),
               [](const PendingDelivery& a, const PendingDelivery& b) {
                 return std::tie(a.arrival, a.link_id, a.seq) <
@@ -322,8 +274,9 @@ void ParallelRunner::RunShardEpoch(Shard& shard) {
     obs::BindThreadToShard(session, shard.index);
   }
   if (pulse_ != nullptr) {
-    // Worker-side wall stamps: safe concurrently (NowNs only reads the run
-    // base) and each worker owns its component's shards for the slice.
+    // Wall stamps taken on the thread running the slice: safe concurrently
+    // (NowNs only reads the run base), and that thread owns the component's
+    // shards for the slice.
     shard.work_begin_ns = pulse_->NowNs();
     shard.epoch_executed = shard.scheduler->RunWhileBefore(shard.horizon, shard.budget);
     shard.work_end_ns = pulse_->NowNs();
@@ -341,7 +294,7 @@ void ParallelRunner::RunQueue() {
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       if (queue_.empty()) {
-        // Every component still unfinished is held by a worker that queues
+        // Every component still unfinished is held by a thread that queues
         // it again (and can take it back) after its slice.
         return;
       }
@@ -369,61 +322,9 @@ bool ParallelRunner::RunSlice(Component& comp) {
   return true;
 }
 
-void ParallelRunner::RunOnPool() {
-  working_.store(static_cast<u32>(threads_ - 1) * kStep, std::memory_order_relaxed);
-  start_word_ += kStep;
-  Publish(start_, start_word_);
-  RunQueue();
-  SpinThenPark(working_, [](u32 w) { return w < kStep; });
-}
-
-void ParallelRunner::PoolLoop(u32 seen) {
-  for (;;) {
-    SpinThenPark(start_, [seen](u32 s) { return (s & ~kParked) != seen; });
-    seen += kStep;  // the calling thread publishes one generation at a time
-    if (stopping_) {
-      return;
-    }
-    RunQueue();
-    if (working_.fetch_sub(kStep, std::memory_order_acq_rel) == (kStep | kParked)) {
-      working_.notify_all();
-    }
-  }
-}
-
-void ParallelRunner::StartPool() {
-  pool_.reserve(threads_ - 1);
-  try {
-    for (usize w = 1; w < threads_; ++w) {
-      pool_.emplace_back([this, seen = start_word_] { PoolLoop(seen); });
-    }
-  } catch (...) {
-    StopPool();
-    throw;
-  }
-}
-
-void ParallelRunner::StopPool() {
-  if (pool_.empty()) {
-    return;
-  }
-  stopping_ = true;
-  start_word_ += kStep;
-  Publish(start_, start_word_);
-  for (std::thread& thread : pool_) {
-    thread.join();
-  }
-  pool_.clear();
-  stopping_ = false;
-}
-
 u64 ParallelRunner::Run(const ParallelRunOptions& opts) {
   const usize threads =
       std::max<usize>(1, std::min(opts.threads, shards_.size()));
-  if (threads != threads_) {
-    StopPool();
-    threads_ = threads;
-  }
   if (components_stale_) {
     FindComponents();
   }
@@ -439,8 +340,7 @@ u64 ParallelRunner::Run(const ParallelRunOptions& opts) {
   std::vector<Component*> busy;
   usize busy_shards = 0;
   const auto has_work = [this](usize s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.inbox_mu);
+    const Shard& shard = *shards_[s];
     return !shard.scheduler->Empty() || !shard.inbox.empty();
   };
   for (auto& comp : components_) {
@@ -456,12 +356,17 @@ u64 ParallelRunner::Run(const ParallelRunOptions& opts) {
         1, budget / busy_shards * size + budget % busy_shards * size / busy_shards);
     comp->executed = 0;
   }
-  if (busy.size() > 1 && threads_ > 1) {
+  if (busy.size() > 1 && threads > 1) {
     queue_.assign(busy.begin(), busy.end());
-    if (pool_.empty()) {
-      StartPool();
+    {
+      // The calling thread and one thread per further busy component (at
+      // most threads - 1) drain the queue; leaving the scope joins them.
+      std::vector<std::jthread> helpers(std::min(threads, busy.size()) - 1);
+      for (std::jthread& helper : helpers) {
+        helper = std::jthread([this] { RunQueue(); });
+      }
+      RunQueue();
     }
-    RunOnPool();
     for (Component* comp : busy) {
       Fold(*comp, /*parallel=*/true);
     }

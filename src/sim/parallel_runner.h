@@ -21,13 +21,14 @@
 // possible action is bounded through its own inbound edges, not assumed
 // infinite. Positive lookaheads guarantee both convergence of the fixpoint
 // (<= |shards| sweeps) and forward progress of at least the minimum
-// lookahead per epoch. Cross-shard frames travel
-// through per-shard inbox queues (mutex-guarded; contention is one push per
-// frame), stamped with their absolute arrival time, the routed direction's
-// id, and a per-direction FIFO sequence assigned by the sender. Between
-// epochs the runner drains each inbox in (arrival, link, seq) order — a
-// canonical order independent of thread interleaving — so the receiving
-// scheduler assigns the same tie-break sequence numbers every run.
+// lookahead per epoch. Cross-shard frames travel through per-shard inboxes,
+// stamped with their absolute arrival time, the routed direction's id, and
+// a per-direction FIFO sequence assigned by the sender. A shard's senders
+// and its drain belong to one component, which one thread runs at a time,
+// so an inbox needs no lock. Between epochs the runner drains each inbox in
+// (arrival, link, seq) order — a canonical order independent of the order
+// the senders ran in — so the receiving scheduler assigns the same
+// tie-break sequence numbers every run.
 //
 // Components: shards joined, directly or through other shards, by routed
 // link directions form one link component (a star and its hosts, a chain
@@ -48,20 +49,22 @@
 // Epoch execution: a component runs its epochs back to back on one thread,
 // its shards in index order, one slice of whole epochs at a time. That
 // thread is the calling thread, unless a run starts with two or more busy
-// components and threads > 1: then the calling thread and a pool of
-// threads - 1 threads (which lives as long as the runner) take components
-// from one shared queue, run a slice of each and queue it again. A queued
-// run costs one pool start and one join, and no barrier per epoch. Every
-// way a component is run executes the same epoch schedule, so the thread
-// count changes which thread runs a shard, never what it computes.
+// components and threads > 1: then Run() starts one thread per busy
+// component beyond the first, up to threads - 1, and they and the calling
+// thread take components from one shared queue, run a slice of each and
+// queue it again. Run() joins them before it returns, so a queued run
+// costs one start and one join per thread, and no barrier per epoch; no
+// thread outlives a Run(). The queue's mutex orders a component's
+// hand-over between threads, and the thread start and join order it
+// against the calling thread. Every way a component is run executes the
+// same epoch schedule, so the thread count changes which thread runs a
+// shard, never what it computes.
 #ifndef SRC_SIM_PARALLEL_RUNNER_H_
 #define SRC_SIM_PARALLEL_RUNNER_H_
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/sim/event_scheduler.h"
@@ -75,10 +78,11 @@ class RunnerPulse;
 
 struct ParallelRunOptions {
   // OS threads, including the calling thread. Clamped to the shard count.
-  // Only a run that starts with two or more busy link components uses more
-  // than one: they share the calling thread and threads - 1 pool threads.
-  // Any other run, and every run at 1 (the bit-exact serial reference),
-  // stays on the calling thread and starts no thread.
+  // Only a run that starts with k >= 2 busy link components uses more than
+  // one: it starts min(threads, k) - 1 threads beside the calling thread
+  // and joins them before Run() returns. Any other run, and every run at 1
+  // (the bit-exact serial reference), stays on the calling thread and
+  // starts no thread.
   usize threads = 1;
   // Event budget. It is split across the components that have work when the
   // run starts, in proportion to their shard counts (each gets at least
@@ -104,8 +108,8 @@ struct ShardCut {
 class ParallelRunner {
  public:
   ParallelRunner();
-  // Stops and joins the pool. Touches no shard: the schedulers may already
-  // be gone (TopologyBuilder destroys them first).
+  // Touches no shard: the schedulers may already be gone (TopologyBuilder
+  // destroys them first).
   ~ParallelRunner();
   ParallelRunner(const ParallelRunner&) = delete;
   ParallelRunner& operator=(const ParallelRunner&) = delete;
@@ -123,9 +127,8 @@ class ParallelRunner {
   void ConnectDirection(Link& link, bool to_b, usize from, usize to);
 
   // Runs all shards to quiescence (or the event budget); returns the number
-  // of events executed. Identical results for any `threads` value. The pool
-  // starts on the first queued run and is rebuilt when a call brings a
-  // different clamped thread count.
+  // of events executed. Identical results for any `threads` value. Every
+  // thread a call starts is joined before it returns.
   u64 Run(const ParallelRunOptions& opts = {});
 
   usize shard_count() const { return shards_.size(); }
@@ -167,7 +170,6 @@ class ParallelRunner {
     usize local = 0;  // position in its component's shard list
     EventScheduler* scheduler = nullptr;
     std::vector<InboundEdge> inbound;
-    std::mutex inbox_mu;
     std::vector<PendingDelivery> inbox;
     // Per-epoch plan, written by the plan and read when the shard's epoch
     // runs, on the thread that runs its component.
@@ -203,15 +205,9 @@ class ParallelRunner {
   // Runs a slice of whole epochs of `comp`, its shards in index order;
   // returns false once the component is quiescent or has used its share.
   bool RunSlice(Component& comp);
-  // A queued run: every worker takes components off queue_ and runs a
+  // A queued run: every thread takes components off queue_ and runs a
   // slice of each until the queue is empty.
   void RunQueue();
-
-  // Starts the pool on queue_, drains it here too and waits for the pool.
-  void RunOnPool();
-  void StartPool();
-  void StopPool();
-  void PoolLoop(u32 seen);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ShardCut> cuts_;
@@ -224,21 +220,9 @@ class ParallelRunner {
   u64 frames_drained_ = 0;
   obs::RunnerPulse* pulse_ = nullptr;
 
-  usize threads_ = 1;  // clamped thread count of the latest Run()
-  // The components waiting for a worker in a queued run.
+  // The components waiting for a thread in a queued run.
   std::mutex queue_mu_;
   std::deque<Component*> queue_;
-  // Barrier. start_ holds the run generation, working_ the number of pool
-  // threads still draining the queue, each shifted left one bit; bit 0 says
-  // a waiter has parked in atomic::wait and needs a notify. Their
-  // release/acquire pairs hand a queued run to the pool and back; queue_mu_
-  // orders a component's hand-over between workers. stopping_ is written
-  // before a start release and read after the matching acquire.
-  u32 start_word_ = 0;  // the calling thread's copy of start_
-  bool stopping_ = false;
-  alignas(64) std::atomic<u32> start_{0};
-  alignas(64) std::atomic<u32> working_{0};
-  std::vector<std::thread> pool_;  // threads_ - 1 threads once started
 };
 
 }  // namespace emu

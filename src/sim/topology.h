@@ -125,7 +125,8 @@ class TopologyBuilder {
   std::vector<Link*> uplinks_;  // parallel to hosts_
 };
 
-// Up to four hosts around one ServiceNode on a single scheduler.
+// Up to four hosts around one ServiceNode on a single scheduler. A fifth
+// host aborts in ServiceNode::AttachPort, in every build type.
 class StarTopology {
  public:
   StarTopology(Service& service, std::vector<HostSpec> hosts,
@@ -149,13 +150,14 @@ class StarTopology {
 //    Shards: the node, plus one per host.
 //  - Cluster: one service node PER host (services side by side, as in the
 //    Table 4 service-comparison setups). Shards: one per node, one per host;
-//    each node/host pair is its own link component, which the runner runs
-//    on whichever worker is free.
+//    each node/host pair is its own link component, and the runner runs
+//    the busy pairs side by side on up to `threads` threads.
 //
 // In both, every host-node link crosses a shard boundary in both
-// directions, so each ServiceNode's software-semantics work (its embedded
-// Simulator, with quiescence fast-forward) runs on its shard's worker
-// thread while the hosts' traffic generation runs on theirs.
+// directions. A star is one link component, so it runs on one thread at
+// any thread count, and like StarTopology it takes at most four hosts.
+// Each ServiceNode's software-semantics work runs in its embedded
+// Simulator, with quiescence fast-forward.
 class ShardedTopology {
  public:
   // Star shape around `service`.

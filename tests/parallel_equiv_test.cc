@@ -6,18 +6,17 @@
 // epoch totals — for every topology shape the runner supports. Each
 // scenario below runs the identical workload at threads 1/2/4/8 on fresh
 // topologies and compares full digests, the same bar kernel_equiv_test.cc
-// sets for the quiescence fast path. The runner's thread pool, its queue of
-// independent link components and the calling-thread path of a lone busy
-// component are tested here too, so the TSan job's ParallelEquivalence.* and
-// TraceDeterminism.* filters cover them.
+// sets for the quiescence fast path. The threads a queued run starts and
+// joins, its queue of independent link components and the calling-thread
+// path of a lone busy component are tested here too, so the TSan job's
+// ParallelEquivalence.* and TraceDeterminism.* filters cover them.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -92,7 +91,8 @@ long TaskCount() {
   return count;
 }
 
-void CaptureHosts(ShardedTopology& topo, std::vector<HostLog>& logs, TopoDigest& d) {
+template <typename Topology>
+void CaptureHosts(Topology& topo, std::vector<HostLog>& logs, TopoDigest& d) {
   for (usize i = 0; i < topo.host_count(); ++i) {
     d.host_digests.push_back(logs[i].digest);
     d.host_received.push_back(topo.host(i).received());
@@ -335,39 +335,40 @@ TEST(ParallelEquivalence, ShardedNatWithArmedFaultPlanBitExact) {
 
 // --- Scenario 3: memcached cluster (one service node per host) ----------------------
 
-// `drive` runs the built topology and returns the events it executed; each
-// client sends `workload` requests after its prewarm.
-TopoDigest RunShardedMemcachedCluster(const std::function<u64(ShardedTopology&)>& drive,
-                                      usize workload = 24) {
-  constexpr usize kNodes = 4;
+// `nodes` node/client pairs, wired through TopologyBuilder as the cluster
+// ShardedTopology wires them (node, then host, per pair). `drive` runs the
+// built topology and returns the events it executed; each client sends
+// `workload` requests after its prewarm.
+TopoDigest RunShardedMemcachedCluster(const std::function<u64(TopologyBuilder&)>& drive,
+                                      usize workload = 24, usize nodes = 4) {
   constexpr usize kKeySpace = 24;
 
   std::vector<std::unique_ptr<MemcachedService>> services;
-  std::vector<Service*> service_ptrs;
   std::vector<HostSpec> specs;
   std::vector<MemcachedConfig> configs;
-  for (usize i = 0; i < kNodes; ++i) {
+  TopologyBuilder topo;
+  for (usize i = 0; i < nodes; ++i) {
     MemcachedConfig config;
     config.mac = MacAddress::FromU48(0x02'00'00'00'ee'00ULL + i);
     config.ip = Ipv4Address(10, 0, 0, static_cast<u8>(200 + i));
     configs.push_back(config);
     services.push_back(std::make_unique<MemcachedService>(config));
-    service_ptrs.push_back(services.back().get());
     specs.push_back({"c" + std::to_string(i),
                      MacAddress::FromU48(0x02'00'00'00'c1'00ULL + i),
                      Ipv4Address(10, 0, 0, static_cast<u8>(50 + i))});
+    ServiceNode& node = topo.AddServiceNode(*services.back());
+    topo.LinkHostToNode(topo.AddHost(specs.back()), node, /*port=*/0, StarTopologyConfig{});
   }
-  ShardedTopology topo(service_ptrs, specs);
 
-  std::vector<HostLog> logs(kNodes);
-  for (usize i = 0; i < kNodes; ++i) {
+  std::vector<HostLog> logs(nodes);
+  for (usize i = 0; i < nodes; ++i) {
     topo.host(i).SetApp(
         [&logs, i](SimHost& h, Packet frame) { logs[i].Note(h.scheduler().now(), frame); });
   }
 
   // Each client prewarms then runs its own seeded 90/10 memaslap stream
   // against its own server node.
-  for (usize i = 0; i < kNodes; ++i) {
+  for (usize i = 0; i < nodes; ++i) {
     MemaslapConfig mc;
     mc.server_mac = configs[i].mac;
     mc.server_ip = configs[i].ip;
@@ -395,7 +396,7 @@ TopoDigest RunShardedMemcachedCluster(const std::function<u64(ShardedTopology&)>
   d.events = drive(topo);
   d.epochs = topo.runner().epochs();
   CaptureHosts(topo, logs, d);
-  for (usize i = 0; i < kNodes; ++i) {
+  for (usize i = 0; i < nodes; ++i) {
     MetricsRegistry metrics;
     services[i]->RegisterMetrics(metrics);
     FoldMetrics(d.metrics_digest, metrics);
@@ -405,7 +406,7 @@ TopoDigest RunShardedMemcachedCluster(const std::function<u64(ShardedTopology&)>
 
 TopoDigest RunShardedMemcachedCluster(usize threads, usize workload = 24) {
   return RunShardedMemcachedCluster(
-      [threads](ShardedTopology& topo) { return topo.Run({.threads = threads}); }, workload);
+      [threads](TopologyBuilder& topo) { return topo.Run({.threads = threads}); }, workload);
 }
 
 // Enough requests for several 5,000-event chunks.
@@ -420,11 +421,10 @@ TEST(ParallelEquivalence, ShardedMemcachedClusterBitExact) {
   }
 }
 
-// The runner keeps one pool across Run() calls: chunked runs reproduce one
-// run — digests, events and epochs, since a component never cuts an epoch
-// short at its share of the budget — and the pool never holds more than
-// threads - 1 OS threads. A budget of 1 gives each of the four components
-// one epoch per call.
+// Chunked runs reproduce one run — digests, events and epochs, since a
+// component never cuts an epoch short at its share of the budget — and
+// every call joins the threads it started. A budget of 1 gives each of the
+// four components one epoch per call.
 TEST(ParallelEquivalence, ChunkedRunsMatchOneRun) {
   const TopoDigest serial = RunShardedMemcachedCluster(1, kLongWorkload);
   ASSERT_GT(serial.events, 3 * 5'000u);  // several chunks
@@ -432,7 +432,7 @@ TEST(ParallelEquivalence, ChunkedRunsMatchOneRun) {
     for (usize threads : {1u, 2u, 4u}) {
       SCOPED_TRACE("budget=" + std::to_string(budget));
       long extra_threads = 0;
-      const TopoDigest chunked = RunShardedMemcachedCluster([&](ShardedTopology& topo) {
+      const TopoDigest chunked = RunShardedMemcachedCluster([&](TopologyBuilder& topo) {
         const long before = TaskCount();
         u64 events = 0;
         while (const u64 ran = topo.Run({.threads = threads, .max_events = budget})) {
@@ -442,18 +442,18 @@ TEST(ParallelEquivalence, ChunkedRunsMatchOneRun) {
         return events;
       }, kLongWorkload);
       ExpectIdentical(serial, chunked, threads);
-      EXPECT_LE(extra_threads, static_cast<long>(threads) - 1) << "threads=" << threads;
+      EXPECT_EQ(extra_threads, 0) << "threads=" << threads;
     }
   }
 }
 
-// The cluster's four busy components share the pool's queue at any thread
-// count above 1, so every one of their epochs counts as parallel.
+// The cluster's four busy components share the queue at any thread count
+// above 1, so every one of their epochs counts as parallel.
 TEST(ParallelEquivalence, EveryMultiThreadRunExecutesParallelEpochs) {
   const TopoDigest serial = RunShardedMemcachedCluster(1);
   for (usize threads : {2u, 4u}) {
     obs::RunnerPulse pulse;
-    const TopoDigest parallel = RunShardedMemcachedCluster([&](ShardedTopology& topo) {
+    const TopoDigest parallel = RunShardedMemcachedCluster([&](TopologyBuilder& topo) {
       topo.runner().AttachPulse(&pulse);
       return topo.Run({.threads = threads});
     });
@@ -464,36 +464,108 @@ TEST(ParallelEquivalence, EveryMultiThreadRunExecutesParallelEpochs) {
   }
 }
 
-// A thread-count change stops the old pool and builds a new one, mid-run;
-// a runner destroyed while its pool is parked joins it.
-TEST(ParallelEquivalence, ThreadCountChangeRebuildsThePool) {
-  // One 2,000-event call per listed count, then one to quiescence at the last.
-  const auto run = [](ShardedTopology& topo, const std::vector<usize>& schedule) {
+// Threads live for one queued run: a Run() at any thread count leaves the
+// process with the threads it found, so changing the count between chunks
+// needs nothing rebuilt, and the chunks reproduce serial chunks.
+TEST(ParallelEquivalence, ThreadCountChangesLeaveNoThreadBehind) {
+  // One 2,000-event call per listed count, then one to quiescence at the
+  // last; `left` gets each call's thread count after it minus before it.
+  const auto run = [](TopologyBuilder& topo, const std::vector<usize>& schedule,
+                      std::vector<long>& left) {
+    const auto counted = [&](const ParallelRunOptions& opts) {
+      const long before = TaskCount();
+      const u64 events = topo.Run(opts);
+      left.push_back(TaskCount() - before);
+      return events;
+    };
     u64 events = 0;
     for (usize threads : schedule) {
-      events += topo.Run({.threads = threads, .max_events = 2'000});
+      events += counted({.threads = threads, .max_events = 2'000});
     }
-    return events + topo.Run({.threads = schedule.back()});
+    return events + counted({.threads = schedule.back()});
   };
+  std::vector<long> left;
   const TopoDigest twin = RunShardedMemcachedCluster(
-      [&](ShardedTopology& topo) { return run(topo, {1, 1, 1, 1}); }, kLongWorkload);
+      [&](TopologyBuilder& topo) { return run(topo, {1, 1, 1, 1}, left); }, kLongWorkload);
   ASSERT_GT(twin.events, 4 * 2'000u);
-  const long before = TaskCount();
-  long pool_threads = 0;
+  left.clear();
   obs::RunnerPulse pulse;  // attached throughout; it reports the last Run()
-  const TopoDigest rebuilt = RunShardedMemcachedCluster([&](ShardedTopology& topo) {
+  const TopoDigest changed = RunShardedMemcachedCluster([&](TopologyBuilder& topo) {
     topo.runner().AttachPulse(&pulse);
-    const u64 events = run(topo, {4, 2, 1, 4});
-    pool_threads = TaskCount() - before;
-    // Outlast the pool's spin so it is parked when the runner is destroyed.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return events;
+    return run(topo, {4, 2, 1, 4}, left);
   }, kLongWorkload);
-  ExpectIdentical(twin, rebuilt, 4);
-  EXPECT_EQ(pool_threads, 3);
-  EXPECT_EQ(TaskCount(), before);
+  ExpectIdentical(twin, changed, 4);
+  EXPECT_EQ(left, std::vector<long>(5, 0));
   EXPECT_GT(pulse.epochs(), 0u);
   EXPECT_EQ(pulse.inline_epochs() + pulse.parallel_epochs(), pulse.epochs());
+}
+
+// A queued run starts one thread per busy component beyond the first, not
+// one per allowed thread: a 2-node cluster (four shards, two components) at
+// threads=8 runs on the calling thread and at most one more. Each client's
+// scheduler samples the thread count during the run; each client writes
+// only its own slot, since its component runs on one thread at a time.
+TEST(ParallelEquivalence, TwoComponentRunStartsAtMostOneThread) {
+  constexpr usize kNodes = 2;
+  constexpr usize kSamples = 4;
+  std::vector<long> peak(kNodes, -1);
+  std::vector<usize> samples(kNodes, 0);
+  long before = 0;
+  long after = 0;
+  const TopoDigest d = RunShardedMemcachedCluster([&](TopologyBuilder& topo) {
+    for (usize i = 0; i < kNodes; ++i) {
+      for (usize k = 0; k < kSamples; ++k) {
+        topo.host(i).scheduler().At(
+            (190 + 20 * static_cast<Picoseconds>(k)) * kPicosPerMicro, [&, i] {
+              peak[i] = std::max(peak[i], TaskCount() - before);
+              ++samples[i];
+            });
+      }
+    }
+    before = TaskCount();
+    const u64 events = topo.Run({.threads = 8});
+    after = TaskCount();
+    return events;
+  }, /*workload=*/24, kNodes);
+  EXPECT_EQ(d.host_received, (std::vector<u64>{48, 48}));
+  for (usize i = 0; i < kNodes; ++i) {
+    SCOPED_TRACE("client " + std::to_string(i));
+    EXPECT_EQ(samples[i], kSamples);
+    EXPECT_GE(peak[i], 0);
+    EXPECT_LE(peak[i], 1);
+  }
+  EXPECT_EQ(after, before);
+}
+
+// Four node/client pairs whose uplinks all register their impairment points
+// on one FaultRegistry, with a seeded plan armed on every link point: the
+// four components run concurrently on a queued run and fire points of the
+// same registry, whose log lock is then the only lock they share besides
+// the queue's. Host digests, events, epochs and the canonical fault log
+// must not depend on the thread count.
+TopoDigest RunImpairedMemcachedCluster(usize threads, u64 seed) {
+  FaultRegistry registry(seed);
+  TopoDigest d = RunShardedMemcachedCluster([&](TopologyBuilder& topo) {
+    EXPECT_EQ(topo.EnableAllUplinkImpairment(registry), 4u);
+    const Expected<FaultPlan> plan = ParseFaultPlan("link.* bernoulli 0.02");
+    EXPECT_TRUE(plan.ok());
+    registry.ArmPlan(*plan);
+    return topo.Run({.threads = threads});
+  }, kLongWorkload / 5);
+  d.faults_fired = registry.fired_total();
+  d.fault_digest = registry.LogDigest();
+  return d;
+}
+
+TEST(ParallelEquivalence, ImpairedClusterSharingOneRegistryBitExact) {
+  for (u64 seed : {3u, 11u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const TopoDigest serial = RunImpairedMemcachedCluster(1, seed);
+    EXPECT_GE(serial.faults_fired, 4u);  // or the comparison is vacuous
+    for (usize threads : {2u, 4u}) {
+      ExpectIdentical(serial, RunImpairedMemcachedCluster(threads, seed), threads);
+    }
+  }
 }
 
 // --- Scenario 4: uneven link components ---------------------------------------------
@@ -602,14 +674,7 @@ UnevenRun RunUnevenComponents(usize threads, usize budget) {
     d.events += ran;
   }
   d.epochs = topo.runner().epochs();
-  for (usize i = 0; i < topo.host_count(); ++i) {
-    d.host_digests.push_back(logs[i].digest);
-    d.host_received.push_back(topo.host(i).received());
-    d.host_sent.push_back(topo.host(i).sent());
-  }
-  for (usize i = 0; i < topo.node_count(); ++i) {
-    d.node_forwarded.push_back(topo.node(i).forwarded());
-  }
+  CaptureHosts(topo, logs, d);
   for (Service* service : {static_cast<Service*>(caches[0].get()),
                            static_cast<Service*>(caches[1].get()),
                            static_cast<Service*>(&nat_service)}) {
@@ -699,8 +764,8 @@ TEST(ParallelEquivalence, RawRunnerPingPongBitExact) {
   EXPECT_EQ(RunRawPingPong(4), serial);
 }
 
-// A ping-pong is one link component: every epoch runs inline, and no pool
-// thread is ever started.
+// A ping-pong is one link component: every epoch runs inline, and no thread
+// is ever started.
 TEST(ParallelEquivalence, SingleBusyShardEpochsRunInline) {
   obs::RunnerPulse pulse;
   long extra_threads = -1;

@@ -301,9 +301,9 @@ TEST(RunnerPulse, FourShardRunReportsPerShardDetail) {
   }
   EXPECT_GT(relaxations, 0u);  // cut edges force null-message relaxation
 
-  // Every epoch ran either inline or on the pool. Both ping-pongs have work
-  // from the start, so their two link components share the pool's queue,
-  // and each component epoch counts as parallel.
+  // Every epoch ran either inline or queued. Both ping-pongs have work from
+  // the start, so their two link components share one queue (and two
+  // threads), and each component epoch counts as parallel.
   EXPECT_EQ(pulse.inline_epochs() + pulse.parallel_epochs(), pulse.epochs());
   EXPECT_EQ(pulse.parallel_epochs(), pulse.epochs());
 

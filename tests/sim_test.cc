@@ -796,6 +796,77 @@ TEST(TopologyDeathTest, SendFromAHostWithNoUplinkAborts) {
       "emu: fatal: SimHost::Send: host 'h0' has no uplink");
 }
 
+// A star has one ServiceNode with four ports; the fifth host's link aborts
+// in ServiceNode::AttachPort, flat or sharded.
+TEST(TopologyDeathTest, StarWithFiveHostsAborts) {
+  EXPECT_DEATH(
+      {
+        LearningSwitch service;
+        StarTopology topo(service, HubSpecs(5));
+      },
+      "emu: fatal: ServiceNode::AttachPort: port 4 out of range \\(4 ports\\)");
+}
+
+TEST(TopologyDeathTest, ShardedStarWithFiveHostsAborts) {
+  EXPECT_DEATH(
+      {
+        LearningSwitch service;
+        ShardedTopology topo(service, HubSpecs(5));
+      },
+      "emu: fatal: ServiceNode::AttachPort: port 4 out of range \\(4 ports\\)");
+}
+
+// --- Simulator configuration: checked in every build type ---------------------------
+//
+// Under NDEBUG an unchecked second impairer would silently replace the
+// first, and the loadgens would divide by zero or build colliding keys.
+
+TEST(SimConfigDeathTest, ImpairingALinkDirectionTwiceAborts) {
+  EXPECT_DEATH(
+      {
+        EventScheduler scheduler;
+        Link link(scheduler, 10'000'000'000ULL, 1000);
+        FaultRegistry registry(1);
+        link.EnableImpairment(/*to_b=*/true, registry, "wire.up");
+        link.EnableImpairment(/*to_b=*/false, registry, "wire.down");
+        link.EnableImpairment(/*to_b=*/true, registry, "wire.again");
+      },
+      "emu: fatal: Link::EnableImpairment: direction to_b is already impaired "
+      "\\(points 'wire.again'\\)");
+}
+
+TEST(SimConfigDeathTest, MemaslapKeyBytesBelowFourAborts) {
+  EXPECT_DEATH(
+      {
+        MemaslapConfig config;
+        config.key_bytes = 3;
+        MemaslapLoadgen loadgen(config);
+      },
+      "emu: fatal: MemaslapLoadgen: key_bytes 3 is below 4");
+}
+
+TEST(SimConfigDeathTest, MemaslapEmptyKeySpaceAborts) {
+  EXPECT_DEATH(
+      {
+        MemaslapConfig config;
+        config.key_space = 0;
+        MemaslapLoadgen loadgen(config);
+      },
+      "emu: fatal: MemaslapLoadgen: key_space is 0");
+}
+
+TEST(SimConfigDeathTest, FixedRateWithNoPortsAborts) {
+  EXPECT_DEATH(
+      {
+        IcmpEchoService service(IcmpEchoConfig{});
+        FpgaTarget target(service);
+        OsntLoadgen::FixedRateConfig rate;
+        rate.ports.clear();
+        OsntLoadgen::RunFixedRate(target, [](usize, u8) { return Packet(64); }, rate);
+      },
+      "emu: fatal: OsntLoadgen::RunFixedRate: no ingress ports");
+}
+
 }  // namespace chaos_plumbing
 
 }  // namespace
