@@ -31,3 +31,14 @@ add_test(NAME microbench_chain_rejects_bad_threads
          COMMAND ${CMAKE_COMMAND} -DEXE=$<TARGET_FILE:microbench_chain>
                  "-DARGS=--threads x --check" -DEXPECTED_EXIT=2
                  -P ${CMAKE_SOURCE_DIR}/tests/expect_exit.cmake)
+
+# The paper tables are deterministic: each run must print its golden stdout
+# byte for byte (tests/golden/table{3,4,5}.txt).
+foreach(table table3_switch_comparison table4_service_comparison table5_debug_overhead)
+  string(REGEX MATCH "^table[0-9]" short ${table})
+  add_test(NAME ${short}_matches_golden
+           COMMAND ${CMAKE_COMMAND} -DEXE=$<TARGET_FILE:${table}>
+                   -DGOLDEN=${CMAKE_SOURCE_DIR}/tests/golden/${short}.txt
+                   -DACTUAL=${CMAKE_BINARY_DIR}/${short}.actual.txt
+                   -P ${CMAKE_SOURCE_DIR}/tests/expect_stdout.cmake)
+endforeach()

@@ -49,36 +49,27 @@ void BitUtil::Set48(std::span<u8> buf, usize offset, u64 value) { SetBE(buf, off
 
 void BitUtil::Set64(std::span<u8> buf, usize offset, u64 value) { SetBE(buf, offset, 8, value); }
 
+// A field of `width` <= 32 bits starting at any bit spans at most 5 bytes;
+// both accessors read (and SetBits writes back) those bytes as one
+// big-endian word.
 u32 BitUtil::GetBits(std::span<const u8> buf, usize byte_offset, usize bit_offset, usize width) {
   assert(width > 0 && width <= 32);
-  u32 out = 0;
-  for (usize i = 0; i < width; ++i) {
-    const usize abs_bit = byte_offset * 8 + bit_offset + i;
-    const usize byte = abs_bit / 8;
-    const usize bit_in_byte = abs_bit % 8;  // 0 = MSB
-    assert(byte < buf.size());
-    const u32 bit = (buf[byte] >> (7 - bit_in_byte)) & 1u;
-    out = (out << 1) | bit;
-  }
-  return out;
+  const usize first_bit = byte_offset * 8 + bit_offset;
+  const usize nbytes = (first_bit % 8 + width + 7) / 8;
+  const u64 word = GetBE(buf, first_bit / 8, nbytes);
+  const usize shift = nbytes * 8 - first_bit % 8 - width;
+  return static_cast<u32>((word >> shift) & ((u64{1} << width) - 1));
 }
 
 void BitUtil::SetBits(std::span<u8> buf, usize byte_offset, usize bit_offset, usize width,
                       u32 value) {
   assert(width > 0 && width <= 32);
-  for (usize i = 0; i < width; ++i) {
-    const usize abs_bit = byte_offset * 8 + bit_offset + i;
-    const usize byte = abs_bit / 8;
-    const usize bit_in_byte = abs_bit % 8;
-    assert(byte < buf.size());
-    const u8 mask = static_cast<u8>(1u << (7 - bit_in_byte));
-    const bool bit = (value >> (width - 1 - i)) & 1u;
-    if (bit) {
-      buf[byte] |= mask;
-    } else {
-      buf[byte] &= static_cast<u8>(~mask);
-    }
-  }
+  const usize first_bit = byte_offset * 8 + bit_offset;
+  const usize nbytes = (first_bit % 8 + width + 7) / 8;
+  const usize shift = nbytes * 8 - first_bit % 8 - width;
+  const u64 mask = ((u64{1} << width) - 1) << shift;
+  const u64 word = GetBE(buf, first_bit / 8, nbytes);
+  SetBE(buf, first_bit / 8, nbytes, (word & ~mask) | ((u64{value} << shift) & mask));
 }
 
 }  // namespace emu

@@ -43,9 +43,9 @@ TcpWrapper::TcpWrapper(NetFpgaData& dataplane)
   }
 }
 
-UdpWrapper::UdpWrapper(NetFpgaData& dataplane)
-    : UdpView(dataplane.tdata, L4Offset(dataplane.tdata, IpProtocol::kUdp)),
-      reachable_(L4Offset(dataplane.tdata, IpProtocol::kUdp) != 0) {}
+UdpWrapper::UdpWrapper(Packet& frame)
+    : UdpView(frame, L4Offset(frame, IpProtocol::kUdp)),
+      reachable_(L4Offset(frame, IpProtocol::kUdp) != 0) {}
 
 IcmpWrapper::IcmpWrapper(NetFpgaData& dataplane)
     : IcmpView(dataplane.tdata, L4Offset(dataplane.tdata, IpProtocol::kIcmp)),

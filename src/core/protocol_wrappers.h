@@ -69,7 +69,8 @@ class TcpWrapper : public TcpView {
 
 class UdpWrapper : public UdpView {
  public:
-  explicit UdpWrapper(NetFpgaData& dataplane);
+  explicit UdpWrapper(NetFpgaData& dataplane) : UdpWrapper(dataplane.tdata) {}
+  explicit UdpWrapper(Packet& frame);
   bool Reachable() const { return reachable_ && Valid(); }
 
  private:

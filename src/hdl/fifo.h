@@ -184,8 +184,6 @@ class SyncFifo : public Clocked {
     }
   }
 
-  bool CommitPending() const override { return pending_ > 0; }
-
  private:
   bool CanPushRaw() const { return !Stalled() && count_ + pending_ < depth_; }
 

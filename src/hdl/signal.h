@@ -104,6 +104,8 @@ class Reg : public Clocked {
     next_ = static_cast<T>(next_ ^ mask);
   }
 
+  // A clean register has current_ == next_ (InjectBitFlip flips both), so
+  // skipping its Commit() across a quiescent window is a no-op.
   void Commit() override {
     if (dirty_) {
       // The committed value may differ from what a parked WaitUntil
@@ -115,10 +117,6 @@ class Reg : public Clocked {
     }
     current_ = next_;
   }
-
-  // A clean register has current_ == next_ (InjectBitFlip flips both), so
-  // skipping its Commit() across a quiescent window is a no-op.
-  bool CommitPending() const override { return dirty_; }
 
  private:
   Simulator& sim_;

@@ -379,18 +379,13 @@ Cycle Simulator::QuiescentWindow(Cycle budget) {
         return 0;
     }
   }
-  if (window > 0) {
-    // Buffered writes (testbench code mutating a Reg/FIFO/BRAM between Run
-    // calls, or a process's writes from the edge it went to sleep on) need a
-    // real edge to commit before time may jump.
-    if (!dirty_.empty()) {
-      return 0;
-    }
-    for (const Clocked* element : clocked_) {
-      if (element->CommitPending()) {
-        return 0;
-      }
-    }
+  // Buffered writes (testbench code mutating a Reg/FIFO/BRAM/CAM between Run
+  // calls, or a process's writes from the edge it went to sleep on) need a
+  // real edge to commit before time may jump. Every mutator announces its
+  // element on the dirty queue, and the commit edge commits only that queue,
+  // so the queue alone says whether a commit is pending.
+  if (!dirty_.empty()) {
+    return 0;
   }
   return window;
 }

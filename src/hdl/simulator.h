@@ -101,12 +101,6 @@ class Clocked {
   virtual ~Clocked();
   virtual void Commit() = 0;
 
-  // True when the next Commit() would apply buffered state (a written Reg, a
-  // pending FIFO push, a buffered BRAM/CAM write, ...). The scheduler only
-  // fast-forwards across a quiescent window when every registered element
-  // reports no pending commit.
-  virtual bool CommitPending() const = 0;
-
  private:
   friend class Simulator;
   // Set while the element sits on its Simulator's dirty commit queue

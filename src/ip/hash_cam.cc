@@ -15,6 +15,10 @@ usize RoundUpPow2(usize v) {
   return p;
 }
 
+// Probe i of `key` reads bucket (Home(key) + i) & mask_, so one hash serves
+// every probe.
+usize Home(u64 key) { return static_cast<usize>(PearsonHash64(key)); }
+
 }  // namespace
 
 HashCam::HashCam(Simulator& sim, std::string name, usize buckets)
@@ -25,13 +29,10 @@ HashCam::HashCam(Simulator& sim, std::string name, usize buckets)
   sim.catalog().AddElement(this, elab::NodeKind::kHashCam, this->name());
 }
 
-usize HashCam::Slot(u64 key, usize probe) const {
-  return (static_cast<usize>(PearsonHash64(key)) + probe) & mask_;
-}
-
 u64 HashCam::Read(u64 key) {
+  const usize home = Home(key);
   for (usize probe = 0; probe < kProbeLimit; ++probe) {
-    const Bucket& bucket = table_[Slot(key, probe)];
+    const Bucket& bucket = table_[(home + probe) & mask_];
     if (bucket.valid && bucket.key == key) {
       matched_ = true;
       return bucket.index;
@@ -42,11 +43,12 @@ u64 HashCam::Read(u64 key) {
 }
 
 bool HashCam::Write(u64 key, u64 index) {
+  const usize home = Home(key);
   // HashCam is not Clocked: writes take effect immediately, so each mutation
   // announces itself to the wake-epoch protocol here instead of in Commit().
   // First pass: update in place if the key is already bound.
   for (usize probe = 0; probe < kProbeLimit; ++probe) {
-    Bucket& bucket = table_[Slot(key, probe)];
+    Bucket& bucket = table_[(home + probe) & mask_];
     if (bucket.valid && bucket.key == key) {
       bucket.index = index;
       sim().NotifyWake();
@@ -54,7 +56,7 @@ bool HashCam::Write(u64 key, u64 index) {
     }
   }
   for (usize probe = 0; probe < kProbeLimit; ++probe) {
-    Bucket& bucket = table_[Slot(key, probe)];
+    Bucket& bucket = table_[(home + probe) & mask_];
     if (!bucket.valid) {
       bucket = Bucket{true, key, index};
       sim().NotifyWake();
@@ -77,8 +79,9 @@ void HashCam::InjectBitFlip(u64 bit) {
 }
 
 void HashCam::Erase(u64 key) {
+  const usize home = Home(key);
   for (usize probe = 0; probe < kProbeLimit; ++probe) {
-    Bucket& bucket = table_[Slot(key, probe)];
+    Bucket& bucket = table_[(home + probe) & mask_];
     if (bucket.valid && bucket.key == key) {
       bucket.valid = false;
       sim().NotifyWake();

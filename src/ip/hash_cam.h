@@ -54,8 +54,6 @@ class HashCam : public Module {
     u64 index = 0;
   };
 
-  usize Slot(u64 key, usize probe) const;
-
   std::vector<Bucket> table_;
   usize mask_;
   bool matched_ = false;

@@ -30,15 +30,20 @@ u64 HashBytes(std::span<const u8> data) {
   if (data.empty()) {
     return 0;
   }
+  // Widening trick: lane i starts from a lane-specific permutation of the
+  // first byte, then all lanes absorb the same stream, side by side.
+  std::array<u8, 8> lanes{};
+  for (usize lane = 0; lane < 8; ++lane) {
+    lanes[lane] = kPermutation[static_cast<u8>(data[0] + lane)];
+  }
+  for (const u8 byte : data.subspan(1)) {
+    for (u8& h : lanes) {
+      h = Lane(h, byte);
+    }
+  }
   u64 digest = 0;
   for (usize lane = 0; lane < 8; ++lane) {
-    // Widening trick: lane i starts from a lane-specific permutation of the
-    // first byte, then all lanes absorb the same stream.
-    u8 h = kPermutation[static_cast<u8>(data[0] + lane)];
-    for (usize i = 1; i < data.size(); ++i) {
-      h = Lane(h, data[i]);
-    }
-    digest |= static_cast<u64>(h) << (8 * lane);
+    digest |= static_cast<u64>(lanes[lane]) << (8 * lane);
   }
   return digest;
 }
@@ -49,12 +54,12 @@ u64 PearsonHash64(std::span<const u8> data) { return HashBytes(data); }
 
 std::span<const u8> PearsonTable() { return kPermutation; }
 
-u64 PearsonHash64(u64 key, usize key_bytes) {
-  u8 bytes[8];
-  for (usize i = 0; i < key_bytes && i < 8; ++i) {
+u64 PearsonHash64(u64 key) {
+  std::array<u8, 8> bytes{};
+  for (usize i = 0; i < bytes.size(); ++i) {
     bytes[i] = static_cast<u8>(key >> (8 * i));
   }
-  return HashBytes(std::span<const u8>(bytes, key_bytes));
+  return HashBytes(bytes);
 }
 
 PearsonHashIp::PearsonHashIp(Simulator& sim, std::string name)

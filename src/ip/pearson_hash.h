@@ -21,7 +21,8 @@ namespace emu {
 // 64-bit Pearson hash: eight parallel 8-bit Pearson lanes, lane i seeded with
 // (first_byte + i) as in Pearson's original widening construction.
 u64 PearsonHash64(std::span<const u8> data);
-u64 PearsonHash64(u64 key, usize key_bytes = 8);
+// The hash of `key`'s eight bytes, least significant first.
+u64 PearsonHash64(u64 key);
 
 // The core's 256-entry permutation table (exposed for tests).
 std::span<const u8> PearsonTable();

@@ -1,5 +1,7 @@
 #include "src/net/ethernet.h"
 
+#include <algorithm>
+
 #include "src/common/bit_util.h"
 
 namespace emu {
@@ -34,15 +36,18 @@ std::span<u8> EthernetView::MutablePayload() {
 
 Packet MakeEthernetFrame(MacAddress dst, MacAddress src, EtherType type,
                          std::span<const u8> payload) {
-  Packet packet(kEthernetHeaderSize);
+  return MakeEthernetFrame(dst, src, type, 0, payload);
+}
+
+Packet MakeEthernetFrame(MacAddress dst, MacAddress src, EtherType type,
+                         usize inner_header_bytes, std::span<const u8> payload) {
+  const usize payload_offset = kEthernetHeaderSize + inner_header_bytes;
+  Packet packet(std::max(payload_offset + payload.size(), kEthernetMinFrame));
   EthernetView eth(packet);
   eth.set_destination(dst);
   eth.set_source(src);
   eth.set_ether_type(type);
-  packet.Append(payload);
-  if (packet.size() < kEthernetMinFrame) {
-    packet.Resize(kEthernetMinFrame);
-  }
+  std::ranges::copy(payload, packet.bytes().begin() + static_cast<isize>(payload_offset));
   return packet;
 }
 

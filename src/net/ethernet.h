@@ -51,6 +51,12 @@ class EthernetView {
 Packet MakeEthernetFrame(MacAddress dst, MacAddress src, EtherType type,
                          std::span<const u8> payload);
 
+// The same frame with `inner_header_bytes` zero bytes between the Ethernet
+// header and `payload`, for the layers above to write their headers into.
+// The frame is sized once, so a layered builder costs one allocation.
+Packet MakeEthernetFrame(MacAddress dst, MacAddress src, EtherType type,
+                         usize inner_header_bytes, std::span<const u8> payload);
+
 }  // namespace emu
 
 #endif  // SRC_NET_ETHERNET_H_

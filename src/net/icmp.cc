@@ -39,16 +39,13 @@ bool IcmpView::ChecksumValid(usize icmp_length) const {
 }
 
 Packet MakeIcmpEchoRequest(const IcmpEchoSpec& spec, std::span<const u8> payload) {
-  std::vector<u8> icmp(kIcmpHeaderSize, 0);
-  icmp.insert(icmp.end(), payload.begin(), payload.end());
-
   Ipv4PacketSpec ip_spec;
   ip_spec.eth_dst = spec.eth_dst;
   ip_spec.eth_src = spec.eth_src;
   ip_spec.ip_src = spec.ip_src;
   ip_spec.ip_dst = spec.ip_dst;
   ip_spec.protocol = IpProtocol::kIcmp;
-  Packet frame = MakeIpv4Packet(ip_spec, icmp);
+  Packet frame = MakeIpv4Packet(ip_spec, kIcmpHeaderSize, payload);
 
   Ipv4View ip(frame);
   IcmpView view(frame, ip.payload_offset());

@@ -90,13 +90,17 @@ std::span<u8> Ipv4View::MutablePayload() {
 }
 
 Packet MakeIpv4Packet(const Ipv4PacketSpec& spec, std::span<const u8> l4_payload) {
-  std::vector<u8> ip_packet(kIpv4MinHeaderSize, 0);
-  ip_packet.insert(ip_packet.end(), l4_payload.begin(), l4_payload.end());
+  return MakeIpv4Packet(spec, 0, l4_payload);
+}
 
-  Packet frame = MakeEthernetFrame(spec.eth_dst, spec.eth_src, EtherType::kIpv4, ip_packet);
+Packet MakeIpv4Packet(const Ipv4PacketSpec& spec, usize l4_header_bytes,
+                      std::span<const u8> l4_payload) {
+  Packet frame = MakeEthernetFrame(spec.eth_dst, spec.eth_src, EtherType::kIpv4,
+                                   kIpv4MinHeaderSize + l4_header_bytes, l4_payload);
   Ipv4View ip(frame);
   ip.SetVersionIhl(4, 5);
-  ip.set_total_length(static_cast<u16>(kIpv4MinHeaderSize + l4_payload.size()));
+  ip.set_total_length(
+      static_cast<u16>(kIpv4MinHeaderSize + l4_header_bytes + l4_payload.size()));
   ip.set_identification(spec.identification);
   ip.set_ttl(spec.ttl);
   ip.set_protocol(spec.protocol);

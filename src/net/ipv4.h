@@ -88,6 +88,11 @@ struct Ipv4PacketSpec {
 // Builds Ethernet+IPv4 around an L4 payload, checksum filled in.
 Packet MakeIpv4Packet(const Ipv4PacketSpec& spec, std::span<const u8> l4_payload);
 
+// The same frame with `l4_header_bytes` zero bytes in front of `l4_payload`,
+// for a transport builder to write its header into (one allocation).
+Packet MakeIpv4Packet(const Ipv4PacketSpec& spec, usize l4_header_bytes,
+                      std::span<const u8> l4_payload);
+
 }  // namespace emu
 
 #endif  // SRC_NET_IPV4_H_

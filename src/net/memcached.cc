@@ -1,6 +1,8 @@
 #include "src/net/memcached.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <array>
+#include <charconv>
 
 #include "src/common/bit_util.h"
 
@@ -10,13 +12,17 @@ namespace {
 constexpr u8 kMagicRequest = 0x80;
 constexpr u8 kMagicResponse = 0x81;
 
-void AppendText(std::vector<u8>& out, std::string_view text) {
-  out.insert(out.end(), text.begin(), text.end());
-}
+// The whitespace-separated tokens of one command line. No command or reply
+// has more than kMaxTokens, so only that many are kept; all are counted, so a
+// line with extra tokens fails its arity check.
+struct Tokens {
+  static constexpr usize kMaxTokens = 5;
+  std::array<std::string_view, kMaxTokens> token{};
+  usize count = 0;
+};
 
-// Splits `line` into whitespace-separated tokens.
-std::vector<std::string_view> Tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
+Tokens Tokenize(std::string_view line) {
+  Tokens tokens;
   usize pos = 0;
   while (pos < line.size()) {
     while (pos < line.size() && line[pos] == ' ') {
@@ -27,11 +33,60 @@ std::vector<std::string_view> Tokenize(std::string_view line) {
       ++pos;
     }
     if (pos > start) {
-      tokens.push_back(line.substr(start, pos - start));
+      if (tokens.count < Tokens::kMaxTokens) {
+        tokens.token[tokens.count] = line.substr(start, pos - start);
+      }
+      ++tokens.count;
     }
   }
   return tokens;
 }
+
+// One ASCII message as a list of text pieces. Numbers are formatted into the
+// object itself, so the pieces stay valid while it lives (it is neither copied
+// nor moved) and the message's size is known before a byte is written.
+class AsciiText {
+ public:
+  AsciiText() = default;
+  AsciiText(const AsciiText&) = delete;
+  AsciiText& operator=(const AsciiText&) = delete;
+
+  void Add(std::string_view text) {
+    pieces_[count_++] = text;
+    size_ += text.size();
+  }
+
+  void AddNumber(u64 value) {
+    char* digits = numbers_[numbers_used_++].data();
+    const char* end = std::to_chars(digits, digits + kMaxDigits, value).ptr;
+    Add(std::string_view(digits, static_cast<usize>(end - digits)));
+  }
+
+  usize size() const { return size_; }
+
+  // `out` holds exactly size() bytes.
+  void WriteTo(std::span<u8> out) const {
+    auto pos = out.begin();
+    for (usize i = 0; i < count_; ++i) {
+      pos = std::ranges::copy(pieces_[i], pos).out;
+    }
+  }
+
+  std::vector<u8> Bytes() const {
+    std::vector<u8> out(size_);
+    WriteTo(out);
+    return out;
+  }
+
+ private:
+  static constexpr usize kMaxDigits = 20;  // of a u64
+  // "set <key> <flags> <exptime> <bytes>\r\n<data>\r\n" is the longest.
+  std::array<std::string_view, 11> pieces_{};
+  std::array<std::array<char, kMaxDigits>, 3> numbers_{};
+  usize count_ = 0;
+  usize numbers_used_ = 0;
+  usize size_ = 0;
+};
 
 Expected<u64> ParseU64(std::string_view text) {
   if (text.empty()) {
@@ -59,6 +114,93 @@ usize FindCrlf(std::span<const u8> data, usize from) {
 
 std::string_view LineView(std::span<const u8> data, usize start, usize end) {
   return std::string_view(reinterpret_cast<const char*>(data.data()) + start, end - start);
+}
+
+// True when `data` holds a `bytes`-long data block and its CRLF from
+// `value_start` on. The byte count comes off the wire: it is compared with
+// the room left, never added to an offset it could wrap.
+bool HoldsDataBlock(std::span<const u8> data, usize value_start, u64 bytes) {
+  const usize room = data.size() - value_start;
+  return bytes <= room && room - bytes >= 2;
+}
+
+bool IsGetHit(const McResponse& response) {
+  return response.op == McOpcode::kGet && response.status == McStatus::kNoError;
+}
+
+usize BinaryResponseSize(const McResponse& response) {
+  return kMcBinaryHeaderSize + (IsGetHit(response) ? 4 + response.value.size() : 0);
+}
+
+// Writes every byte of `out` (BinaryResponseSize bytes), which may hold a
+// request's bytes when a service answers in place.
+void WriteBinaryResponse(const McResponse& response, std::span<u8> out) {
+  const bool get_hit = IsGetHit(response);
+  const usize extras = get_hit ? 4 : 0;
+  std::fill_n(out.begin(), kMcBinaryHeaderSize, u8{0});
+  out[0] = kMagicResponse;
+  out[1] = static_cast<u8>(response.op);
+  out[4] = static_cast<u8>(extras);
+  BitUtil::Set16(out, 6, static_cast<u16>(response.status));
+  BitUtil::Set32(out, 8, static_cast<u32>(out.size() - kMcBinaryHeaderSize));
+  BitUtil::Set32(out, 12, response.opaque);
+  if (get_hit) {
+    BitUtil::Set32(out, kMcBinaryHeaderSize, response.flags);
+    std::ranges::copy(response.value, out.begin() + kMcBinaryHeaderSize + extras);
+  }
+}
+
+void AsciiRequestText(const McRequest& request, AsciiText& text) {
+  switch (request.op) {
+    case McOpcode::kGet:
+      text.Add("get ");
+      text.Add(request.key);
+      text.Add("\r\n");
+      break;
+    case McOpcode::kSet:
+      text.Add("set ");
+      text.Add(request.key);
+      text.Add(" ");
+      text.AddNumber(request.flags);
+      text.Add(" ");
+      text.AddNumber(request.expiry);
+      text.Add(" ");
+      text.AddNumber(request.value.size());
+      text.Add("\r\n");
+      text.Add(request.value);
+      text.Add("\r\n");
+      break;
+    case McOpcode::kDelete:
+      text.Add("delete ");
+      text.Add(request.key);
+      text.Add("\r\n");
+      break;
+  }
+}
+
+void AsciiResponseText(const McResponse& response, AsciiText& text) {
+  switch (response.op) {
+    case McOpcode::kGet:
+      if (response.status == McStatus::kNoError) {
+        text.Add("VALUE ");
+        text.Add(response.key);
+        text.Add(" ");
+        text.AddNumber(response.flags);
+        text.Add(" ");
+        text.AddNumber(response.value.size());
+        text.Add("\r\n");
+        text.Add(response.value);
+        text.Add("\r\n");
+      }
+      text.Add("END\r\n");
+      break;
+    case McOpcode::kSet:
+      text.Add(response.status == McStatus::kNoError ? "STORED\r\n" : "NOT_STORED\r\n");
+      break;
+    case McOpcode::kDelete:
+      text.Add(response.status == McStatus::kNoError ? "DELETED\r\n" : "NOT_FOUND\r\n");
+      break;
+  }
 }
 
 }  // namespace
@@ -139,26 +281,8 @@ Expected<McRequest> ParseMcBinaryRequest(std::span<const u8> data) {
 }
 
 std::vector<u8> BuildMcBinaryResponse(const McResponse& response) {
-  const bool get_hit = response.op == McOpcode::kGet && response.status == McStatus::kNoError;
-  const usize extras = get_hit ? 4 : 0;
-  const usize body = extras + (get_hit ? response.value.size() : 0);
-
-  std::vector<u8> out(kMcBinaryHeaderSize + body, 0);
-  out[0] = kMagicResponse;
-  out[1] = static_cast<u8>(response.op);
-  out[4] = static_cast<u8>(extras);
-  BitUtil::Set16(out, 6, static_cast<u16>(response.status));
-  BitUtil::Set32(out, 8, static_cast<u32>(body));
-  BitUtil::Set32(out, 12, response.opaque);
-
-  usize pos = kMcBinaryHeaderSize;
-  if (get_hit) {
-    BitUtil::Set32(out, pos, response.flags);
-    pos += 4;
-    for (char c : response.value) {
-      out[pos++] = static_cast<u8>(c);
-    }
-  }
+  std::vector<u8> out(BinaryResponseSize(response));
+  WriteBinaryResponse(response, out);
   return out;
 }
 
@@ -194,28 +318,9 @@ Expected<McResponse> ParseMcBinaryResponse(std::span<const u8> data) {
 // --- ASCII protocol --------------------------------------------------------------
 
 std::vector<u8> BuildMcAsciiRequest(const McRequest& request) {
-  std::vector<u8> out;
-  switch (request.op) {
-    case McOpcode::kGet:
-      AppendText(out, "get ");
-      AppendText(out, request.key);
-      AppendText(out, "\r\n");
-      break;
-    case McOpcode::kSet:
-      // Built by concatenation: keys may be up to 250 bytes.
-      AppendText(out, "set " + request.key + " " + std::to_string(request.flags) + " " +
-                          std::to_string(request.expiry) + " " +
-                          std::to_string(request.value.size()) + "\r\n");
-      AppendText(out, request.value);
-      AppendText(out, "\r\n");
-      break;
-    case McOpcode::kDelete:
-      AppendText(out, "delete ");
-      AppendText(out, request.key);
-      AppendText(out, "\r\n");
-      break;
-  }
-  return out;
+  AsciiText text;
+  AsciiRequestText(request, text);
+  return text.Bytes();
 }
 
 Expected<McRequest> ParseMcAsciiRequest(std::span<const u8> data) {
@@ -223,44 +328,44 @@ Expected<McRequest> ParseMcAsciiRequest(std::span<const u8> data) {
   if (eol == static_cast<usize>(-1)) {
     return MalformedPacket("missing CRLF");
   }
-  const auto tokens = Tokenize(LineView(data, 0, eol));
-  if (tokens.empty()) {
+  const Tokens tokens = Tokenize(LineView(data, 0, eol));
+  if (tokens.count == 0) {
     return MalformedPacket("empty command");
   }
   McRequest request;
   request.protocol = McProtocol::kAscii;
-  if (tokens[0] == "get") {
-    if (tokens.size() != 2) {
+  if (tokens.token[0] == "get") {
+    if (tokens.count != 2) {
       return MalformedPacket("get expects one key");
     }
     request.op = McOpcode::kGet;
-    request.key = std::string(tokens[1]);
+    request.key.assign(tokens.token[1]);
     return request;
   }
-  if (tokens[0] == "delete") {
-    if (tokens.size() != 2) {
+  if (tokens.token[0] == "delete") {
+    if (tokens.count != 2) {
       return MalformedPacket("delete expects one key");
     }
     request.op = McOpcode::kDelete;
-    request.key = std::string(tokens[1]);
+    request.key.assign(tokens.token[1]);
     return request;
   }
-  if (tokens[0] == "set") {
-    if (tokens.size() != 5) {
+  if (tokens.token[0] == "set") {
+    if (tokens.count != 5) {
       return MalformedPacket("set expects key flags exptime bytes");
     }
     request.op = McOpcode::kSet;
-    request.key = std::string(tokens[1]);
-    auto flags = ParseU64(tokens[2]);
-    auto expiry = ParseU64(tokens[3]);
-    auto bytes = ParseU64(tokens[4]);
+    request.key.assign(tokens.token[1]);
+    auto flags = ParseU64(tokens.token[2]);
+    auto expiry = ParseU64(tokens.token[3]);
+    auto bytes = ParseU64(tokens.token[4]);
     if (!flags.ok() || !expiry.ok() || !bytes.ok()) {
       return MalformedPacket("bad numeric field in set");
     }
     request.flags = static_cast<u32>(*flags);
     request.expiry = static_cast<u32>(*expiry);
     const usize value_start = eol + 2;
-    if (data.size() < value_start + *bytes + 2) {
+    if (!HoldsDataBlock(data, value_start, *bytes)) {
       return MalformedPacket("set data block truncated");
     }
     request.value.assign(reinterpret_cast<const char*>(&data[value_start]), *bytes);
@@ -270,26 +375,9 @@ Expected<McRequest> ParseMcAsciiRequest(std::span<const u8> data) {
 }
 
 std::vector<u8> BuildMcAsciiResponse(const McResponse& response) {
-  std::vector<u8> out;
-  switch (response.op) {
-    case McOpcode::kGet:
-      if (response.status == McStatus::kNoError) {
-        AppendText(out, "VALUE " + response.key + " " + std::to_string(response.flags) + " " +
-                            std::to_string(response.value.size()) + "\r\n");
-        AppendText(out, response.value);
-        AppendText(out, "\r\n");
-      }
-      AppendText(out, "END\r\n");
-      break;
-    case McOpcode::kSet:
-      AppendText(out, response.status == McStatus::kNoError ? "STORED\r\n" : "NOT_STORED\r\n");
-      break;
-    case McOpcode::kDelete:
-      AppendText(out,
-                 response.status == McStatus::kNoError ? "DELETED\r\n" : "NOT_FOUND\r\n");
-      break;
-  }
-  return out;
+  AsciiText text;
+  AsciiResponseText(response, text);
+  return text.Bytes();
 }
 
 Expected<McResponse> ParseMcAsciiResponse(std::span<const u8> data) {
@@ -297,50 +385,50 @@ Expected<McResponse> ParseMcAsciiResponse(std::span<const u8> data) {
   if (eol == static_cast<usize>(-1)) {
     return MalformedPacket("missing CRLF");
   }
-  const auto tokens = Tokenize(LineView(data, 0, eol));
-  if (tokens.empty()) {
+  const Tokens tokens = Tokenize(LineView(data, 0, eol));
+  if (tokens.count == 0) {
     return MalformedPacket("empty response");
   }
   McResponse response;
   response.protocol = McProtocol::kAscii;
-  if (tokens[0] == "END") {
+  if (tokens.token[0] == "END") {
     response.op = McOpcode::kGet;
     response.status = McStatus::kKeyNotFound;
     return response;
   }
-  if (tokens[0] == "VALUE") {
-    if (tokens.size() != 4) {
+  if (tokens.token[0] == "VALUE") {
+    if (tokens.count != 4) {
       return MalformedPacket("VALUE expects key flags bytes");
     }
     response.op = McOpcode::kGet;
-    response.key = std::string(tokens[1]);
-    auto flags = ParseU64(tokens[2]);
-    auto bytes = ParseU64(tokens[3]);
+    response.key.assign(tokens.token[1]);
+    auto flags = ParseU64(tokens.token[2]);
+    auto bytes = ParseU64(tokens.token[3]);
     if (!flags.ok() || !bytes.ok()) {
       return MalformedPacket("bad numeric field in VALUE");
     }
     response.flags = static_cast<u32>(*flags);
     const usize value_start = eol + 2;
-    if (data.size() < value_start + *bytes + 2) {
+    if (!HoldsDataBlock(data, value_start, *bytes)) {
       return MalformedPacket("VALUE data truncated");
     }
     response.value.assign(reinterpret_cast<const char*>(&data[value_start]), *bytes);
     return response;
   }
-  if (tokens[0] == "STORED") {
+  if (tokens.token[0] == "STORED") {
     response.op = McOpcode::kSet;
     return response;
   }
-  if (tokens[0] == "NOT_STORED") {
+  if (tokens.token[0] == "NOT_STORED") {
     response.op = McOpcode::kSet;
     response.status = McStatus::kNotStored;
     return response;
   }
-  if (tokens[0] == "DELETED") {
+  if (tokens.token[0] == "DELETED") {
     response.op = McOpcode::kDelete;
     return response;
   }
-  if (tokens[0] == "NOT_FOUND") {
+  if (tokens.token[0] == "NOT_FOUND") {
     response.op = McOpcode::kDelete;
     response.status = McStatus::kKeyNotFound;
     return response;
@@ -363,6 +451,25 @@ Expected<McRequest> ParseMcRequest(std::span<const u8> data, McProtocol protocol
 std::vector<u8> BuildMcResponse(const McResponse& response) {
   return response.protocol == McProtocol::kBinary ? BuildMcBinaryResponse(response)
                                                   : BuildMcAsciiResponse(response);
+}
+
+usize McResponseSize(const McResponse& response) {
+  if (response.protocol == McProtocol::kBinary) {
+    return BinaryResponseSize(response);
+  }
+  AsciiText text;
+  AsciiResponseText(response, text);
+  return text.size();
+}
+
+void WriteMcResponse(const McResponse& response, std::span<u8> out) {
+  if (response.protocol == McProtocol::kBinary) {
+    WriteBinaryResponse(response, out);
+    return;
+  }
+  AsciiText text;
+  AsciiResponseText(response, text);
+  text.WriteTo(out);
 }
 
 Expected<McResponse> ParseMcResponse(std::span<const u8> data, McProtocol protocol) {

@@ -81,6 +81,11 @@ Expected<McRequest> ParseMcRequest(std::span<const u8> data, McProtocol protocol
 std::vector<u8> BuildMcResponse(const McResponse& response);
 Expected<McResponse> ParseMcResponse(std::span<const u8> data, McProtocol protocol);
 
+// The wire size of a response, and a writer that fills exactly that many
+// bytes: a service writes its reply in place, inside the request's frame.
+usize McResponseSize(const McResponse& response);
+void WriteMcResponse(const McResponse& response, std::span<u8> out);
+
 }  // namespace emu
 
 #endif  // SRC_NET_MEMCACHED_H_

@@ -58,16 +58,13 @@ bool TcpView::ChecksumValid(const Ipv4View& ip, usize segment_length) const {
 }
 
 Packet MakeTcpSegment(const TcpSegmentSpec& spec, std::span<const u8> payload) {
-  std::vector<u8> tcp(kTcpMinHeaderSize, 0);
-  tcp.insert(tcp.end(), payload.begin(), payload.end());
-
   Ipv4PacketSpec ip_spec;
   ip_spec.eth_dst = spec.eth_dst;
   ip_spec.eth_src = spec.eth_src;
   ip_spec.ip_src = spec.ip_src;
   ip_spec.ip_dst = spec.ip_dst;
   ip_spec.protocol = IpProtocol::kTcp;
-  Packet frame = MakeIpv4Packet(ip_spec, tcp);
+  Packet frame = MakeIpv4Packet(ip_spec, kTcpMinHeaderSize, payload);
 
   Ipv4View ip(frame);
   TcpView view(frame, ip.payload_offset());

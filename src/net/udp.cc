@@ -63,16 +63,13 @@ bool UdpView::ChecksumValid(const Ipv4View& ip) const {
 }
 
 Packet MakeUdpPacket(const UdpPacketSpec& spec, std::span<const u8> payload) {
-  std::vector<u8> udp(kUdpHeaderSize, 0);
-  udp.insert(udp.end(), payload.begin(), payload.end());
-
   Ipv4PacketSpec ip_spec;
   ip_spec.eth_dst = spec.eth_dst;
   ip_spec.eth_src = spec.eth_src;
   ip_spec.ip_src = spec.ip_src;
   ip_spec.ip_dst = spec.ip_dst;
   ip_spec.protocol = IpProtocol::kUdp;
-  Packet frame = MakeIpv4Packet(ip_spec, udp);
+  Packet frame = MakeIpv4Packet(ip_spec, kUdpHeaderSize, payload);
 
   Ipv4View ip(frame);
   UdpView view(frame, ip.payload_offset());

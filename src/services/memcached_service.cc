@@ -141,26 +141,25 @@ Cycle MemcachedService::StoreAccessCycles(usize core, usize bytes) {
 HwProcess MemcachedService::Dispatcher() {
   for (;;) {
     co_await WaitUntil([this] { return !dp_.rx->Empty(); });
-    // Cheap L2/L3 peek at the head frame: SETs/DELETEs replicate to all
-    // cores, everything else dispatches by input port.
-    NetFpgaData dataplane;
-    dataplane.tdata = dp_.rx->Front();
-    UdpWrapper udp(dataplane);
+    // Cheap L2/L3 peek at the head frame, read where it sits: SETs/DELETEs
+    // replicate to all cores, everything else dispatches by input port.
+    const Packet& head = dp_.rx->Front();
+    const u8 src_port = head.src_port();
 
     // L1-cache mode: frames arriving on the host-facing port are the host
     // tier's replies to forwarded misses — fill the cache and route them to
     // the requesting client (5.4's multilevel-cache structure).
-    if (config_.l1_cache_mode && dataplane.tdata.src_port() == config_.host_port) {
+    if (config_.l1_cache_mode && src_port == config_.host_port) {
       if (!dp_.tx->CanPush()) {
         co_await Pause();
         continue;
       }
-      Packet frame = dp_.rx->Pop();
-      const usize words = WordsForBytes(frame.size(), config_.bus_bytes);
+      NetFpgaData out;
+      out.tdata = dp_.rx->Pop();
+      const usize words = WordsForBytes(out.tdata.size(), config_.bus_bytes);
+      UdpWrapper udp(out);
       if (udp.Reachable() && udp.source_port() == kMemcachedPort) {
-        FillCacheFromHostReply(frame);
-        NetFpgaData out;
-        out.tdata = std::move(frame);
+        FillCacheFromHostReply(udp.Payload());
         EthernetWrapper eth(out);
         const CamLookupResult client = client_ports_->Lookup(eth.destination().ToU48());
         if (client.hit) {
@@ -176,13 +175,19 @@ HwProcess MemcachedService::Dispatcher() {
       co_await PauseFor(words);
       continue;
     }
+    // Only a multi-core design replicates, so only it needs the request's op.
     bool is_set = false;
-    if (udp.Reachable() && udp.destination_port() == kMemcachedPort) {
-      auto request = ParseMcRequest(udp.Payload(), config_.protocol);
-      is_set = request.ok() && request->op != McOpcode::kGet;
+    if (config_.cores > 1) {
+      // The wrapper only reads the head; it binds a mutable frame because it
+      // can also write one.
+      UdpWrapper udp(const_cast<Packet&>(head));
+      if (udp.Reachable() && udp.destination_port() == kMemcachedPort) {
+        auto request = ParseMcRequest(udp.Payload(), config_.protocol);
+        is_set = request.ok() && request->op != McOpcode::kGet;
+      }
     }
 
-    if (is_set && config_.cores > 1) {
+    if (is_set) {
       // Replicated writes backpressure until EVERY replica queue has room —
       // this is exactly why SET throughput cannot scale with cores (5.4).
       bool all_ready = true;
@@ -200,7 +205,7 @@ HwProcess MemcachedService::Dispatcher() {
       }
       co_await PauseFor(words);
     } else {
-      const usize core_id = dataplane.tdata.src_port() % config_.cores;
+      const usize core_id = src_port % config_.cores;
       if (!cores_[core_id].queue->CanPush()) {
         co_await Pause();
         continue;
@@ -242,8 +247,7 @@ McResponse MemcachedService::Execute(usize core_id, const McRequest& request) {
       break;
     }
     case McOpcode::kSet: {
-      const usize slot = core.index->Cache(hash, 0);
-      core.slots[slot] = Entry{request.key, request.value, request.flags, true};
+      core.slots[core.index->Cache(hash, 0)].Store(request.key, request.value, request.flags);
       response.status = McStatus::kNoError;
       break;
     }
@@ -393,19 +397,19 @@ HwProcess MemcachedService::Worker(usize core_id) {
       continue;
     }
 
-    // Build the reply in the request's frame.
-    const std::vector<u8> payload = BuildMcResponse(response);
+    // Write the reply in the request's frame.
+    const usize reply_bytes = McResponseSize(response);
     Packet& frame = dataplane.tdata;
     SwapEthernetAddresses(frame);
     const usize udp_offset = Ipv4View(frame).payload_offset();
-    frame.Resize(udp_offset + kUdpHeaderSize);
-    frame.Append(payload);
+    frame.Resize(udp_offset + kUdpHeaderSize + reply_bytes);
+    WriteMcResponse(response, frame.MutableView(udp_offset + kUdpHeaderSize, reply_bytes));
     Ipv4View ip_out(frame);
     ip_out.set_total_length(static_cast<u16>(frame.size() - kEthernetHeaderSize));
     SwapIpv4Addresses(frame);
     UdpView udp_out(frame, udp_offset);
     SwapUdpPorts(frame);
-    udp_out.set_length(static_cast<u16>(kUdpHeaderSize + payload.size()));
+    udp_out.set_length(static_cast<u16>(kUdpHeaderSize + reply_bytes));
 
     // UDP checksum via the hardware unit (the §5.5 bug lives here when
     // injected; otherwise it matches the software path).
@@ -446,17 +450,8 @@ HwProcess MemcachedService::Worker(usize core_id) {
   }
 }
 
-void MemcachedService::FillCacheFromHostReply(const Packet& frame) {
-  Packet copy = frame;
-  Ipv4View ip(copy);
-  if (!ip.Valid()) {
-    return;
-  }
-  UdpView udp(copy, ip.payload_offset());
-  if (!udp.Valid()) {
-    return;
-  }
-  auto response = ParseMcResponse(udp.Payload(), config_.protocol);
+void MemcachedService::FillCacheFromHostReply(std::span<const u8> payload) {
+  auto response = ParseMcResponse(payload, config_.protocol);
   if (!response.ok() || response->op != McOpcode::kGet ||
       response->status != McStatus::kNoError) {
     return;
@@ -468,8 +463,7 @@ void MemcachedService::FillCacheFromHostReply(const Packet& frame) {
   }
   const u64 hash = KeyHash(response->key);
   for (CoreState& core : cores_) {
-    const usize slot = core.index->Cache(hash, 0);
-    core.slots[slot] = Entry{response->key, response->value, response->flags, true};
+    core.slots[core.index->Cache(hash, 0)].Store(response->key, response->value, response->flags);
   }
   ++cache_fills_;
 }

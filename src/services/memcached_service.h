@@ -122,6 +122,14 @@ class MemcachedService : public Service {
     std::string value;
     u32 flags = 0;
     bool used = false;
+
+    // Overwrites the slot in place, reusing its strings' buffers.
+    void Store(const std::string& new_key, const std::string& new_value, u32 new_flags) {
+      key = new_key;
+      value = new_value;
+      flags = new_flags;
+      used = true;
+    }
   };
 
   struct CoreState {
@@ -134,8 +142,9 @@ class MemcachedService : public Service {
   HwProcess Worker(usize core);
   McResponse Execute(usize core, const McRequest& request);
   Cycle StoreAccessCycles(usize core, usize bytes);
-  // L1-cache mode: host reply handling (fill + forward to the client).
-  void FillCacheFromHostReply(const Packet& frame);
+  // L1-cache mode: fills every core's cache from the UDP payload of a host
+  // tier's reply.
+  void FillCacheFromHostReply(std::span<const u8> payload);
 
   MemcachedConfig config_;
   Dataplane dp_;

@@ -1,6 +1,7 @@
 #include "src/sim/memaslap.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 
 #include "src/common/fatal.h"
 #include "src/net/udp.h"
@@ -17,20 +18,33 @@ MemaslapLoadgen::MemaslapLoadgen(MemaslapConfig config)
   }
 }
 
+namespace {
+
+// The decimal digits of `n`, in `digits`; returns how many.
+usize FormatDecimal(usize n, char (&digits)[20]) {
+  return static_cast<usize>(std::to_chars(digits, digits + sizeof(digits), n).ptr - digits);
+}
+
+}  // namespace
+
 std::string MemaslapLoadgen::KeyName(usize key) const {
-  // Fixed-width keys ("k0042") padded to key_bytes.
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "k%0*zu", static_cast<int>(config_.key_bytes - 1), key);
-  return std::string(buf).substr(0, config_.key_bytes);
+  // Fixed-width keys ("k00042"): 'k', then the key's digits zero-padded to
+  // key_bytes - 1, or their first key_bytes - 1 when there are more.
+  char digits[20] = {};
+  const usize width = config_.key_bytes - 1;
+  const usize kept = std::min(FormatDecimal(key, digits), width);
+  std::string name(config_.key_bytes, '0');
+  name[0] = 'k';
+  std::copy_n(digits, kept, name.begin() + static_cast<isize>(1 + width - kept));
+  return name;
 }
 
 std::string MemaslapLoadgen::ValueFor(usize key) const {
+  // value_bytes of 'v', the first of them overwritten by the key's digits.
+  char digits[20] = {};
   std::string value(config_.value_bytes, 'v');
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%zu", key);
-  for (usize i = 0; i < value.size() && buf[i] != '\0'; ++i) {
-    value[i] = buf[i];
-  }
+  const usize kept = std::min(FormatDecimal(key, digits), value.size());
+  std::copy_n(digits, kept, value.begin());
   return value;
 }
 

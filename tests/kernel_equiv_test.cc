@@ -1038,5 +1038,67 @@ TEST(ProfileReportTest, RunnableProcessSkipsQuiescenceScan) {
   EXPECT_EQ(fast.edges_run, 10'000u);
 }
 
+// --- Testbench writes between Run calls -------------------------------------------
+//
+// A write from outside any process sits buffered until a commit edge. The
+// element's mutator puts it on the dirty queue, and the quiescence scan reads
+// only that queue: the next Run must execute exactly one edge to commit the
+// write, then jump the rest of the idle window.
+
+HwProcess SleepForever() {
+  for (;;) {
+    co_await PauseFor(1'000'000);
+  }
+}
+
+// A design factory builds one element into `sim` and returns the testbench
+// write plus the check that it has committed.
+using TestbenchWriteDesign = std::function<
+    std::pair<std::function<void()>, std::function<bool()>>(Simulator& sim)>;
+
+void CheckTestbenchWriteCommitsBeforeJump(const char* kind, const TestbenchWriteDesign& design) {
+  Simulator sim;
+  auto [write, committed] = design(sim);
+  sim.AddProcess(SleepForever(), "sleeper");
+  sim.Run(100);
+  const SimProfile before = sim.ProfileReport();
+  ASSERT_GT(before.cycles_fast_forwarded, 0u) << kind << ": the idle design never jumped";
+  write();
+  EXPECT_FALSE(committed()) << kind << ": a write must wait for a commit edge";
+  sim.Run(1'000);
+  const SimProfile after = sim.ProfileReport();
+  EXPECT_TRUE(committed()) << kind << ": the jump skipped the pending commit";
+  EXPECT_EQ(after.edges_run - before.edges_run, 1u) << kind;
+  EXPECT_EQ(after.cycles_fast_forwarded - before.cycles_fast_forwarded, 999u) << kind;
+}
+
+TEST(QuiescentCommit, TestbenchWriteCommitsBeforeTheJump) {
+  CheckTestbenchWriteCommitsBeforeJump("reg", [](Simulator& sim) {
+    auto reg = std::make_shared<Reg<u64>>(sim, u64{0});
+    return std::pair<std::function<void()>, std::function<bool()>>(
+        [reg] { reg->Write(42); }, [reg] { return reg->Read() == 42; });
+  });
+  CheckTestbenchWriteCommitsBeforeJump("sync_fifo", [](Simulator& sim) {
+    auto fifo = std::make_shared<SyncFifo<int>>(sim, "f", 8, 32);
+    return std::pair<std::function<void()>, std::function<bool()>>(
+        [fifo] { fifo->Push(7); }, [fifo] { return fifo->Size() == 1; });
+  });
+  CheckTestbenchWriteCommitsBeforeJump("bram", [](Simulator& sim) {
+    auto bram = std::make_shared<Bram>(sim, "b", 16, 32);
+    return std::pair<std::function<void()>, std::function<bool()>>(
+        [bram] { bram->Write(3, 42); }, [bram] { return bram->Read(3) == 42; });
+  });
+  CheckTestbenchWriteCommitsBeforeJump("cam", [](Simulator& sim) {
+    auto cam = std::make_shared<Cam>(sim, "c", 8, 16, 16);
+    return std::pair<std::function<void()>, std::function<bool()>>(
+        [cam] { cam->Write(0, 7, 1); }, [cam] { return cam->Lookup(7).hit; });
+  });
+  CheckTestbenchWriteCommitsBeforeJump("logic_cam", [](Simulator& sim) {
+    auto cam = std::make_shared<LogicCam>(sim, "lc", 8, 16, 16);
+    return std::pair<std::function<void()>, std::function<bool()>>(
+        [cam] { cam->Write(0, 7, 1); }, [cam] { return cam->Lookup(7).hit; });
+  });
+}
+
 }  // namespace
 }  // namespace emu

@@ -237,6 +237,23 @@ TEST(McAscii, RejectsTruncatedSetData) {
           .ok());
 }
 
+// A byte count near 2^64 must not wrap the bounds check into an accepting one
+// (the parse would then copy ~2^64 bytes).
+TEST(McAscii, RejectsByteCountThatWrapsTheBounds) {
+  for (const std::string wire :
+       {"set k 0 0 18446744073709551615\r\nxyz", "set k 0 0 18446744073709551614\r\nxyz"}) {
+    const auto parsed = ParseMcAsciiRequest(
+        std::span<const u8>(reinterpret_cast<const u8*>(wire.data()), wire.size()));
+    ASSERT_FALSE(parsed.ok()) << wire;
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kMalformedPacket) << wire;
+  }
+  const std::string reply = "VALUE k 0 18446744073709551614\r\nxyz";
+  const auto parsed = ParseMcAsciiResponse(
+      std::span<const u8>(reinterpret_cast<const u8*>(reply.data()), reply.size()));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kMalformedPacket);
+}
+
 // --- Dispatch helpers --------------------------------------------------------------
 
 class McProtocolParam : public ::testing::TestWithParam<McProtocol> {};

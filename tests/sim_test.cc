@@ -447,6 +447,51 @@ TEST(Memaslap, PrewarmCoversKeySpace) {
   EXPECT_EQ(keys.size(), 50u);
 }
 
+// Keys are 'k' and the key number zero-padded to key_bytes, at any length up
+// to the service's 250-byte limit: long-key runs draw from the whole space.
+TEST(Memaslap, LongKeysAreDistinctAndFullLength) {
+  for (const usize key_bytes : {32u, 40u, 250u}) {
+    for (const McProtocol protocol : {McProtocol::kAscii, McProtocol::kBinary}) {
+      MemaslapConfig config;
+      config.server_mac = MacAddress::FromU48(0x02'00'00'00'ee'04);
+      config.server_ip = Ipv4Address(10, 0, 0, 211);
+      config.protocol = protocol;
+      config.key_bytes = key_bytes;
+      config.key_space = 1000;
+      MemaslapLoadgen loadgen(config);
+      std::set<std::string> keys;
+      for (usize i = 0; i < loadgen.prewarm_count(); ++i) {
+        Packet frame = loadgen.PrewarmFrame(i);
+        Ipv4View ip(frame);
+        UdpView udp(frame, ip.payload_offset());
+        auto request = ParseMcRequest(udp.Payload(), protocol);
+        ASSERT_TRUE(request.ok()) << key_bytes << "-byte key " << i;
+        const std::string digits = std::to_string(i);
+        EXPECT_EQ(request->key, "k" + std::string(key_bytes - 1 - digits.size(), '0') + digits);
+        keys.insert(request->key);
+      }
+      EXPECT_EQ(keys.size(), 1000u) << key_bytes << "-byte keys";
+    }
+  }
+}
+
+// A key number with more digits than fit keeps its leading ones.
+TEST(Memaslap, ShortKeysKeepLeadingDigits) {
+  MemaslapConfig config;
+  config.server_mac = MacAddress::FromU48(0x02'00'00'00'ee'04);
+  config.server_ip = Ipv4Address(10, 0, 0, 211);
+  config.key_space = 2'000'000;
+  config.value_bytes = 4;
+  MemaslapLoadgen loadgen(config);
+  Packet frame = loadgen.PrewarmFrame(1'234'567);
+  Ipv4View ip(frame);
+  UdpView udp(frame, ip.payload_offset());
+  auto request = ParseMcRequest(udp.Payload(), config.protocol);
+  ASSERT_TRUE(request.ok());
+  EXPECT_EQ(request->key, "k12345");
+  EXPECT_EQ(request->value, "1234");
+}
+
 TEST(Memaslap, DeterministicForSameSeed) {
   MemaslapConfig config;
   config.server_mac = MacAddress::FromU48(0x02'00'00'00'ee'04);
