@@ -120,7 +120,19 @@ void Simulator::Reclassify(usize index) {
     return;
   }
   slot.state = Slot::kRunnable;
-  edge_left_runnable_ = true;
+  edge_due_ = true;
+}
+
+bool Simulator::PollParked(usize index) {
+  Slot& slot = sched_[index];
+  if (slot.wait_pred(slot.wait_ctx)) {
+    return true;
+  }
+  slot.wait_epoch = wake_epoch_;
+  ProcessStats& stats = stats_[index];
+  ++stats.polls;
+  ++stats.cycles_awake;
+  return false;
 }
 
 namespace {
@@ -148,13 +160,10 @@ void Simulator::SweepProcesses(bool lazy, bool timed) {
       if (lazy && slot.wait_epoch == wake_epoch_) {
         continue;  // no wake-tracked state changed since the last evaluation
       }
-      ProcessStats& stats = stats_[i];
-      ++stats.polls;
-      if (!slot.wait_pred(slot.wait_ctx)) {
-        slot.wait_epoch = wake_epoch_;
-        ++stats.cycles_awake;
+      if (!PollParked(i)) {
         continue;
       }
+      ++stats_[i].polls;  // the true poll, booked here because it resumes
     }
     ProcessStats& stats = stats_[i];
     ++stats.resumes;
@@ -231,9 +240,9 @@ void Simulator::Step() {
   if (!forced_wakes_.empty()) [[unlikely]] {
     ConsumeForcedWakes();
   }
-  // Every runnable process resumes on this edge, and Reclassify sets the
-  // flag again for each one that stays runnable.
-  edge_left_runnable_ = false;
+  // Every due process resumes on this edge, and Reclassify sets the flag
+  // again for each one that stays runnable.
+  edge_due_ = false;
 #ifdef EMU_ANALYSIS
   // Keep the uninstrumented path identical to the non-analysis build: with
   // no monitor attached (and no tombstoned elements) there is exactly one
@@ -359,26 +368,6 @@ Cycle Simulator::QuiescentWindow(Cycle budget) {
     }
     budget = std::min(budget, event_cycle - now_);
   }
-  Cycle window = budget;
-  for (const Slot& slot : sched_) {
-    switch (slot.state) {
-      case Slot::kDone:
-        continue;
-      case Slot::kSleeping:
-        if (slot.wake_at <= now_) {
-          return 0;  // due: the next edge must execute
-        }
-        window = std::min(window, slot.wake_at - now_);
-        continue;
-      case Slot::kParked:
-        if (slot.wait_epoch == wake_epoch_) {
-          continue;  // predicate provably unchanged: sleeps through any window
-        }
-        return 0;  // parked with a stale predicate that needs evaluation
-      case Slot::kRunnable:
-        return 0;
-    }
-  }
   // Buffered writes (testbench code mutating a Reg/FIFO/BRAM/CAM between Run
   // calls, or a process's writes from the edge it went to sleep on) need a
   // real edge to commit before time may jump. Every mutator announces its
@@ -387,6 +376,38 @@ Cycle Simulator::QuiescentWindow(Cycle budget) {
   if (!dirty_.empty()) {
     return 0;
   }
+  Cycle window = budget;
+  bool to_wake = false;  // the window ends at a sleeper's wake
+  for (usize i = 0; i < sched_.size(); ++i) {
+    const Slot& slot = sched_[i];
+    switch (slot.state) {
+      case Slot::kDone:
+        continue;
+      case Slot::kSleeping:
+        if (slot.wake_at <= now_) {
+          return 0;  // due: the next edge must execute
+        }
+        if (slot.wake_at - now_ <= window) {
+          window = slot.wake_at - now_;
+          to_wake = true;
+        }
+        continue;
+      case Slot::kParked:
+        // A fresh predicate provably sleeps through any window. A stale one
+        // is polled here, as the edge's sweep would poll it: no process
+        // ahead of it is due, so nothing runs before its poll on that edge.
+        // A false poll is booked and joins the jump; a true one is left
+        // unbooked for the edge, which polls it again and resumes it.
+        if (slot.wait_epoch != wake_epoch_ && PollParked(i)) {
+          return 0;
+        }
+        continue;
+      case Slot::kRunnable:
+        return 0;
+    }
+  }
+  // A jump that ends at a sleeper's wake makes the edge there due.
+  edge_due_ = to_wake;
   return window;
 }
 
@@ -459,9 +480,9 @@ bool Simulator::RunLoop(Cycle end, const std::function<bool()>* done) {
     if (done != nullptr && (*done)()) {
       return true;
     }
-    // A process the last edge left runnable makes the next edge due: the
-    // scan would return 0, so skip it while the design is busy.
-    if (!edge_left_runnable_) {
+    // A process the last edge left runnable, or a sleeper the last jump
+    // landed on, makes the next edge due: the scan would return 0, so skip it.
+    if (!edge_due_) {
       const Cycle window = ProfiledQuiescentWindow(end - now_);
       if (window > 0) {
         FastForward(window);

@@ -36,11 +36,11 @@
 //     this), packing a pipeline's frames contiguously.
 //
 // Run() and RunUntil() share one loop. An edge that leaves any process
-// runnable (it suspended on Pause()) makes the next edge due, so the loop
-// steps straight into it; only after an edge that left every process
-// sleeping, parked or done does it consult the quiescence scan below. The
-// skip is exact, not a heuristic: the scan returns 0 whenever a process is
-// runnable, so every edge, predicate poll and fast-forward is unchanged.
+// runnable (it suspended on Pause()), or a jump that ends at a sleeper's
+// wake, makes the next edge due, so the loop steps straight into it; only
+// otherwise does it consult the quiescence scan below. The skip is exact,
+// not a heuristic: the scan returns 0 whenever a process is due, so every
+// edge, predicate poll and fast-forward is unchanged.
 //
 // --- Quiescence-aware fast path ---
 //
@@ -66,9 +66,12 @@
 // mutation of wake-tracked state (SyncFifo push-commits/pops/stalls,
 // explicit NotifyWake calls) bumps the epoch, and a parked process whose
 // predicate was last evaluated at the current epoch is skipped without
-// re-evaluation. With the fast path off (or a monitor attached) predicates
-// are evaluated on every edge — the reference semantics the equivalence
-// suite (tests/kernel_equiv_test.cc) checks the fast path against.
+// re-evaluation. A stale predicate the scan meets is polled by the scan
+// itself, booked as the edge would book it: if it stays false the window
+// still jumps, and only a true one leaves the edge to execute. With the
+// fast path off (or a monitor attached) predicates are evaluated on every
+// edge — the reference semantics the equivalence suite
+// (tests/kernel_equiv_test.cc) checks the fast path against.
 #ifndef SRC_HDL_SIMULATOR_H_
 #define SRC_HDL_SIMULATOR_H_
 
@@ -374,6 +377,11 @@ class Simulator {
   // sleep/park fields) into its Slot and clears the promise.
   void Reclassify(usize index);
 
+  // Evaluates parked process `index`'s predicate for the sweep and the scan
+  // alike. A false poll is booked (polls, cycles_awake) and freshens the
+  // slot's epoch; a true one is left to the caller.
+  bool PollParked(usize index);
+
   // Resumes/polls every due process once (one edge's worth of process work).
   // `lazy` enables epoch-based parked-predicate skipping; `timed` wraps each
   // resume in a steady_clock pair (per-process wall attribution).
@@ -404,7 +412,7 @@ class Simulator {
   bool RunLoop(Cycle end, const std::function<bool()>* done);
 
   // Length of the quiescent window starting at now_ (0 = the next edge must
-  // be executed), capped at `budget`.
+  // be executed), capped at `budget`. Polls stale parked predicates.
   Cycle QuiescentWindow(Cycle budget);
 
   // Skips `cycles` edges in one jump (caller has proven the window
@@ -454,10 +462,12 @@ class Simulator {
 
   // Quiescence state.
   bool fast_path_ = true;
-  // Set by Reclassify when the executed edge left a process runnable, and
-  // cleared as each edge starts, so it never claims a runnable process that
-  // is not there (RunLoop then skips the scan, which would return 0).
-  bool edge_left_runnable_ = false;
+  // Set when a process is due on the next edge: Reclassify sets it when the
+  // executed edge left a process runnable, QuiescentWindow when its window
+  // ends at a sleeper's wake. Only an edge makes a due process not due, and
+  // each edge clears the flag as it starts, so it never claims a due process
+  // that is not there (RunLoop then skips the scan, which would return 0).
+  bool edge_due_ = false;
   u64 wake_epoch_ = 0;
   std::multiset<Cycle> forced_wakes_;
   FaultRegistry* fault_registry_ = nullptr;

@@ -10,6 +10,7 @@
 #define SRC_IP_CAM_H_
 
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -80,10 +81,18 @@ class Cam : public Module, public CamInterface, public Clocked {
     Slot slot;
   };
 
+  // Keep lowest_ current around a change to committed slot `index`: Unindex
+  // before the change (while the slot still holds its old key), Index after.
+  void Unindex(usize index);
+  void Index(usize index);
+
   usize key_bits_;
   u64 key_mask_;
   std::vector<Slot> slots_;
   std::vector<PendingWrite> pending_;
+  // The lowest valid slot holding each committed key: Lookup's priority
+  // encoder, without a scan of every slot.
+  std::unordered_map<u64, usize> lowest_;
 };
 
 }  // namespace emu

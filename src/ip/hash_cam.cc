@@ -15,11 +15,11 @@ usize RoundUpPow2(usize v) {
   return p;
 }
 
-// Probe i of `key` reads bucket (Home(key) + i) & mask_, so one hash serves
-// every probe.
-usize Home(u64 key) { return static_cast<usize>(PearsonHash64(key)); }
-
 }  // namespace
+
+HashCam::Key HashCam::Hashed(u64 key) {
+  return Key{key, static_cast<usize>(PearsonHash64(key))};
+}
 
 HashCam::HashCam(Simulator& sim, std::string name, usize buckets)
     : Module(sim, std::move(name)), table_(RoundUpPow2(buckets)), mask_(table_.size() - 1) {
@@ -29,11 +29,10 @@ HashCam::HashCam(Simulator& sim, std::string name, usize buckets)
   sim.catalog().AddElement(this, elab::NodeKind::kHashCam, this->name());
 }
 
-u64 HashCam::Read(u64 key) {
-  const usize home = Home(key);
+u64 HashCam::Read(Key key) {
   for (usize probe = 0; probe < kProbeLimit; ++probe) {
-    const Bucket& bucket = table_[(home + probe) & mask_];
-    if (bucket.valid && bucket.key == key) {
+    const Bucket& bucket = table_[(key.home + probe) & mask_];
+    if (bucket.valid && bucket.key == key.key) {
       matched_ = true;
       return bucket.index;
     }
@@ -42,23 +41,22 @@ u64 HashCam::Read(u64 key) {
   return 0;
 }
 
-bool HashCam::Write(u64 key, u64 index) {
-  const usize home = Home(key);
+bool HashCam::Write(Key key, u64 index) {
   // HashCam is not Clocked: writes take effect immediately, so each mutation
   // announces itself to the wake-epoch protocol here instead of in Commit().
   // First pass: update in place if the key is already bound.
   for (usize probe = 0; probe < kProbeLimit; ++probe) {
-    Bucket& bucket = table_[(home + probe) & mask_];
-    if (bucket.valid && bucket.key == key) {
+    Bucket& bucket = table_[(key.home + probe) & mask_];
+    if (bucket.valid && bucket.key == key.key) {
       bucket.index = index;
       sim().NotifyWake();
       return true;
     }
   }
   for (usize probe = 0; probe < kProbeLimit; ++probe) {
-    Bucket& bucket = table_[(home + probe) & mask_];
+    Bucket& bucket = table_[(key.home + probe) & mask_];
     if (!bucket.valid) {
-      bucket = Bucket{true, key, index};
+      bucket = Bucket{true, key.key, index};
       sim().NotifyWake();
       return true;
     }
@@ -78,11 +76,10 @@ void HashCam::InjectBitFlip(u64 bit) {
   sim().NotifyWake();
 }
 
-void HashCam::Erase(u64 key) {
-  const usize home = Home(key);
+void HashCam::Erase(Key key) {
   for (usize probe = 0; probe < kProbeLimit; ++probe) {
-    Bucket& bucket = table_[(home + probe) & mask_];
-    if (bucket.valid && bucket.key == key) {
+    Bucket& bucket = table_[(key.home + probe) & mask_];
+    if (bucket.valid && bucket.key == key.key) {
       bucket.valid = false;
       sim().NotifyWake();
       return;

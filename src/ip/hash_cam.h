@@ -10,6 +10,7 @@
 #ifndef SRC_IP_HASH_CAM_H_
 #define SRC_IP_HASH_CAM_H_
 
+#include <span>
 #include <vector>
 
 #include "src/common/types.h"
@@ -21,6 +22,21 @@ class HashCam : public Module {
  public:
   static constexpr usize kProbeLimit = 8;
 
+  struct Bucket {
+    bool valid = false;
+    u64 key = 0;
+    u64 index = 0;
+  };
+
+  // A key with its hash. Hashing is most of an operation's cost, so a caller
+  // that reads, erases and writes one key hashes it once (Hashed) and passes
+  // the result to each operation.
+  struct Key {
+    u64 key = 0;
+    usize home = 0;  // probe i reads bucket (home + i) & (buckets - 1)
+  };
+  static Key Hashed(u64 key);
+
   // `buckets` is rounded up to a power of two.
   HashCam(Simulator& sim, std::string name, usize buckets);
 
@@ -30,14 +46,20 @@ class HashCam : public Module {
   bool matched() const { return matched_; }
 
   // Returns the index bound to `key` (0 when unmatched; check matched()).
-  u64 Read(u64 key);
+  u64 Read(Key key);
+  u64 Read(u64 key) { return Read(Hashed(key)); }
 
   // Installs or updates key -> index. Returns false when the probe window is
   // exhausted (capacity miss).
-  bool Write(u64 key, u64 index);
+  bool Write(Key key, u64 index);
+  bool Write(u64 key, u64 index) { return Write(Hashed(key), index); }
 
   // Removes the binding for `key` if present.
-  void Erase(u64 key);
+  void Erase(Key key);
+  void Erase(u64 key) { Erase(Hashed(key)); }
+
+  // The bucket array, for reference tests.
+  std::span<const Bucket> table() const { return table_; }
 
   // SEU-style fault injection (emu-fault): flips one committed bit of one
   // bucket. Per-bucket layout: bit 0 = valid flag, bits [1, 65) = key. A
@@ -48,12 +70,6 @@ class HashCam : public Module {
   u64 state_bits() const { return static_cast<u64>(table_.size()) * 65; }
 
  private:
-  struct Bucket {
-    bool valid = false;
-    u64 key = 0;
-    u64 index = 0;
-  };
-
   std::vector<Bucket> table_;
   usize mask_;
   bool matched_ = false;

@@ -26,40 +26,60 @@ constexpr std::array<u8, 256> kPermutation = MakePermutation();
 
 u8 Lane(u8 state, u8 byte) { return kPermutation[static_cast<u8>(state ^ byte)]; }
 
-u64 HashBytes(std::span<const u8> data) {
-  if (data.empty()) {
-    return 0;
+// Widening trick: lane i starts from a lane-specific permutation of the
+// first byte, then all lanes absorb the same stream, side by side. The lanes
+// are eight locals, not an array, so the compiler keeps them in registers.
+struct Lanes {
+  u8 h0, h1, h2, h3, h4, h5, h6, h7;
+
+  explicit Lanes(u8 first)
+      : h0(kPermutation[first]),
+        h1(kPermutation[static_cast<u8>(first + 1)]),
+        h2(kPermutation[static_cast<u8>(first + 2)]),
+        h3(kPermutation[static_cast<u8>(first + 3)]),
+        h4(kPermutation[static_cast<u8>(first + 4)]),
+        h5(kPermutation[static_cast<u8>(first + 5)]),
+        h6(kPermutation[static_cast<u8>(first + 6)]),
+        h7(kPermutation[static_cast<u8>(first + 7)]) {}
+
+  void Absorb(u8 byte) {
+    h0 = Lane(h0, byte);
+    h1 = Lane(h1, byte);
+    h2 = Lane(h2, byte);
+    h3 = Lane(h3, byte);
+    h4 = Lane(h4, byte);
+    h5 = Lane(h5, byte);
+    h6 = Lane(h6, byte);
+    h7 = Lane(h7, byte);
   }
-  // Widening trick: lane i starts from a lane-specific permutation of the
-  // first byte, then all lanes absorb the same stream, side by side.
-  std::array<u8, 8> lanes{};
-  for (usize lane = 0; lane < 8; ++lane) {
-    lanes[lane] = kPermutation[static_cast<u8>(data[0] + lane)];
+
+  u64 Digest() const {
+    return u64{h0} | u64{h1} << 8 | u64{h2} << 16 | u64{h3} << 24 | u64{h4} << 32 |
+           u64{h5} << 40 | u64{h6} << 48 | u64{h7} << 56;
   }
-  for (const u8 byte : data.subspan(1)) {
-    for (u8& h : lanes) {
-      h = Lane(h, byte);
-    }
-  }
-  u64 digest = 0;
-  for (usize lane = 0; lane < 8; ++lane) {
-    digest |= static_cast<u64>(lanes[lane]) << (8 * lane);
-  }
-  return digest;
-}
+};
 
 }  // namespace
 
-u64 PearsonHash64(std::span<const u8> data) { return HashBytes(data); }
+u64 PearsonHash64(std::span<const u8> data) {
+  if (data.empty()) {
+    return 0;
+  }
+  Lanes lanes(data[0]);
+  for (const u8 byte : data.subspan(1)) {
+    lanes.Absorb(byte);
+  }
+  return lanes.Digest();
+}
 
 std::span<const u8> PearsonTable() { return kPermutation; }
 
 u64 PearsonHash64(u64 key) {
-  std::array<u8, 8> bytes{};
-  for (usize i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<u8>(key >> (8 * i));
+  Lanes lanes(static_cast<u8>(key));
+  for (usize i = 1; i < 8; ++i) {
+    lanes.Absorb(static_cast<u8>(key >> (8 * i)));
   }
-  return HashBytes(bytes);
+  return lanes.Digest();
 }
 
 PearsonHashIp::PearsonHashIp(Simulator& sim, std::string name)

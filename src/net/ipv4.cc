@@ -16,9 +16,9 @@ bool Ipv4View::Valid() const {
          packet_.size() >= offset_ + total_length();
 }
 
-u8 Ipv4View::version() const { return BitUtil::GetBits(packet_.bytes(), offset_, 0, 4); }
+u8 Ipv4View::version() const { return BitUtil::Get8(packet_.bytes(), offset_) >> 4; }
 
-u8 Ipv4View::ihl() const { return BitUtil::GetBits(packet_.bytes(), offset_, 4, 4); }
+u8 Ipv4View::ihl() const { return BitUtil::Get8(packet_.bytes(), offset_) & 0x0f; }
 
 void Ipv4View::SetVersionIhl(u8 version, u8 ihl) {
   BitUtil::SetBits(packet_.bytes(), offset_, 0, 4, version);

@@ -88,7 +88,10 @@ class AsciiText {
   usize size_ = 0;
 };
 
-Expected<u64> ParseU64(std::string_view text) {
+// A decimal number no larger than `max` (a flags or exptime field holds 32
+// bits): real memcached rejects a larger one rather than reading it modulo
+// the field's width.
+Expected<u64> ParseU64(std::string_view text, u64 max = ~u64{0}) {
   if (text.empty()) {
     return InvalidArgument("empty number");
   }
@@ -97,7 +100,11 @@ Expected<u64> ParseU64(std::string_view text) {
     if (c < '0' || c > '9') {
       return InvalidArgument("non-digit in number");
     }
-    value = value * 10 + static_cast<u64>(c - '0');
+    const u64 digit = static_cast<u64>(c - '0');
+    if (value > (max - digit) / 10) {
+      return InvalidArgument("number out of range");
+    }
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -124,17 +131,17 @@ bool HoldsDataBlock(std::span<const u8> data, usize value_start, u64 bytes) {
   return bytes <= room && room - bytes >= 2;
 }
 
-bool IsGetHit(const McResponse& response) {
+bool IsGetHit(const McResponseView& response) {
   return response.op == McOpcode::kGet && response.status == McStatus::kNoError;
 }
 
-usize BinaryResponseSize(const McResponse& response) {
+usize BinaryResponseSize(const McResponseView& response) {
   return kMcBinaryHeaderSize + (IsGetHit(response) ? 4 + response.value.size() : 0);
 }
 
 // Writes every byte of `out` (BinaryResponseSize bytes), which may hold a
 // request's bytes when a service answers in place.
-void WriteBinaryResponse(const McResponse& response, std::span<u8> out) {
+void WriteBinaryResponse(const McResponseView& response, std::span<u8> out) {
   const bool get_hit = IsGetHit(response);
   const usize extras = get_hit ? 4 : 0;
   std::fill_n(out.begin(), kMcBinaryHeaderSize, u8{0});
@@ -178,7 +185,7 @@ void AsciiRequestText(const McRequest& request, AsciiText& text) {
   }
 }
 
-void AsciiResponseText(const McResponse& response, AsciiText& text) {
+void AsciiResponseText(const McResponseView& response, AsciiText& text) {
   switch (response.op) {
     case McOpcode::kGet:
       if (response.status == McStatus::kNoError) {
@@ -356,8 +363,8 @@ Expected<McRequest> ParseMcAsciiRequest(std::span<const u8> data) {
     }
     request.op = McOpcode::kSet;
     request.key.assign(tokens.token[1]);
-    auto flags = ParseU64(tokens.token[2]);
-    auto expiry = ParseU64(tokens.token[3]);
+    auto flags = ParseU64(tokens.token[2], 0xffffffff);
+    auto expiry = ParseU64(tokens.token[3], 0xffffffff);
     auto bytes = ParseU64(tokens.token[4]);
     if (!flags.ok() || !expiry.ok() || !bytes.ok()) {
       return MalformedPacket("bad numeric field in set");
@@ -402,7 +409,7 @@ Expected<McResponse> ParseMcAsciiResponse(std::span<const u8> data) {
     }
     response.op = McOpcode::kGet;
     response.key.assign(tokens.token[1]);
-    auto flags = ParseU64(tokens.token[2]);
+    auto flags = ParseU64(tokens.token[2], 0xffffffff);
     auto bytes = ParseU64(tokens.token[3]);
     if (!flags.ok() || !bytes.ok()) {
       return MalformedPacket("bad numeric field in VALUE");
@@ -453,23 +460,18 @@ std::vector<u8> BuildMcResponse(const McResponse& response) {
                                                   : BuildMcAsciiResponse(response);
 }
 
-usize McResponseSize(const McResponse& response) {
+usize WriteMcResponse(const McResponseView& response, Packet& frame, usize offset) {
   if (response.protocol == McProtocol::kBinary) {
-    return BinaryResponseSize(response);
+    const usize size = BinaryResponseSize(response);
+    frame.Resize(offset + size);
+    WriteBinaryResponse(response, frame.MutableView(offset, size));
+    return size;
   }
   AsciiText text;
   AsciiResponseText(response, text);
+  frame.Resize(offset + text.size());
+  text.WriteTo(frame.MutableView(offset, text.size()));
   return text.size();
-}
-
-void WriteMcResponse(const McResponse& response, std::span<u8> out) {
-  if (response.protocol == McProtocol::kBinary) {
-    WriteBinaryResponse(response, out);
-    return;
-  }
-  AsciiText text;
-  AsciiResponseText(response, text);
-  text.WriteTo(out);
 }
 
 Expected<McResponse> ParseMcResponse(std::span<const u8> data, McProtocol protocol) {

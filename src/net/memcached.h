@@ -9,10 +9,12 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
+#include "src/net/packet.h"
 
 namespace emu {
 
@@ -81,10 +83,32 @@ Expected<McRequest> ParseMcRequest(std::span<const u8> data, McProtocol protocol
 std::vector<u8> BuildMcResponse(const McResponse& response);
 Expected<McResponse> ParseMcResponse(std::span<const u8> data, McProtocol protocol);
 
-// The wire size of a response, and a writer that fills exactly that many
-// bytes: a service writes its reply in place, inside the request's frame.
-usize McResponseSize(const McResponse& response);
-void WriteMcResponse(const McResponse& response, std::span<u8> out);
+// A response that borrows its key and value, so a service can write a stored
+// value straight into its reply. Any McResponse converts to one.
+struct McResponseView {
+  McResponseView() = default;
+  McResponseView(const McResponse& response)  // NOLINT(runtime/explicit)
+      : protocol(response.protocol),
+        op(response.op),
+        status(response.status),
+        key(response.key),
+        value(response.value),
+        flags(response.flags),
+        opaque(response.opaque) {}
+
+  McProtocol protocol = McProtocol::kBinary;
+  McOpcode op = McOpcode::kGet;
+  McStatus status = McStatus::kNoError;
+  std::string_view key;
+  std::string_view value;
+  u32 flags = 0;
+  u32 opaque = 0;
+};
+
+// Writes `response` into `frame` from byte `offset` on, resizing the frame to
+// end with it, and returns its wire size: a service writes its reply in place,
+// over the request in the request's frame.
+usize WriteMcResponse(const McResponseView& response, Packet& frame, usize offset);
 
 }  // namespace emu
 

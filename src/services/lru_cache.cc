@@ -24,16 +24,17 @@ LruCacheBlock::Data LruCacheBlock::Lookup(u64 key_in) {
 }
 
 usize LruCacheBlock::Cache(u64 key_in, u64 value_in) {
+  const HashCam::Key key = HashCam::Hashed(key_in);
   // Re-caching an existing key: unbind the old slot first (it becomes the
   // next eviction candidate), then insert fresh.
-  Erase(key_in);
+  Erase(key);
   const NaughtyQ::EnlistResult enlisted = queue_->Enlist(value_in);
   if (enlisted.evicted && slot_used_[enlisted.index]) {
     // A live entry fell out of the front of the queue: unbind its key.
     hash_cam_->Erase(key_of_slot_[enlisted.index]);
     ++evictions_;
   }
-  if (!hash_cam_->Write(key_in, enlisted.index)) {
+  if (!hash_cam_->Write(key, enlisted.index)) {
     // Probe window exhausted: the new entry is unreachable, i.e. instantly
     // evicted. Leave the slot as an unbound zombie for recycling.
     slot_used_[enlisted.index] = false;
@@ -46,12 +47,14 @@ usize LruCacheBlock::Cache(u64 key_in, u64 value_in) {
   return enlisted.index;
 }
 
-bool LruCacheBlock::Erase(u64 key_in) {
-  const u64 idx = hash_cam_->Read(key_in);
+bool LruCacheBlock::Erase(u64 key_in) { return Erase(HashCam::Hashed(key_in)); }
+
+bool LruCacheBlock::Erase(HashCam::Key key) {
+  const u64 idx = hash_cam_->Read(key);
   if (!hash_cam_->matched()) {
     return false;
   }
-  hash_cam_->Erase(key_in);
+  hash_cam_->Erase(key);
   slot_used_[idx] = false;
   // Demote the now-unbound slot to the front so the next Enlist recycles it
   // before touching any live entry.

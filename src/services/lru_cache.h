@@ -47,6 +47,9 @@ class LruCacheBlock : public Module {
   u64 evictions() const { return evictions_; }
 
  private:
+  // Erase with the key hashed once by the caller.
+  bool Erase(HashCam::Key key);
+
   std::unique_ptr<HashCam> hash_cam_;
   std::unique_ptr<NaughtyQ> queue_;
   std::vector<u64> key_of_slot_;  // reverse map for eviction invalidation

@@ -218,9 +218,9 @@ HwProcess MemcachedService::Dispatcher() {
   }
 }
 
-McResponse MemcachedService::Execute(usize core_id, const McRequest& request) {
+McResponseView MemcachedService::Execute(usize core_id, const McRequest& request) {
   CoreState& core = cores_[core_id];
-  McResponse response;
+  McResponseView response;
   response.protocol = config_.protocol;
   response.op = request.op;
   response.key = request.key;
@@ -367,14 +367,31 @@ HwProcess MemcachedService::Worker(usize core_id) {
         config_.cores == 1 ||
         dataplane.tdata.src_port() % config_.cores == core_id;
 
-    McResponse response = Execute(core_id, *request);
+    const McResponseView response = Execute(core_id, *request);
+    const usize value_bytes = response.value.size();
+    const bool hit = response.status == McStatus::kNoError;
+
+    // Write the reply in the request's frame now: the GET value it copies
+    // is the store entry as this request found it, and a host reply may
+    // refill that entry during the access cycles below (L1-cache mode).
+    Packet& frame = dataplane.tdata;
+    const usize udp_offset = Ipv4View(frame).payload_offset();
+    if (respond) {
+      SwapEthernetAddresses(frame);
+      const usize reply_bytes = WriteMcResponse(response, frame, udp_offset + kUdpHeaderSize);
+      Ipv4View(frame).set_total_length(static_cast<u16>(frame.size() - kEthernetHeaderSize));
+      SwapIpv4Addresses(frame);
+      SwapUdpPorts(frame);
+      UdpView(frame, udp_offset).set_length(static_cast<u16>(kUdpHeaderSize + reply_bytes));
+    }
+
     switch (request->op) {
       case McOpcode::kGet:
         ++gets_;
-        if (response.status == McStatus::kNoError) {
+        if (hit) {
           ++get_hits_;
         }
-        co_await PauseFor(StoreAccessCycles(core_id, response.value.size()));
+        co_await PauseFor(StoreAccessCycles(core_id, value_bytes));
         break;
       case McOpcode::kSet:
         if (respond) {
@@ -397,20 +414,8 @@ HwProcess MemcachedService::Worker(usize core_id) {
       continue;
     }
 
-    // Write the reply in the request's frame.
-    const usize reply_bytes = McResponseSize(response);
-    Packet& frame = dataplane.tdata;
-    SwapEthernetAddresses(frame);
-    const usize udp_offset = Ipv4View(frame).payload_offset();
-    frame.Resize(udp_offset + kUdpHeaderSize + reply_bytes);
-    WriteMcResponse(response, frame.MutableView(udp_offset + kUdpHeaderSize, reply_bytes));
     Ipv4View ip_out(frame);
-    ip_out.set_total_length(static_cast<u16>(frame.size() - kEthernetHeaderSize));
-    SwapIpv4Addresses(frame);
     UdpView udp_out(frame, udp_offset);
-    SwapUdpPorts(frame);
-    udp_out.set_length(static_cast<u16>(kUdpHeaderSize + reply_bytes));
-
     // UDP checksum via the hardware unit (the §5.5 bug lives here when
     // injected; otherwise it matches the software path).
     udp_out.set_checksum(0);

@@ -140,7 +140,10 @@ class MemcachedService : public Service {
 
   HwProcess Dispatcher();
   HwProcess Worker(usize core);
-  McResponse Execute(usize core, const McRequest& request);
+  // Runs `request` against `core`'s store. The response borrows the
+  // request's key and, on a GET hit, the store entry's value: write it out
+  // before anything can store into that entry again.
+  McResponseView Execute(usize core, const McRequest& request);
   Cycle StoreAccessCycles(usize core, usize bytes);
   // L1-cache mode: fills every core's cache from the UDP payload of a host
   // tier's reply.

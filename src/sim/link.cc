@@ -1,7 +1,6 @@
 #include "src/sim/link.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/common/fatal.h"
 #include "src/core/metrics.h"
@@ -111,7 +110,9 @@ void Link::Deliver(Packet frame, bool to_b, Picoseconds arrival) {
 
 void Link::CompleteRemote(Packet frame, bool to_b) {
   Receiver& receiver = to_b ? end_b_ : end_a_;
-  assert(receiver && "remote delivery on an unattached link end");
+  if (!receiver) {
+    Fatal("Link::CompleteRemote", "remote delivery to unattached end %s", to_b ? "b" : "a");
+  }
   ++delivered_;
   receiver(std::move(frame));
 }

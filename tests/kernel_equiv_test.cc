@@ -35,6 +35,7 @@
 #include "src/ip/hash_cam.h"
 #include "src/ip/logic_cam.h"
 #include "src/net/udp.h"
+#include "src/services/l3l4_filter.h"
 #include "src/services/learning_switch.h"
 #include "src/services/memcached_service.h"
 #include "src/services/nat_service.h"
@@ -989,6 +990,126 @@ TEST(KernelEquivalence, ForcedWakeMidQuiescentWindowBooksIdentically) {
   EXPECT_GT(fast.cycles_fast_forwarded, 0u);  // the idle spans actually jumped
 }
 
+// --- Poll-only edges --------------------------------------------------------------
+//
+// A testbench Pop or an egress bumps the wake epoch, which leaves every parked
+// predicate stale. When no process is due, the quiescence scan polls those
+// predicates itself and jumps if all stay false, so the edge that used to
+// execute only to poll them joins the jump. A jump that ends at a sleeper's
+// wake steps into that edge without scanning again. Both workloads below
+// drive a target the way a cluster node or a chain stage does.
+
+struct PollOnlyRun {
+  Cycle final_now = 0;
+  usize egress_count = 0;
+  u64 egress_digest = 0;
+  u64 edges_run = 0;
+  u64 cycles_fast_forwarded = 0;
+  std::vector<ProcessProfile> processes;
+
+  void Capture(Simulator& sim, const std::vector<Packet>& egress) {
+    final_now = sim.now();
+    egress_count = egress.size();
+    egress_digest = fnv::kOffset;
+    for (const Packet& frame : egress) {
+      egress_digest = fnv::Bytes(egress_digest, frame.bytes());
+    }
+    const SimProfile profile = sim.ProfileReport();
+    edges_run = profile.edges_run;
+    cycles_fast_forwarded = profile.cycles_fast_forwarded;
+    processes = profile.processes;
+  }
+};
+
+// A memcached request at a time through CpuTarget::Deliver, as a cluster
+// node serves it.
+PollOnlyRun RunCpuMemcachedRequests(bool fast_path) {
+  MemcachedConfig config;
+  MemcachedService service(config);
+  CpuTarget target(service);
+  target.sim().SetFastPath(fast_path);
+  MemaslapConfig workload;
+  workload.server_mac = config.mac;
+  workload.server_ip = config.ip;
+  workload.key_space = 4;
+  workload.value_bytes = 24;
+  MemaslapLoadgen loadgen(workload);
+  std::vector<Packet> egress;
+  for (usize i = 0; i < 24; ++i) {
+    Packet request = i < loadgen.prewarm_count() ? loadgen.PrewarmFrame(i)
+                                                 : loadgen.WorkloadFrame(i);
+    for (Packet& reply : target.Deliver(std::move(request))) {
+      egress.push_back(std::move(reply));
+    }
+  }
+  PollOnlyRun run;
+  run.Capture(target.sim(), egress);
+  return run;
+}
+
+// A chain's filter stage: one frame in, run to its egress, drain, take it.
+PollOnlyRun RunFpgaFilterTraversals(bool fast_path) {
+  L3L4Filter service;
+  FpgaTarget target(service);
+  target.sim().SetFastPath(fast_path);
+  const MacAddress client = MacAddress::FromU48(0x02'00'00'00'0c'01);
+  const MacAddress host = MacAddress::FromU48(0x02'00'00'00'0c'02);
+  std::vector<Packet> egress;
+  for (usize i = 0; i < 16; ++i) {
+    const bool forward = i % 2 == 0;
+    target.Inject(forward ? 1 : 0,
+                  MakeUdpPacket({forward ? host : client, forward ? client : host,
+                                 Ipv4Address(192, 168, 1, 10), Ipv4Address(10, 0, 0, 5),
+                                 static_cast<u16>(4000 + i), 11211},
+                                std::vector<u8>(8 + i, static_cast<u8>(i))));
+    target.RunUntilEgress(200'000);
+    target.Run(64);
+    for (EgressFrame& out : target.TakeEgress()) {
+      egress.push_back(std::move(out.frame));
+    }
+  }
+  PollOnlyRun run;
+  run.Capture(target.sim(), egress);
+  return run;
+}
+
+struct PollOnlyPins {
+  u64 edges_run;                // the default kernel's executed edges
+  std::vector<u64> polls;       // per process, in registration order
+};
+
+void CheckPollOnlyEdgesJoinTheJump(const char* what, PollOnlyRun (*workload)(bool),
+                                   const PollOnlyPins& pins) {
+  SCOPED_TRACE(what);
+  const PollOnlyRun fast = workload(true);
+  const PollOnlyRun exact = workload(false);
+  ASSERT_GT(fast.egress_count, 0u);
+  EXPECT_EQ(fast.final_now, exact.final_now);
+  EXPECT_EQ(fast.egress_count, exact.egress_count);
+  EXPECT_EQ(fast.egress_digest, exact.egress_digest);
+  ASSERT_EQ(fast.processes.size(), exact.processes.size());
+  ASSERT_EQ(fast.processes.size(), pins.polls.size());
+  for (usize i = 0; i < fast.processes.size(); ++i) {
+    EXPECT_EQ(fast.processes[i].resumes, exact.processes[i].resumes) << fast.processes[i].name;
+    // The exact kernel polls every parked predicate on every edge; the default
+    // kernel polls a predicate once per wake epoch, on an edge or in the scan,
+    // and so as often as it did when every poll took an edge.
+    EXPECT_EQ(fast.processes[i].polls, pins.polls[i]) << fast.processes[i].name;
+  }
+  EXPECT_EQ(fast.edges_run, pins.edges_run);
+  EXPECT_EQ(fast.edges_run + fast.cycles_fast_forwarded, exact.edges_run);
+}
+
+TEST(KernelEquivalence, PollOnlyEdgesJoinTheJump) {
+  // 24 requests: 312 edges (13.0 per request) when poll-only edges executed.
+  CheckPollOnlyEdgesJoinTheJump("cpu memcached", RunCpuMemcachedRequests,
+                                PollOnlyPins{264, {78, 72}});
+  // 16 traversals: 306 edges when poll-only edges executed.
+  CheckPollOnlyEdgesJoinTheJump(
+      "fpga filter", RunFpgaFilterTraversals,
+      PollOnlyPins{255, {208, 207, 208, 208, 191, 176, 160, 144, 127, 130, 146, 139, 131, 131}});
+}
+
 // --- Profiling --------------------------------------------------------------------
 
 TEST(ProfileReportTest, CountsResumesAndJumps) {
@@ -1036,6 +1157,34 @@ TEST(ProfileReportTest, RunnableProcessSkipsQuiescenceScan) {
   EXPECT_EQ(fast_count, exact_count);
   EXPECT_EQ(fast.edges_run, exact.edges_run);
   EXPECT_EQ(fast.edges_run, 10'000u);
+}
+
+HwProcess WakeEvery100(Reg<u64>& wakes) {
+  for (;;) {
+    wakes.Write(wakes.Read() + 1);
+    co_await PauseFor(100);
+  }
+}
+
+// A jump that ends at a sleeper's wake leaves that edge due, so Run steps
+// into it without a second scan (which could only return 0): one scan per
+// jump, plus the first, which finds the new process runnable.
+TEST(ProfileReportTest, JumpToAWakeSkipsTheScan) {
+  const auto run = [](bool fast_path) {
+    Simulator sim;
+    sim.SetFastPath(fast_path);
+    sim.SetProfilingMode(ProfilingMode::kFull);
+    Reg<u64> wakes(sim, 0);
+    sim.AddProcess(WakeEvery100(wakes), "sleeper");
+    sim.Run(10'000);
+    return std::make_pair(wakes.Read(), sim.ProfileReport());
+  };
+  const auto [fast_wakes, fast] = run(true);
+  const auto [exact_wakes, exact] = run(false);
+  EXPECT_EQ(fast_wakes, exact_wakes);
+  EXPECT_EQ(fast.jumps, 100u);
+  EXPECT_EQ(fast.quiescence_scan.calls, fast.jumps + 1);
+  EXPECT_EQ(fast.edges_run + fast.cycles_fast_forwarded, exact.edges_run);
 }
 
 // --- Testbench writes between Run calls -------------------------------------------

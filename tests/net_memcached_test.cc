@@ -254,6 +254,43 @@ TEST(McAscii, RejectsByteCountThatWrapsTheBounds) {
   EXPECT_EQ(parsed.status().code(), ErrorCode::kMalformedPacket);
 }
 
+// A number above its field's width is rejected, not read modulo 2^64 or cast
+// to 32 bits: the first line used to parse as flags 1 with a one-byte value.
+TEST(McAscii, RejectsNumbersThatOverflow) {
+  const auto request = [](const std::string& wire) {
+    return ParseMcAsciiRequest(
+        std::span<const u8>(reinterpret_cast<const u8*>(wire.data()), wire.size()));
+  };
+  const auto response = [](const std::string& wire) {
+    return ParseMcAsciiResponse(
+        std::span<const u8>(reinterpret_cast<const u8*>(wire.data()), wire.size()));
+  };
+  for (const std::string wire : {"set k 4294967297 0 18446744073709551617\r\nv\r\n",
+                                 "set k 4294967296 0 1\r\nv\r\n",
+                                 "set k 0 4294967296 1\r\nv\r\n",
+                                 "set k 0 0 18446744073709551617\r\nv\r\n",
+                                 "set k 0 0 99999999999999999999999\r\nv\r\n"}) {
+    const auto parsed = request(wire);
+    ASSERT_FALSE(parsed.ok()) << wire;
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kMalformedPacket) << wire;
+  }
+  for (const std::string wire : {"VALUE k 4294967296 1\r\nv\r\nEND\r\n",
+                                 "VALUE k 0 18446744073709551617\r\nv\r\nEND\r\n"}) {
+    const auto parsed = response(wire);
+    ASSERT_FALSE(parsed.ok()) << wire;
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kMalformedPacket) << wire;
+  }
+  // The largest values that fit still parse, with leading zeros too.
+  const auto set = request("set k 4294967295 00004294967295 1\r\nv\r\n");
+  ASSERT_TRUE(set.ok());
+  EXPECT_EQ(set->flags, 4294967295u);
+  EXPECT_EQ(set->expiry, 4294967295u);
+  EXPECT_EQ(set->value, "v");
+  const auto value = response("VALUE k 4294967295 1\r\nv\r\nEND\r\n");
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(value->flags, 4294967295u);
+}
+
 // --- Dispatch helpers --------------------------------------------------------------
 
 class McProtocolParam : public ::testing::TestWithParam<McProtocol> {};

@@ -1,21 +1,30 @@
-// Reference-model tests for the net layer's allocation-free paths.
+// Reference-model tests for the net layer's allocation-free paths and the IP
+// blocks' word-wide models.
 //
-// The frame builders, the memcached codec, BitUtil's sub-byte accessors and
-// the Pearson hash were first written the obvious way: builders that copied
-// the payload once per layer, a tokenizer that grew a vector and builders that
-// concatenated strings, bit-at-a-time field access, and one pass over the key
-// per hash lane. Those versions live on below as oracles. The library must
-// agree with them byte for byte, status for status and hash for hash on
+// The frame builders, the memcached codec, BitUtil's sub-byte accessors, the
+// Pearson hash and the checksum, CAM and HashCAM blocks were first written the
+// obvious way: builders that copied the payload once per layer, a tokenizer
+// that grew a vector and builders that concatenated strings, bit-at-a-time
+// field access, one pass over the key per hash lane, a checksum fed one byte
+// at a time, a CAM lookup that scans every slot, and a HashCAM that hashes
+// the key on every call. Those versions live on below as oracles. The library
+// must agree with them byte for byte, status for status and hash for hash on
 // seeded random inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <string>
 #include <vector>
 
 #include "src/common/bit_util.h"
 #include "src/common/rng.h"
+#include "src/fault/fault_registry.h"
+#include "src/hdl/simulator.h"
+#include "src/ip/cam.h"
+#include "src/ip/checksum_unit.h"
+#include "src/ip/hash_cam.h"
 #include "src/ip/pearson_hash.h"
 #include "src/net/checksum.h"
 #include "src/net/ethernet.h"
@@ -189,16 +198,20 @@ std::vector<std::string_view> Tokenize(std::string_view line) {
   return tokens;
 }
 
-Expected<u64> ParseU64(std::string_view text) {
+// Digits only, and at most `max`: a flags or exptime field holds 32 bits.
+Expected<u64> ParseU64(std::string_view text, u64 max = ~u64{0}) {
   if (text.empty()) {
     return InvalidArgument("empty number");
   }
-  u64 value = 0;
   for (char c : text) {
     if (c < '0' || c > '9') {
       return InvalidArgument("non-digit in number");
     }
-    value = value * 10 + static_cast<u64>(c - '0');
+  }
+  u64 value = 0;
+  const auto parsed = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (parsed.ec != std::errc() || value > max) {
+    return InvalidArgument("number out of range");
   }
   return value;
 }
@@ -265,8 +278,8 @@ Expected<McRequest> ParseMcAsciiRequest(std::span<const u8> data) {
     }
     request.op = McOpcode::kSet;
     request.key = std::string(tokens[1]);
-    auto flags = ParseU64(tokens[2]);
-    auto expiry = ParseU64(tokens[3]);
+    auto flags = ParseU64(tokens[2], 0xffffffff);
+    auto expiry = ParseU64(tokens[3], 0xffffffff);
     auto bytes = ParseU64(tokens[4]);
     if (!flags.ok() || !expiry.ok() || !bytes.ok()) {
       return MalformedPacket("bad numeric field in set");
@@ -328,7 +341,7 @@ Expected<McResponse> ParseMcAsciiResponse(std::span<const u8> data) {
     }
     response.op = McOpcode::kGet;
     response.key = std::string(tokens[1]);
-    auto flags = ParseU64(tokens[2]);
+    auto flags = ParseU64(tokens[2], 0xffffffff);
     auto bytes = ParseU64(tokens[3]);
     if (!flags.ok() || !bytes.ok()) {
       return MalformedPacket("bad numeric field in VALUE");
@@ -555,11 +568,17 @@ TEST(NetReference, McBuildersMatchConcatenation) {
     ASSERT_EQ(wire, protocol == McProtocol::kAscii ? reference::BuildMcAsciiResponse(response)
                                                    : reference::BuildMcBinaryResponse(response))
         << what;
-    // In place, over the bytes of whatever frame held the request.
-    ASSERT_EQ(McResponseSize(response), wire.size()) << what;
-    std::vector<u8> in_place = RandomBytes(rng, wire.size());
-    WriteMcResponse(response, in_place);
-    ASSERT_EQ(in_place, wire) << what;
+    // In place, over the bytes of whatever frame held the request, which
+    // may be longer or shorter than the reply.
+    const usize offset = rng.NextBelow(50);
+    const std::vector<u8> held = RandomBytes(rng, offset + rng.NextBelow(2 * wire.size() + 1));
+    Packet in_place(held);
+    ASSERT_EQ(WriteMcResponse(response, in_place, offset), wire.size()) << what;
+    ASSERT_EQ(in_place.size(), offset + wire.size()) << what;
+    ASSERT_TRUE(std::ranges::equal(in_place.View(0, offset),
+                                   std::span<const u8>(held).first(offset)))
+        << what;
+    ASSERT_TRUE(std::ranges::equal(in_place.View(offset, wire.size()), wire)) << what;
     if (protocol == McProtocol::kAscii) {
       ExpectSameParse(wire, what);
     }
@@ -693,6 +712,343 @@ TEST(NetReference, PearsonLanesMatchOnePassPerLane) {
     }
     ASSERT_EQ(PearsonHash64(word), reference::PearsonHash64(word_bytes)) << word;
   }
+}
+
+// --- IP blocks: byte-at-a-time checksum, scanning CAM, per-call HashCAM -----------
+
+namespace reference {
+
+class ChecksumUnit {
+ public:
+  void AddByte(u8 byte) {
+    sum_ += high_byte_ ? u64{byte} << 8 : u64{byte};
+    high_byte_ = !high_byte_;
+  }
+  void AddBytes(std::span<const u8> data) {
+    for (const u8 byte : data) {
+      AddByte(byte);
+    }
+  }
+  void Add16(u16 value) {
+    AddByte(static_cast<u8>(value >> 8));
+    AddByte(static_cast<u8>(value));
+  }
+  void Add32(u32 value) {
+    Add16(static_cast<u16>(value >> 16));
+    Add16(static_cast<u16>(value));
+  }
+  u16 Result(bool skip_fold) const {
+    u64 sum = sum_;
+    while (!skip_fold && sum >> 16) {
+      sum = (sum & 0xffff) + (sum >> 16);
+    }
+    return static_cast<u16>(~sum & 0xffff);
+  }
+
+ private:
+  u64 sum_ = 0;
+  bool high_byte_ = true;
+};
+
+class Cam {
+ public:
+  Cam(usize entries, usize key_bits)
+      : key_bits_(key_bits),
+        key_mask_(key_bits >= 64 ? ~u64{0} : (u64{1} << key_bits) - 1),
+        slots_(entries) {}
+
+  CamLookupResult Lookup(u64 key) const {
+    for (usize i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].valid && slots_[i].key == (key & key_mask_)) {
+        return CamLookupResult{true, slots_[i].value, i};
+      }
+    }
+    return CamLookupResult{};
+  }
+  void Write(usize index, u64 key, u64 value) {
+    pending_.push_back({index, Slot{true, key & key_mask_, value}});
+  }
+  void Invalidate(usize index) { pending_.push_back({index, Slot{}}); }
+  void Commit() {
+    for (const auto& [index, slot] : pending_) {
+      slots_[index] = slot;
+    }
+    pending_.clear();
+  }
+  void InjectBitFlip(u64 bit) {
+    const usize slot_bits = 1 + key_bits_;
+    Slot& slot = slots_[static_cast<usize>(bit / slot_bits) % slots_.size()];
+    const usize in_slot = static_cast<usize>(bit % slot_bits);
+    if (in_slot == 0) {
+      slot.valid = !slot.valid;
+    } else {
+      slot.key = (slot.key ^ (u64{1} << (in_slot - 1))) & key_mask_;
+    }
+  }
+
+ private:
+  struct Slot {
+    bool valid = false;
+    u64 key = 0;
+    u64 value = 0;
+  };
+  usize key_bits_;
+  u64 key_mask_;
+  std::vector<Slot> slots_;
+  std::vector<std::pair<usize, Slot>> pending_;
+};
+
+// Hashes the key again for every probe of every call.
+class HashCam {
+ public:
+  explicit HashCam(usize buckets) : table_(buckets) {}
+
+  bool matched() const { return matched_; }
+  const std::vector<emu::HashCam::Bucket>& table() const { return table_; }
+
+  u64 Read(u64 key) {
+    for (usize probe = 0; probe < emu::HashCam::kProbeLimit; ++probe) {
+      const emu::HashCam::Bucket& bucket = table_[Slot(key, probe)];
+      if (bucket.valid && bucket.key == key) {
+        matched_ = true;
+        return bucket.index;
+      }
+    }
+    matched_ = false;
+    return 0;
+  }
+  bool Write(u64 key, u64 index) {
+    for (usize probe = 0; probe < emu::HashCam::kProbeLimit; ++probe) {
+      emu::HashCam::Bucket& bucket = table_[Slot(key, probe)];
+      if (bucket.valid && bucket.key == key) {
+        bucket.index = index;
+        return true;
+      }
+    }
+    for (usize probe = 0; probe < emu::HashCam::kProbeLimit; ++probe) {
+      emu::HashCam::Bucket& bucket = table_[Slot(key, probe)];
+      if (!bucket.valid) {
+        bucket = emu::HashCam::Bucket{true, key, index};
+        return true;
+      }
+    }
+    return false;
+  }
+  void Erase(u64 key) {
+    for (usize probe = 0; probe < emu::HashCam::kProbeLimit; ++probe) {
+      emu::HashCam::Bucket& bucket = table_[Slot(key, probe)];
+      if (bucket.valid && bucket.key == key) {
+        bucket.valid = false;
+        return;
+      }
+    }
+  }
+  void InjectBitFlip(u64 bit) {
+    emu::HashCam::Bucket& bucket = table_[static_cast<usize>(bit / 65) % table_.size()];
+    const usize in_bucket = static_cast<usize>(bit % 65);
+    if (in_bucket == 0) {
+      bucket.valid = !bucket.valid;
+    } else {
+      bucket.key ^= u64{1} << (in_bucket - 1);
+    }
+  }
+
+ private:
+  usize Slot(u64 key, usize probe) const {
+    return (static_cast<usize>(emu::PearsonHash64(key)) + probe) & (table_.size() - 1);
+  }
+
+  std::vector<emu::HashCam::Bucket> table_;
+  bool matched_ = false;
+};
+
+}  // namespace reference
+
+// Spans of 0-1,500 B cut into pieces at random (mostly odd) offsets and fed
+// through AddBytes, AddByte, Add16 and Add32, with the §5.5 fold bug and the
+// plan-driven fold fault each on and off.
+TEST(NetReference, ChecksumWordsMatchByteAtATime) {
+  Rng rng(0xc5a);
+  Simulator sim;
+  FaultRegistry registry(11);
+  ChecksumUnit unit(sim, "csum");
+  unit.AttachFault(registry, "csum");
+  for (usize round = 0; round < 2'000; ++round) {
+    const bool fold_bug = rng.NextBool(0.5);
+    const bool fold_fault = rng.NextBool(0.5);
+    unit.InjectFoldBug(fold_bug);
+    registry.DisarmAll();
+    if (fold_fault) {
+      registry.Arm("csum.fold", FaultSchedule::Bernoulli(1.0));
+    }
+    const std::vector<u8> data = RandomBytes(rng, rng.NextInRange(0, 1'500));
+    const std::span<const u8> bytes(data);
+    reference::ChecksumUnit expected;
+    unit.Reset();
+    usize pos = 0;
+    while (pos < data.size()) {
+      const usize left = data.size() - pos;
+      switch (rng.NextBelow(4)) {
+        case 0:
+          expected.AddByte(data[pos]);
+          unit.AddByte(data[pos]);
+          pos += 1;
+          break;
+        case 1:
+          if (left >= 2) {
+            const u16 value = BitUtil::Get16(bytes, pos);
+            expected.Add16(value);
+            unit.Add16(value);
+            pos += 2;
+          }
+          break;
+        case 2:
+          if (left >= 4) {
+            const u32 value = BitUtil::Get32(bytes, pos);
+            expected.Add32(value);
+            unit.Add32(value);
+            pos += 4;
+          }
+          break;
+        default: {
+          const usize length = std::min<usize>(left, rng.NextInRange(0, 700));
+          expected.AddBytes(bytes.subspan(pos, length));
+          unit.AddBytes(bytes.subspan(pos, length));
+          pos += length;
+          break;
+        }
+      }
+      ASSERT_EQ(unit.Result(), expected.Result(fold_bug || fold_fault))
+          << "round " << round << ", " << pos << " of " << data.size() << " bytes";
+    }
+    ASSERT_EQ(unit.Result(), expected.Result(fold_bug || fold_fault)) << "round " << round;
+  }
+  EXPECT_GT(registry.fired_total(), 0u);
+}
+
+// Duplicate keys (a small key space, or a few wide keys) and bit flips that
+// move, drop and resurrect entries: every lookup agrees on hit, value and
+// the lowest matching index.
+TEST(NetReference, CamIndexMatchesLinearScan) {
+  struct Shape {
+    usize entries;
+    usize key_bits;
+  };
+  for (const Shape shape : {Shape{32, 4}, Shape{64, 48}, Shape{16, 64}}) {
+    Rng rng(0xca11 + shape.key_bits);
+    Simulator sim;
+    Cam cam(sim, "cam", shape.entries, shape.key_bits, 8);
+    reference::Cam expected(shape.entries, shape.key_bits);
+    std::vector<u64> keys(12);
+    for (u64& key : keys) {
+      key = rng.NextU64();
+    }
+    usize hits = 0;
+    for (usize step = 0; step < 20'000; ++step) {
+      const std::string what = "entries " + std::to_string(shape.entries) + " key_bits " +
+                               std::to_string(shape.key_bits) + " step " +
+                               std::to_string(step);
+      switch (rng.NextBelow(6)) {
+        case 0:
+        case 1: {
+          const usize index = rng.NextBelow(shape.entries);
+          const u64 key = keys[rng.NextBelow(keys.size())];
+          const u64 value = rng.NextBelow(256);
+          cam.Write(index, key, value);
+          expected.Write(index, key, value);
+          break;
+        }
+        case 2: {
+          const usize index = rng.NextBelow(shape.entries);
+          cam.Invalidate(index);
+          expected.Invalidate(index);
+          break;
+        }
+        case 3:
+          sim.Step();  // commits the CAM's pending writes
+          expected.Commit();
+          break;
+        case 4: {
+          const u64 bit = rng.NextBelow(cam.state_bits());
+          cam.InjectBitFlip(bit);
+          expected.InjectBitFlip(bit);
+          break;
+        }
+        default:
+          break;
+      }
+      // A flipped key bit turns a pool key into one near it; look both up.
+      u64 key = keys[rng.NextBelow(keys.size())];
+      if (rng.NextBool(0.3)) {
+        key ^= u64{1} << rng.NextBelow(shape.key_bits);
+      }
+      const CamLookupResult got = cam.Lookup(key);
+      const CamLookupResult want = expected.Lookup(key);
+      ASSERT_EQ(got.hit, want.hit) << what;
+      ASSERT_EQ(got.value, want.value) << what;
+      ASSERT_EQ(got.index, want.index) << what;
+      hits += got.hit ? 1 : 0;
+    }
+    EXPECT_GT(hits, 1'000u);
+  }
+}
+
+// The LRU block's pattern (one hash per operation, reused by Read, Erase and
+// Write) against hashing on every call: the bucket tables stay identical.
+TEST(NetReference, HashCamHashedOnceMatchesPerCallHashing) {
+  Rng rng(0x4a54);
+  Simulator sim;
+  HashCam cam(sim, "hashcam", 32);
+  reference::HashCam expected(cam.buckets());
+  std::vector<u64> keys(48);
+  for (u64& key : keys) {
+    key = rng.NextU64();
+  }
+  usize failed_writes = 0;
+  for (usize step = 0; step < 20'000; ++step) {
+    const std::string what = "step " + std::to_string(step);
+    const u64 raw = keys[rng.NextBelow(keys.size())];
+    const HashCam::Key key = HashCam::Hashed(raw);
+    const u64 index = rng.NextBelow(1'000);
+    switch (rng.NextBelow(5)) {
+      case 0:
+        ASSERT_EQ(cam.Read(key), expected.Read(raw)) << what;
+        ASSERT_EQ(cam.matched(), expected.matched()) << what;
+        break;
+      case 1:
+        ASSERT_EQ(cam.Write(key, index), expected.Write(raw, index)) << what;
+        break;
+      case 2:
+        cam.Erase(key);
+        expected.Erase(raw);
+        break;
+      case 3: {
+        // A re-cache: read the binding, drop it, bind the key anew.
+        ASSERT_EQ(cam.Read(key), expected.Read(raw)) << what;
+        cam.Erase(key);
+        expected.Erase(raw);
+        const bool written = cam.Write(key, index);
+        ASSERT_EQ(written, expected.Write(raw, index)) << what;
+        failed_writes += written ? 0 : 1;
+        break;
+      }
+      default: {
+        const u64 bit = rng.NextBelow(cam.state_bits());
+        cam.InjectBitFlip(bit);
+        expected.InjectBitFlip(bit);
+        break;
+      }
+    }
+    const std::span<const HashCam::Bucket> table = cam.table();
+    ASSERT_EQ(table.size(), expected.table().size());
+    for (usize i = 0; i < table.size(); ++i) {
+      ASSERT_EQ(table[i].valid, expected.table()[i].valid) << what << " bucket " << i;
+      ASSERT_EQ(table[i].key, expected.table()[i].key) << what << " bucket " << i;
+      ASSERT_EQ(table[i].index, expected.table()[i].index) << what << " bucket " << i;
+    }
+  }
+  // 48 keys in 32 buckets: the probe window runs out, as it does when full.
+  EXPECT_GT(failed_writes, 0u);
 }
 
 }  // namespace

@@ -880,6 +880,19 @@ TEST(SimConfigDeathTest, ImpairingALinkDirectionTwiceAborts) {
       "\\(points 'wire.again'\\)");
 }
 
+// A drained cross-shard frame for an end nothing is attached to used to call
+// an empty std::function (a debug-only assert guarded it).
+TEST(SimConfigDeathTest, RemoteDeliveryOnUnattachedEndAborts) {
+  EXPECT_DEATH(
+      {
+        EventScheduler scheduler;
+        Link link(scheduler, 10'000'000'000ULL, 1000);
+        link.AttachA([](Packet) {});
+        link.CompleteRemote(Packet(64), /*to_b=*/true);
+      },
+      "emu: fatal: Link::CompleteRemote: remote delivery to unattached end b");
+}
+
 TEST(SimConfigDeathTest, MemaslapKeyBytesBelowFourAborts) {
   EXPECT_DEATH(
       {
