@@ -5,16 +5,14 @@
 #define BENCH_FLAG_TABLE_H_
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#include "src/common/text.h"
 #include "src/common/types.h"
 
 namespace emu::bench {
@@ -22,20 +20,19 @@ namespace emu::bench {
 // "1,2,4": positive decimal counts separated by single commas. Anything
 // else (an empty list or entry, a zero, a sign, a space) is rejected, so a
 // typo cannot turn a gate into a sweep of nothing.
-inline bool ParseCountList(std::string_view text, std::vector<usize>* out) {
+inline bool ParseCountList(std::string_view list, std::vector<usize>* out) {
   std::vector<usize> values;
   while (true) {
-    const usize end = std::min(text.find(','), text.size());
-    usize value = 0;
-    const auto [ptr, ec] = std::from_chars(text.data(), text.data() + end, value);
-    if (ec != std::errc{} || ptr != text.data() + end || value == 0) {
+    const usize end = std::min(list.find(','), list.size());
+    const Expected<u64> value = text::ParseU64(list.substr(0, end));
+    if (!value.ok() || *value == 0) {
       return false;
     }
-    values.push_back(value);
-    if (end == text.size()) {
+    values.push_back(*value);
+    if (end == list.size()) {
       break;
     }
-    text.remove_prefix(end + 1);
+    list.remove_prefix(end + 1);
   }
   *out = std::move(values);
   return true;
@@ -49,7 +46,8 @@ struct Flag {
 };
 
 // Parses argv[1..] against `flags`. False on an unknown flag, a missing
-// value or a malformed count list; the tool then prints its usage.
+// value, or a count or count list that is not plain decimal digits in range
+// (text::ParseU64); the tool then prints its usage.
 inline bool ParseFlags(int argc, char** argv, const std::vector<Flag>& flags) {
   for (int i = 1; i < argc; ++i) {
     const auto flag = std::find_if(flags.begin(), flags.end(), [&](const Flag& f) {
@@ -65,7 +63,11 @@ inline bool ParseFlags(int argc, char** argv, const std::vector<Flag>& flags) {
     } else if (std::string* const* text = std::get_if<std::string*>(&flag->target)) {
       **text = argv[i];
     } else if (u64* const* count = std::get_if<u64*>(&flag->target)) {
-      **count = std::strtoull(argv[i], nullptr, 10);
+      const Expected<u64> value = text::ParseU64(argv[i]);
+      if (!value.ok()) {
+        return false;
+      }
+      **count = *value;
     } else if (!ParseCountList(argv[i], std::get<std::vector<usize>*>(flag->target))) {
       return false;
     }

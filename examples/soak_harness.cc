@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 
 #include "src/obs/pulse.h"
 #include "src/obs/sampler.h"
@@ -40,6 +41,10 @@ bool SoakHarness::ParseArgs(int argc, char** argv, std::vector<bench::Flag> flag
   }
   if (triple_ && (config_.seeds == 0 || config_.threads == 0 || config_.sample_us == 0)) {
     Usage();
+    return false;
+  }
+  if (!config_.log_dir.empty() && !std::filesystem::is_directory(config_.log_dir)) {
+    std::fprintf(stderr, "%s: --log-dir %s is not a directory\n", name_, config_.log_dir.c_str());
     return false;
   }
   obs::SloParseResult parsed = obs::ParseSloSpec(config_.slo);
@@ -220,18 +225,18 @@ bool SoakHarness::WriteProm(const std::string& text) const {
 }
 
 int SoakHarness::Finish(bool all_ok) const {
+  all_ok = all_ok && !write_failed_;
   std::printf("%s: %s\n", name_, all_ok ? "all invariants held" : "FAILURES");
   return all_ok ? 0 : 1;
 }
 
 void SoakHarness::WriteFile(const std::string& path, const std::string& text) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  const bool written = f != nullptr && std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (f == nullptr || std::fclose(f) != 0 || !written) {
     std::fprintf(stderr, "%s: cannot write %s\n", name_, path.c_str());
-    return;
+    write_failed_ = true;
   }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
 }
 
 }  // namespace emu::soak

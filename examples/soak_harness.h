@@ -82,9 +82,9 @@ class SoakHarness {
       : name_(name), usage_(usage), triple_(triple), config_(std::move(defaults)) {}
 
   // Parses argv into the shared flags and the soak's `own`. Prints the usage
-  // on an unknown flag, a missing value or a zero count, and the error of a
-  // malformed --slo clause, so a bad gate fails before any run. False means
-  // exit 2.
+  // on an unknown flag, a missing value or a malformed or zero count, and an
+  // error for a --log-dir that is not a directory or a malformed --slo
+  // clause, so a bad gate fails before any run. False means exit 2.
   bool ParseArgs(int argc, char** argv, std::vector<bench::Flag> own);
 
   // Prints the usage; returns the exit code 2.
@@ -143,11 +143,12 @@ class SoakHarness {
   bool WriteProm(const std::string& text) const;
 
   // Prints "<name>: all invariants held" or "<name>: FAILURES"; returns the
-  // exit code.
+  // exit code. A failed --log-dir or --prom write is a failure.
   int Finish(bool all_ok) const;
 
  private:
-  // Writes `text` to `path`; warns on stderr when the file cannot be opened.
+  // Writes `text` to `path`; on failure warns on stderr and marks the run
+  // failed.
   void WriteFile(const std::string& path, const std::string& text) const;
 
   const char* name_;
@@ -155,6 +156,7 @@ class SoakHarness {
   bool triple_;
   SoakConfig config_;
   std::vector<obs::SloClause> slo_;
+  mutable bool write_failed_ = false;
 };
 
 }  // namespace emu::soak

@@ -1,10 +1,10 @@
 #include "src/analysis/finding.h"
 
-#include <cctype>
 #include <ostream>
 #include <sstream>
 
 #include "src/common/json.h"
+#include "src/common/text.h"
 
 namespace emu {
 
@@ -50,11 +50,7 @@ std::vector<Suppression> ParseSuppressions(const std::string& text) {
   std::vector<Suppression> out;
   std::string token;
   auto flush = [&] {
-    // Trim.
-    usize begin = 0, end = token.size();
-    while (begin < end && std::isspace(static_cast<unsigned char>(token[begin]))) ++begin;
-    while (end > begin && std::isspace(static_cast<unsigned char>(token[end - 1]))) --end;
-    std::string t = token.substr(begin, end - begin);
+    const std::string t(text::Trim(token));
     token.clear();
     if (t.empty() || t[0] == '#') {
       return;

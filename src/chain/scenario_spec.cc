@@ -1,140 +1,24 @@
 #include "src/chain/scenario_spec.h"
 
-#include <cstdlib>
-#include <cstring>
-#include <sstream>
+#include <charconv>
+
+#include "src/common/text.h"
 
 namespace emu {
 namespace {
 
-std::vector<std::string> Tokenize(const std::string& entry) {
-  std::vector<std::string> tokens;
-  std::istringstream in(entry);
-  std::string token;
-  while (in >> token) {
-    if (token[0] == '#') {
-      break;  // comment: rest of the entry is ignored
-    }
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-bool ParseU64(const std::string& text, u64& out) {
-  char* end = nullptr;
-  out = std::strtoull(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !text.empty();
-}
-
-// Picosecond time with an optional ns/us/ms/s suffix, as in fault plans.
-bool ParseTimePs(const std::string& text, u64& out) {
-  char* end = nullptr;
-  const u64 value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || end == text.c_str()) {
-    return false;
-  }
-  const std::string suffix(end);
-  u64 scale = 1;
-  if (suffix == "ns") {
-    scale = static_cast<u64>(kPicosPerNano);
-  } else if (suffix == "us") {
-    scale = static_cast<u64>(kPicosPerMicro);
-  } else if (suffix == "ms") {
-    scale = static_cast<u64>(kPicosPerMilli);
-  } else if (suffix == "s") {
-    scale = static_cast<u64>(kPicosPerSecond);
-  } else if (!suffix.empty()) {
-    return false;
-  }
-  out = value * scale;
-  return true;
-}
-
-// Bit rate with an optional K/M/G suffix ("10G" = 10^10 bits/s).
-bool ParseRate(const std::string& text, u64& out) {
-  char* end = nullptr;
-  const u64 value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || end == text.c_str()) {
-    return false;
-  }
-  const std::string suffix(end);
-  u64 scale = 1;
-  if (suffix == "K" || suffix == "k") {
-    scale = 1'000ULL;
-  } else if (suffix == "M") {
-    scale = 1'000'000ULL;
-  } else if (suffix == "G") {
-    scale = 1'000'000'000ULL;
-  } else if (!suffix.empty()) {
-    return false;
-  }
-  out = value * scale;
-  return out > 0;
-}
-
+// "0x" and a hex number below 2^48.
 bool ParseMac(const std::string& text, MacAddress& out) {
   if (text.size() < 3 || text[0] != '0' || (text[1] != 'x' && text[1] != 'X')) {
     return false;
   }
-  char* end = nullptr;
-  const u64 value = std::strtoull(text.c_str() + 2, &end, 16);
-  if (end == nullptr || *end != '\0' || value > 0xffff'ffff'ffffULL) {
+  u64 value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data() + 2, end, value, 16);
+  if (ec != std::errc{} || ptr != end || value > 0xffff'ffff'ffffULL) {
     return false;
   }
   out = MacAddress::FromU48(value);
-  return true;
-}
-
-bool ParseIp(const std::string& text, Ipv4Address& out) {
-  u32 parts[4];
-  usize part = 0;
-  u64 acc = 0;
-  bool have_digit = false;
-  for (const char c : text) {
-    if (c == '.') {
-      if (!have_digit || part >= 3) {
-        return false;
-      }
-      parts[part++] = static_cast<u32>(acc);
-      acc = 0;
-      have_digit = false;
-    } else if (c >= '0' && c <= '9') {
-      acc = acc * 10 + static_cast<u64>(c - '0');
-      if (acc > 255) {
-        return false;
-      }
-      have_digit = true;
-    } else {
-      return false;
-    }
-  }
-  if (!have_digit || part != 3) {
-    return false;
-  }
-  parts[3] = static_cast<u32>(acc);
-  out = Ipv4Address(static_cast<u8>(parts[0]), static_cast<u8>(parts[1]),
-                    static_cast<u8>(parts[2]), static_cast<u8>(parts[3]));
-  return true;
-}
-
-// "key=value" accessor over an operand token, as in the fault-plan parser.
-bool KeyValue(const std::string& token, const char* key, std::string& value) {
-  const usize key_len = std::strlen(key);
-  if (token.size() <= key_len + 1 || token.compare(0, key_len, key) != 0 ||
-      token[key_len] != '=') {
-    return false;
-  }
-  value = token.substr(key_len + 1);
-  return true;
-}
-
-bool IsKeyValue(const std::string& token, std::string& key, std::string& value) {
-  const usize eq = token.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-    return false;
-  }
-  key = token.substr(0, eq);
-  value = token.substr(eq + 1);
   return true;
 }
 
@@ -204,181 +88,169 @@ Expected<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
   std::vector<std::pair<std::vector<std::string>, usize>> chain_lines;
   bool saw_topology = false;
 
-  const auto fail = [](usize line, const std::string& what, const std::string& entry) {
+  const auto fail = [](usize line, const std::string& what, std::string_view entry) {
     return InvalidArgument("scenario spec line " + std::to_string(line) + ": " + what +
-                           ": " + entry);
+                           ": " + std::string(entry));
   };
 
-  usize line_number = 0;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    ++line_number;
-    // Comments run to end of line; strip before splitting on ';' so a
-    // semicolon inside a comment does not start a phantom entry.
-    const usize hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream entries(line);
-    std::string entry;
-    while (std::getline(entries, entry, ';')) {
-      const std::vector<std::string> tokens = Tokenize(entry);
-      if (tokens.empty()) {
-        continue;
+  for (const text::Entry& parsed : text::SplitEntries(text)) {
+    const usize line_number = parsed.line;
+    const std::string_view entry = parsed.text;
+    const std::vector<std::string>& tokens = parsed.tokens;
+    const std::string& kw = tokens[0];
+    if (kw == "topology") {
+      if (saw_topology) {
+        return fail(line_number, "duplicate topology line", entry);
       }
-      const std::string& kw = tokens[0];
-      if (kw == "topology") {
-        if (saw_topology) {
-          return fail(line_number, "duplicate topology line", entry);
-        }
-        saw_topology = true;
-        spec.topology_line = line_number;
-        if (tokens.size() < 2) {
-          return fail(line_number, "topology needs a shape (hub|star|cluster)", entry);
-        }
-        if (tokens[1] == "hub") {
-          spec.topology = SpecTopology::kHub;
-        } else if (tokens[1] == "star") {
-          spec.topology = SpecTopology::kStar;
-        } else if (tokens[1] == "cluster") {
-          spec.topology = SpecTopology::kCluster;
-        } else {
-          return fail(line_number, "unknown topology shape '" + tokens[1] + "'", entry);
-        }
-        for (usize i = 2; i < tokens.size(); ++i) {
-          std::string value;
-          u64 number = 0;
-          if (KeyValue(tokens[i], "hosts", value)) {
-            if (!ParseU64(value, number) || number == 0 || number > 64) {
-              return fail(line_number, "bad hosts count '" + value + "'", entry);
-            }
-            for (usize h = 0; h < number; ++h) {
-              SpecHost host = AutoHost(h);
-              host.line = line_number;
-              if (spec.FindHost(host.name) != spec.hosts.size()) {
-                return fail(line_number, "duplicate host '" + host.name + "'", entry);
-              }
-              spec.hosts.push_back(std::move(host));
-            }
-          } else if (KeyValue(tokens[i], "link_rate", value)) {
-            if (!ParseRate(value, spec.link_bits_per_second)) {
-              return fail(line_number, "bad link_rate '" + value + "'", entry);
-            }
-          } else if (KeyValue(tokens[i], "link_delay", value)) {
-            u64 delay = 0;
-            if (!ParseTimePs(value, delay) || delay == 0) {
-              return fail(line_number, "bad link_delay '" + value + "'", entry);
-            }
-            spec.link_delay = static_cast<Picoseconds>(delay);
-          } else if (KeyValue(tokens[i], "impair", value)) {
-            spec.impair_prefix = value;
-          } else {
-            return fail(line_number, "unknown topology operand '" + tokens[i] + "'", entry);
-          }
-        }
-      } else if (kw == "host") {
-        if (tokens.size() < 2) {
-          return fail(line_number, "host needs a name", entry);
-        }
-        SpecHost host;
-        host.name = tokens[1];
-        host.line = line_number;
-        if (spec.FindHost(host.name) != spec.hosts.size()) {
-          return fail(line_number, "duplicate host '" + host.name + "'", entry);
-        }
-        // Defaults follow the auto-host convention at this host's index.
-        const SpecHost defaults = AutoHost(spec.hosts.size());
-        host.mac = defaults.mac;
-        host.ip = defaults.ip;
-        for (usize i = 2; i < tokens.size(); ++i) {
-          std::string value;
-          if (KeyValue(tokens[i], "mac", value)) {
-            if (!ParseMac(value, host.mac)) {
-              return fail(line_number, "bad mac '" + value + "'", entry);
-            }
-          } else if (KeyValue(tokens[i], "ip", value)) {
-            if (!ParseIp(value, host.ip)) {
-              return fail(line_number, "bad ip '" + value + "'", entry);
-            }
-          } else {
-            return fail(line_number, "unknown host operand '" + tokens[i] + "'", entry);
-          }
-        }
-        spec.hosts.push_back(std::move(host));
-      } else if (kw == "stage") {
-        if (tokens.size() < 2) {
-          return fail(line_number, "stage needs a name", entry);
-        }
-        SpecStage stage;
-        stage.name = tokens[1];
-        stage.line = line_number;
-        if (spec.FindStage(stage.name) != spec.stages.size()) {
-          return fail(line_number, "duplicate stage '" + stage.name + "'", entry);
-        }
-        for (usize i = 2; i < tokens.size(); ++i) {
-          std::string value;
-          u64 number = 0;
-          if (KeyValue(tokens[i], "kind", value)) {
-            stage.kind = value;
-          } else if (KeyValue(tokens[i], "host", value)) {
-            stage.host = value;
-          } else if (KeyValue(tokens[i], "target", value)) {
-            if (value == "cpu") {
-              stage.target = StageTarget::kCpu;
-            } else if (value == "fpga") {
-              stage.target = StageTarget::kFpga;
-            } else {
-              return fail(line_number, "bad target '" + value + "' (cpu|fpga)", entry);
-            }
-          } else if (KeyValue(tokens[i], "queue", value)) {
-            if (!ParseU64(value, number) || number > 4096) {
-              return fail(line_number, "bad queue depth '" + value + "'", entry);
-            }
-            stage.queue = number;
-          } else if (KeyValue(tokens[i], "delay", value)) {
-            if (!ParseTimePs(value, number)) {
-              return fail(line_number, "bad delay '" + value + "'", entry);
-            }
-            stage.delay = static_cast<Picoseconds>(number);
-          } else {
-            std::string key;
-            if (!IsKeyValue(tokens[i], key, value)) {
-              return fail(line_number, "unknown stage operand '" + tokens[i] + "'", entry);
-            }
-            stage.attrs.emplace_back(key, value);  // factory-interpreted knob
-          }
-        }
-        if (stage.kind.empty()) {
-          return fail(line_number, "stage needs kind=", entry);
-        }
-        spec.stages.push_back(std::move(stage));
-      } else if (kw == "chain") {
-        if (tokens.size() < 2) {
-          return fail(line_number, "chain needs stages", entry);
-        }
-        // Elements alternate names and "->"; validated against declared
-        // stages/hosts once the whole spec is read.
-        std::vector<std::string> elements;
-        for (usize i = 1; i < tokens.size(); ++i) {
-          if (i % 2 == 0) {
-            if (tokens[i] != "->") {
-              return fail(line_number, "expected '->' between chain elements", entry);
-            }
-          } else {
-            elements.push_back(tokens[i]);
-          }
-        }
-        if (tokens.size() % 2 != 0) {
-          return fail(line_number, "chain ends with a dangling '->'", entry);
-        }
-        if (elements.size() < 2) {
-          return fail(line_number, "chain needs at least two elements", entry);
-        }
-        chain_lines.emplace_back(std::move(elements), line_number);
+      saw_topology = true;
+      spec.topology_line = line_number;
+      if (tokens.size() < 2) {
+        return fail(line_number, "topology needs a shape (hub|star|cluster)", entry);
+      }
+      if (tokens[1] == "hub") {
+        spec.topology = SpecTopology::kHub;
+      } else if (tokens[1] == "star") {
+        spec.topology = SpecTopology::kStar;
+      } else if (tokens[1] == "cluster") {
+        spec.topology = SpecTopology::kCluster;
       } else {
-        return fail(line_number, "unknown keyword '" + kw + "'", entry);
+        return fail(line_number, "unknown topology shape '" + tokens[1] + "'", entry);
       }
+      for (usize i = 2; i < tokens.size(); ++i) {
+        const auto [key, value] = text::SplitKeyValue(tokens[i]).value_or(text::KeyValue{});
+        if (key == "hosts") {
+          const Expected<u64> count = text::ParseU64(value, 64);
+          if (!count.ok() || *count == 0) {
+            return fail(line_number, "bad hosts count '" + value + "'", entry);
+          }
+          for (usize h = 0; h < *count; ++h) {
+            SpecHost host = AutoHost(h);
+            host.line = line_number;
+            if (spec.FindHost(host.name) != spec.hosts.size()) {
+              return fail(line_number, "duplicate host '" + host.name + "'", entry);
+            }
+            spec.hosts.push_back(std::move(host));
+          }
+        } else if (key == "link_rate") {
+          const Expected<u64> rate = text::ParseRate(value);
+          if (!rate.ok() || *rate == 0) {
+            return fail(line_number, "bad link_rate '" + value + "'", entry);
+          }
+          spec.link_bits_per_second = *rate;
+        } else if (key == "link_delay") {
+          const Expected<Picoseconds> delay = text::ParseTimePs(value);
+          if (!delay.ok() || *delay == 0) {
+            return fail(line_number, "bad link_delay '" + value + "'", entry);
+          }
+          spec.link_delay = *delay;
+        } else if (key == "impair") {
+          spec.impair_prefix = value;
+        } else {
+          return fail(line_number, "unknown topology operand '" + tokens[i] + "'", entry);
+        }
+      }
+    } else if (kw == "host") {
+      if (tokens.size() < 2) {
+        return fail(line_number, "host needs a name", entry);
+      }
+      SpecHost host;
+      host.name = tokens[1];
+      host.line = line_number;
+      if (spec.FindHost(host.name) != spec.hosts.size()) {
+        return fail(line_number, "duplicate host '" + host.name + "'", entry);
+      }
+      // Defaults follow the auto-host convention at this host's index.
+      const SpecHost defaults = AutoHost(spec.hosts.size());
+      host.mac = defaults.mac;
+      host.ip = defaults.ip;
+      for (usize i = 2; i < tokens.size(); ++i) {
+        const auto [key, value] = text::SplitKeyValue(tokens[i]).value_or(text::KeyValue{});
+        if (key == "mac") {
+          if (!ParseMac(value, host.mac)) {
+            return fail(line_number, "bad mac '" + value + "'", entry);
+          }
+        } else if (key == "ip") {
+          const Expected<Ipv4Address> ip = Ipv4Address::Parse(value);
+          if (!ip.ok()) {
+            return fail(line_number, "bad ip '" + value + "'", entry);
+          }
+          host.ip = *ip;
+        } else {
+          return fail(line_number, "unknown host operand '" + tokens[i] + "'", entry);
+        }
+      }
+      spec.hosts.push_back(std::move(host));
+    } else if (kw == "stage") {
+      if (tokens.size() < 2) {
+        return fail(line_number, "stage needs a name", entry);
+      }
+      SpecStage stage;
+      stage.name = tokens[1];
+      stage.line = line_number;
+      if (spec.FindStage(stage.name) != spec.stages.size()) {
+        return fail(line_number, "duplicate stage '" + stage.name + "'", entry);
+      }
+      for (usize i = 2; i < tokens.size(); ++i) {
+        const auto [key, value] = text::SplitKeyValue(tokens[i]).value_or(text::KeyValue{});
+        if (key == "kind") {
+          stage.kind = value;
+        } else if (key == "host") {
+          stage.host = value;
+        } else if (key == "target") {
+          if (value == "cpu") {
+            stage.target = StageTarget::kCpu;
+          } else if (value == "fpga") {
+            stage.target = StageTarget::kFpga;
+          } else {
+            return fail(line_number, "bad target '" + value + "' (cpu|fpga)", entry);
+          }
+        } else if (key == "queue") {
+          const Expected<u64> depth = text::ParseU64(value, 4096);
+          if (!depth.ok()) {
+            return fail(line_number, "bad queue depth '" + value + "'", entry);
+          }
+          stage.queue = *depth;
+        } else if (key == "delay") {
+          const Expected<Picoseconds> delay = text::ParseTimePs(value);
+          if (!delay.ok()) {
+            return fail(line_number, "bad delay '" + value + "'", entry);
+          }
+          stage.delay = *delay;
+        } else if (!key.empty()) {
+          stage.attrs.emplace_back(key, value);  // factory-interpreted knob
+        } else {
+          return fail(line_number, "unknown stage operand '" + tokens[i] + "'", entry);
+        }
+      }
+      if (stage.kind.empty()) {
+        return fail(line_number, "stage needs kind=", entry);
+      }
+      spec.stages.push_back(std::move(stage));
+    } else if (kw == "chain") {
+      if (tokens.size() < 2) {
+        return fail(line_number, "chain needs stages", entry);
+      }
+      // Elements alternate names and "->"; validated against declared
+      // stages/hosts once the whole spec is read.
+      std::vector<std::string> elements;
+      for (usize i = 1; i < tokens.size(); ++i) {
+        if (i % 2 == 0) {
+          if (tokens[i] != "->") {
+            return fail(line_number, "expected '->' between chain elements", entry);
+          }
+        } else {
+          elements.push_back(tokens[i]);
+        }
+      }
+      if (tokens.size() % 2 != 0) {
+        return fail(line_number, "chain ends with a dangling '->'", entry);
+      }
+      if (elements.size() < 2) {
+        return fail(line_number, "chain needs at least two elements", entry);
+      }
+      chain_lines.emplace_back(std::move(elements), line_number);
+    } else {
+      return fail(line_number, "unknown keyword '" + kw + "'", entry);
     }
   }
 

@@ -1,8 +1,9 @@
 // ScenarioSpec: scenario authoring as data (emu-chain).
 //
-// A scenario spec is a parseable text format in the style of the fault-plan
-// grammar (src/fault/fault_plan.h): one entry per line (or ';'-separated),
-// '#' comments, verbatim line-numbered diagnostics. It declares the whole
+// A scenario spec is a parseable text format on the lexer every text grammar
+// shares (src/common/text.h; DESIGN.md, "Text grammars"): one entry per line
+// (or ';'-separated), '#' comments to end of line, strict decimal numbers,
+// verbatim line-numbered diagnostics. It declares the whole
 // simulated world that examples used to wire up by hand — topology shape,
 // hosts, per-host service stages, and the chain edges that pipe one stage's
 // egress into the next stage's ingress:

@@ -2,40 +2,10 @@
 
 #include <vector>
 
+#include "src/common/text.h"
+
 namespace emu {
 namespace {
-
-std::vector<std::string_view> Tokenize(std::string_view text) {
-  std::vector<std::string_view> tokens;
-  usize pos = 0;
-  while (pos < text.size()) {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) {
-      ++pos;
-    }
-    const usize start = pos;
-    while (pos < text.size() && text[pos] != ' ' && text[pos] != '\t') {
-      ++pos;
-    }
-    if (pos > start) {
-      tokens.push_back(text.substr(start, pos - start));
-    }
-  }
-  return tokens;
-}
-
-Expected<u64> ParseNumber(std::string_view text) {
-  if (text.empty()) {
-    return InvalidArgument("empty number");
-  }
-  u64 value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return InvalidArgument("non-digit in number");
-    }
-    value = value * 10 + static_cast<u64>(c - '0');
-  }
-  return value;
-}
 
 Expected<ConditionOp> ParseOp(std::string_view text) {
   if (text == "==") {
@@ -60,7 +30,7 @@ Expected<ConditionOp> ParseOp(std::string_view text) {
 }
 
 // Parses "if VAR OP NUM" from tokens[i..]; on success fills `out`.
-Status ParseCondition(const std::vector<std::string_view>& tokens, usize i, Condition* out) {
+Status ParseCondition(const std::vector<std::string>& tokens, usize i, Condition* out) {
   if (i + 4 != tokens.size() || tokens[i] != "if") {
     return InvalidArgument("expected: if VAR OP NUM");
   }
@@ -68,11 +38,11 @@ Status ParseCondition(const std::vector<std::string_view>& tokens, usize i, Cond
   if (!op.ok()) {
     return op.status();
   }
-  auto constant = ParseNumber(tokens[i + 3]);
+  auto constant = text::ParseU64(tokens[i + 3]);
   if (!constant.ok()) {
     return constant.status();
   }
-  out->variable = std::string(tokens[i + 1]);
+  out->variable = tokens[i + 1];
   out->op = *op;
   out->constant = *constant;
   return Status::Ok();
@@ -81,7 +51,7 @@ Status ParseCondition(const std::vector<std::string_view>& tokens, usize i, Cond
 }  // namespace
 
 Expected<DirectionCommand> ParseDirectionCommand(std::string_view text) {
-  const auto tokens = Tokenize(text);
+  const auto tokens = text::Tokenize(text);
   if (tokens.empty()) {
     return InvalidArgument("empty command");
   }
@@ -105,7 +75,7 @@ Expected<DirectionCommand> ParseDirectionCommand(std::string_view text) {
       return InvalidArgument("print expects a variable");
     }
     command.kind = DirectionKind::kPrint;
-    command.target = std::string(tokens[1]);
+    command.target = tokens[1];
     return command;
   }
   if (tokens[0] == "break" || tokens[0] == "unbreak") {
@@ -113,7 +83,7 @@ Expected<DirectionCommand> ParseDirectionCommand(std::string_view text) {
       return InvalidArgument("break expects a label");
     }
     command.kind = tokens[0] == "break" ? DirectionKind::kBreak : DirectionKind::kUnbreak;
-    command.target = std::string(tokens[1]);
+    command.target = tokens[1];
     if (command.kind == DirectionKind::kUnbreak && tokens.size() != 2) {
       return InvalidArgument("unbreak takes only a label");
     }
@@ -135,7 +105,7 @@ Expected<DirectionCommand> ParseDirectionCommand(std::string_view text) {
       return InvalidArgument("watch expects a variable");
     }
     command.kind = tokens[0] == "watch" ? DirectionKind::kWatch : DirectionKind::kUnwatch;
-    command.target = std::string(tokens[1]);
+    command.target = tokens[1];
     if (command.kind == DirectionKind::kUnwatch && tokens.size() != 2) {
       return InvalidArgument("unwatch takes only a variable");
     }
@@ -158,19 +128,19 @@ Expected<DirectionCommand> ParseDirectionCommand(std::string_view text) {
     } else {
       return InvalidArgument("count subcommand must be reads/writes/calls");
     }
-    command.target = std::string(tokens[2]);
+    command.target = tokens[2];
     return command;
   }
   if (tokens[0] == "trace") {
     if (tokens.size() < 3) {
       return InvalidArgument("trace expects: trace SUBCMD VAR");
     }
-    command.target = std::string(tokens[2]);
+    command.target = tokens[2];
     if (tokens[1] == "start") {
       command.kind = DirectionKind::kTraceStart;
       usize next = 3;
       if (next < tokens.size()) {
-        auto length = ParseNumber(tokens[next]);
+        auto length = text::ParseU64(tokens[next]);
         if (length.ok()) {
           command.length = static_cast<usize>(*length);
           ++next;
@@ -198,7 +168,7 @@ Expected<DirectionCommand> ParseDirectionCommand(std::string_view text) {
     }
     return command;
   }
-  return InvalidArgument("unknown direction command: " + std::string(tokens[0]));
+  return InvalidArgument("unknown direction command: " + tokens[0]);
 }
 
 std::string FormatDirectionCommand(const DirectionCommand& command) {

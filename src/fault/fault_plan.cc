@@ -1,9 +1,11 @@
 #include "src/fault/fault_plan.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <sstream>
+
+#include "src/common/text.h"
 
 namespace emu {
 namespace {
@@ -14,66 +16,13 @@ constexpr const char* kFaultClassNames[kFaultClassCount] = {
     "HOST_RESTART", "PARTITION",
 };
 
-std::vector<std::string> Tokenize(const std::string& entry) {
-  std::vector<std::string> tokens;
-  std::istringstream in(entry);
-  std::string token;
-  while (in >> token) {
-    if (token[0] == '#') {
-      break;  // comment: rest of the entry is ignored
-    }
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-bool ParseU64(const std::string& text, u64& out) {
-  char* end = nullptr;
-  out = std::strtoull(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !text.empty();
-}
-
-bool ParseP(const std::string& text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0' && !text.empty() && out >= 0.0 && out <= 1.0;
-}
-
-// Picosecond time with an optional ns/us/ms/s suffix ("500us", "2ms", plain
-// integers are already ps). Topology events live on the network-simulator
-// timeline, where raw picosecond literals are unreadably long.
-bool ParseTimePs(const std::string& text, u64& out) {
-  char* end = nullptr;
-  const u64 value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || end == text.c_str()) {
+// Stores a parsed value in `out`; false when `parsed` is an error.
+template <typename T>
+bool Store(const Expected<T>& parsed, T& out) {
+  if (!parsed.ok()) {
     return false;
   }
-  const std::string suffix(end);
-  u64 scale = 1;
-  if (suffix == "ns") {
-    scale = static_cast<u64>(kPicosPerNano);
-  } else if (suffix == "us") {
-    scale = static_cast<u64>(kPicosPerMicro);
-  } else if (suffix == "ms") {
-    scale = static_cast<u64>(kPicosPerMilli);
-  } else if (suffix == "s") {
-    scale = static_cast<u64>(kPicosPerSecond);
-  } else if (!suffix.empty()) {
-    return false;
-  }
-  out = value * scale;
-  return true;
-}
-
-// "key=value" accessor over an operand token; false when `token` does not
-// start with `key` followed by '='.
-bool KeyValue(const std::string& token, const char* key, std::string& value) {
-  const usize key_len = std::strlen(key);
-  if (token.size() <= key_len + 1 || token.compare(0, key_len, key) != 0 ||
-      token[key_len] != '=') {
-    return false;
-  }
-  value = token.substr(key_len + 1);
+  out = *parsed;
   return true;
 }
 
@@ -104,7 +53,11 @@ const char* FaultClassName(FaultClass cls) {
 }
 
 std::string FaultSchedule::ToString() const {
-  char buffer[96];
+  // The probability in fixed notation, a form the plan grammar reads back (%g
+  // would print 0.00001 as 1e-05). 400 digits hold any value in [0, 1].
+  char p[400];
+  *std::to_chars(p, p + sizeof(p) - 1, probability, std::chars_format::fixed).ptr = '\0';
+  char buffer[sizeof(p) + 64];
   switch (mode) {
     case Mode::kDisabled:
       return "disabled";
@@ -113,12 +66,12 @@ std::string FaultSchedule::ToString() const {
                     static_cast<unsigned long long>(at));
       break;
     case Mode::kBernoulli:
-      std::snprintf(buffer, sizeof(buffer), "bernoulli %g", probability);
+      std::snprintf(buffer, sizeof(buffer), "bernoulli %s", p);
       break;
     case Mode::kBurst:
-      std::snprintf(buffer, sizeof(buffer), "burst %llu %llu %g",
+      std::snprintf(buffer, sizeof(buffer), "burst %llu %llu %s",
                     static_cast<unsigned long long>(from),
-                    static_cast<unsigned long long>(until), probability);
+                    static_cast<unsigned long long>(until), p);
       break;
   }
   std::string text = buffer;
@@ -178,155 +131,147 @@ bool FaultPatternMatches(const std::string& pattern, const std::string& name) {
 
 Expected<FaultPlan> ParseFaultPlan(const std::string& text) {
   FaultPlan plan;
-  std::string line;
-  std::istringstream lines(text);
   usize line_number = 0;
-  auto fail = [&](const std::string& what, const std::string& entry) {
+  std::string_view entry;
+  auto fail = [&](const std::string& what) {
     return InvalidArgument("fault plan line " + std::to_string(line_number) + ": " + what +
-                           ": " + entry);
+                           ": " + std::string(entry));
   };
-  // Split on real newlines first so diagnostics carry the line number, then
-  // on ';' within a line (so a plan still fits a single CLI argument; every
-  // ';'-separated entry reports the same line).
-  while (std::getline(lines, line)) {
-    ++line_number;
-    std::istringstream entries(line);
-    std::string entry;
-    while (std::getline(entries, entry, ';')) {
-      const std::vector<std::string> tokens = Tokenize(entry);
-      if (tokens.empty()) {
-        continue;
-      }
-      if (tokens.size() < 2) {
-        return fail("entry needs '<point> <mode> ...'", entry);
-      }
-      // Topology-scoped events: `crash`/`restart`/`partition` statements.
-      if (tokens[0] == "crash" || tokens[0] == "restart") {
-        TopoFault topo;
-        topo.kind = tokens[0] == "crash" ? TopoFault::Kind::kCrash : TopoFault::Kind::kRestart;
-        topo.line = line_number;
-        bool have_at = false;
-        for (usize i = 1; i < tokens.size(); ++i) {
-          std::string value;
-          if (KeyValue(tokens[i], "host", value)) {
-            topo.host = value;
-          } else if (KeyValue(tokens[i], "at", value)) {
-            if (!ParseTimePs(value, topo.at)) {
-              return fail("bad time operand '" + value + "' (ps, or ns/us/ms/s suffix)", entry);
-            }
-            have_at = true;
-          } else {
-            return fail("unknown operand '" + tokens[i] + "' (expected host=<h> at=<t>)", entry);
-          }
-        }
-        if (topo.host.empty() || !have_at) {
-          return fail(tokens[0] + " needs 'host=<h> at=<t>'", entry);
-        }
-        for (const TopoFault& existing : plan.topo_events) {
-          if (existing.kind == topo.kind && existing.host == topo.host &&
-              existing.at == topo.at) {
-            return fail("duplicate " + tokens[0] + " of host '" + topo.host +
-                            "' at the same tick",
-                        entry);
-          }
-        }
-        plan.topo_events.push_back(std::move(topo));
-        continue;
-      }
-      if (tokens[0] == "partition") {
-        TopoFault topo;
-        topo.kind = TopoFault::Kind::kPartition;
-        topo.line = line_number;
-        bool have_from = false;
-        bool have_to = false;
-        bool have_groups = false;
-        for (usize i = 1; i < tokens.size(); ++i) {
-          std::string value;
-          if (tokens[i] == "oneway") {
-            topo.oneway = true;
-          } else if (KeyValue(tokens[i], "from", value)) {
-            if (!ParseTimePs(value, topo.from)) {
-              return fail("bad time operand '" + value + "'", entry);
-            }
-            have_from = true;
-          } else if (KeyValue(tokens[i], "to", value)) {
-            if (!ParseTimePs(value, topo.until)) {
-              return fail("bad time operand '" + value + "'", entry);
-            }
-            have_to = true;
-          } else if (tokens[i].find('|') != std::string::npos) {
-            const usize bar = tokens[i].find('|');
-            if (have_groups || !ParseGroup(tokens[i].substr(0, bar), topo.group_a) ||
-                !ParseGroup(tokens[i].substr(bar + 1), topo.group_b)) {
-              return fail("bad partition groups '" + tokens[i] +
-                              "' (expected {a,b}|{c,d}, both sides non-empty)",
-                          entry);
-            }
-            have_groups = true;
-          } else {
-            return fail("unknown operand '" + tokens[i] +
-                            "' (expected {A}|{B} from=<t> to=<t> [oneway])",
-                        entry);
-          }
-        }
-        if (!have_groups || !have_from || !have_to) {
-          return fail("partition needs '{A}|{B} from=<t> to=<t>'", entry);
-        }
-        if (topo.from >= topo.until) {
-          return fail("partition window needs from < to", entry);
-        }
-        for (const std::string& a : topo.group_a) {
-          for (const std::string& b : topo.group_b) {
-            if (a == b) {
-              return fail("host '" + a + "' appears on both sides of the partition", entry);
-            }
-          }
-        }
-        plan.topo_events.push_back(std::move(topo));
-        continue;
-      }
-      FaultPlanEntry parsed;
-      parsed.pattern = tokens[0];
-      for (const FaultPlanEntry& existing : plan.entries) {
-        if (existing.pattern == parsed.pattern) {
-          return fail("duplicate point entry '" + parsed.pattern +
-                          "' (one schedule per point; the plans would silently race)",
-                      entry);
-        }
-      }
-      const std::string& mode = tokens[1];
-      usize next = 2;  // first operand after the mode
-      if (mode == "oneshot") {
-        if (tokens.size() < 3 || !ParseU64(tokens[2], parsed.schedule.at)) {
-          return fail("oneshot needs a tick", entry);
-        }
-        parsed.schedule.mode = FaultSchedule::Mode::kOneShot;
-        next = 3;
-      } else if (mode == "bernoulli") {
-        if (tokens.size() < 3 || !ParseP(tokens[2], parsed.schedule.probability)) {
-          return fail("bernoulli needs a probability in [0,1]", entry);
-        }
-        parsed.schedule.mode = FaultSchedule::Mode::kBernoulli;
-        next = 3;
-      } else if (mode == "burst") {
-        if (tokens.size() < 5 || !ParseU64(tokens[2], parsed.schedule.from) ||
-            !ParseU64(tokens[3], parsed.schedule.until) ||
-            !ParseP(tokens[4], parsed.schedule.probability) ||
-            parsed.schedule.from >= parsed.schedule.until) {
-          return fail("burst needs '<from> <until> <p>' with from < until", entry);
-        }
-        parsed.schedule.mode = FaultSchedule::Mode::kBurst;
-        next = 5;
-      } else {
-        return fail("unknown schedule mode '" + mode + "'", entry);
-      }
-      if (tokens.size() > next) {
-        if (tokens.size() > next + 1 || !ParseU64(tokens[next], parsed.schedule.magnitude)) {
-          return fail("trailing operand must be a single magnitude", entry);
-        }
-      }
-      plan.entries.push_back(std::move(parsed));
+  // A magnitude may be a delay in ps, so it must fit Picoseconds (and
+  // magnitude + 1, the jitter draw's bound, must not wrap to 0).
+  constexpr u64 kMaxMagnitude = std::numeric_limits<Picoseconds>::max();
+  // ';' separates entries so that a plan fits one CLI argument; each entry
+  // reports the line it sits on.
+  for (const text::Entry& parsed_entry : text::SplitEntries(text)) {
+    line_number = parsed_entry.line;
+    entry = parsed_entry.text;
+    const std::vector<std::string>& tokens = parsed_entry.tokens;
+    if (tokens.size() < 2) {
+      return fail("entry needs '<point> <mode> ...'");
     }
+    // Topology-scoped events: `crash`/`restart`/`partition` statements.
+    if (tokens[0] == "crash" || tokens[0] == "restart") {
+      TopoFault topo;
+      topo.kind = tokens[0] == "crash" ? TopoFault::Kind::kCrash : TopoFault::Kind::kRestart;
+      topo.line = line_number;
+      bool have_at = false;
+      for (usize i = 1; i < tokens.size(); ++i) {
+        const auto [key, value] = text::SplitKeyValue(tokens[i]).value_or(text::KeyValue{});
+        if (key == "host") {
+          topo.host = value;
+        } else if (key == "at") {
+          const Expected<Picoseconds> at = text::ParseTimePs(value);
+          if (!at.ok()) {
+            return fail("bad time operand '" + value + "' (ps, or ns/us/ms/s suffix)");
+          }
+          topo.at = static_cast<u64>(*at);
+          have_at = true;
+        } else {
+          return fail("unknown operand '" + tokens[i] + "' (expected host=<h> at=<t>)");
+        }
+      }
+      if (topo.host.empty() || !have_at) {
+        return fail(tokens[0] + " needs 'host=<h> at=<t>'");
+      }
+      for (const TopoFault& existing : plan.topo_events) {
+        if (existing.kind == topo.kind && existing.host == topo.host &&
+            existing.at == topo.at) {
+          return fail("duplicate " + tokens[0] + " of host '" + topo.host +
+                      "' at the same tick");
+        }
+      }
+      plan.topo_events.push_back(std::move(topo));
+      continue;
+    }
+    if (tokens[0] == "partition") {
+      TopoFault topo;
+      topo.kind = TopoFault::Kind::kPartition;
+      topo.line = line_number;
+      bool have_from = false;
+      bool have_to = false;
+      bool have_groups = false;
+      for (usize i = 1; i < tokens.size(); ++i) {
+        const auto [key, value] = text::SplitKeyValue(tokens[i]).value_or(text::KeyValue{});
+        if (tokens[i] == "oneway") {
+          topo.oneway = true;
+        } else if (key == "from" || key == "to") {
+          const Expected<Picoseconds> at = text::ParseTimePs(value);
+          if (!at.ok()) {
+            return fail("bad time operand '" + value + "'");
+          }
+          (key == "from" ? topo.from : topo.until) = static_cast<u64>(*at);
+          (key == "from" ? have_from : have_to) = true;
+        } else if (tokens[i].find('|') != std::string::npos) {
+          const usize bar = tokens[i].find('|');
+          if (have_groups || !ParseGroup(tokens[i].substr(0, bar), topo.group_a) ||
+              !ParseGroup(tokens[i].substr(bar + 1), topo.group_b)) {
+            return fail("bad partition groups '" + tokens[i] +
+                        "' (expected {a,b}|{c,d}, both sides non-empty)");
+          }
+          have_groups = true;
+        } else {
+          return fail("unknown operand '" + tokens[i] +
+                      "' (expected {A}|{B} from=<t> to=<t> [oneway])");
+        }
+      }
+      if (!have_groups || !have_from || !have_to) {
+        return fail("partition needs '{A}|{B} from=<t> to=<t>'");
+      }
+      if (topo.from >= topo.until) {
+        return fail("partition window needs from < to");
+      }
+      for (const std::string& a : topo.group_a) {
+        for (const std::string& b : topo.group_b) {
+          if (a == b) {
+            return fail("host '" + a + "' appears on both sides of the partition");
+          }
+        }
+      }
+      plan.topo_events.push_back(std::move(topo));
+      continue;
+    }
+    FaultPlanEntry parsed;
+    parsed.pattern = tokens[0];
+    for (const FaultPlanEntry& existing : plan.entries) {
+      if (existing.pattern == parsed.pattern) {
+        return fail("duplicate point entry '" + parsed.pattern +
+                    "' (one schedule per point; the plans would silently race)");
+      }
+    }
+    const std::string& mode = tokens[1];
+    usize next = 2;  // first operand after the mode
+    if (mode == "oneshot") {
+      if (tokens.size() < 3 || !Store(text::ParseU64(tokens[2]), parsed.schedule.at)) {
+        return fail("oneshot needs a tick");
+      }
+      parsed.schedule.mode = FaultSchedule::Mode::kOneShot;
+      next = 3;
+    } else if (mode == "bernoulli") {
+      if (tokens.size() < 3 ||
+          !Store(text::ParseProbability(tokens[2]), parsed.schedule.probability)) {
+        return fail("bernoulli needs a probability in [0,1]");
+      }
+      parsed.schedule.mode = FaultSchedule::Mode::kBernoulli;
+      next = 3;
+    } else if (mode == "burst") {
+      if (tokens.size() < 5 || !Store(text::ParseU64(tokens[2]), parsed.schedule.from) ||
+          !Store(text::ParseU64(tokens[3]), parsed.schedule.until) ||
+          !Store(text::ParseProbability(tokens[4]), parsed.schedule.probability) ||
+          parsed.schedule.from >= parsed.schedule.until) {
+        return fail("burst needs '<from> <until> <p>' with from < until");
+      }
+      parsed.schedule.mode = FaultSchedule::Mode::kBurst;
+      next = 5;
+    } else {
+      return fail("unknown schedule mode '" + mode + "'");
+    }
+    if (tokens.size() > next) {
+      if (tokens.size() > next + 1 ||
+          !Store(text::ParseU64(tokens[next], kMaxMagnitude), parsed.schedule.magnitude)) {
+        return fail("trailing operand must be a single magnitude");
+      }
+    }
+    plan.entries.push_back(std::move(parsed));
   }
   return plan;
 }

@@ -12,9 +12,12 @@
 //   mc_csum.fold     oneshot 5000
 //   nat.*            bernoulli 0.001 8
 //
-// One entry per line (or ';'-separated), '#' comments, an optional trailing
-// magnitude operand (jitter bound in ps, stall length in cycles — whatever
-// the fault class reads it as). Patterns match a point name exactly or by
+// One entry per line (or ';'-separated), '#' comments to end of line, an
+// optional trailing magnitude operand (jitter bound in ps, stall length in
+// cycles — whatever the fault class reads it as; at most INT64_MAX). The
+// lexical rules — comments, entries, strict decimal numbers, time suffixes,
+// probabilities — are the shared ones of src/common/text.h (DESIGN.md,
+// "Text grammars"). Patterns match a point name exactly or by
 // 'prefix*' wildcard. See fault_registry.h for the runtime half.
 //
 // Besides point schedules a plan may carry topology-scoped events (emu-gossip):
@@ -162,7 +165,8 @@ struct FaultPlan {
 bool FaultPatternMatches(const std::string& pattern, const std::string& name);
 
 // Parses the plan text format described above. Entries are separated by
-// newlines or ';'; blank entries and '#' comments are skipped.
+// newlines or ';'; blank entries and '#' comments are skipped. Every error
+// names its line: "fault plan line N: ...".
 Expected<FaultPlan> ParseFaultPlan(const std::string& text);
 
 }  // namespace emu

@@ -5,6 +5,7 @@
 #include <charconv>
 
 #include "src/common/bit_util.h"
+#include "src/common/text.h"
 
 namespace emu {
 namespace {
@@ -12,16 +13,18 @@ namespace {
 constexpr u8 kMagicRequest = 0x80;
 constexpr u8 kMagicResponse = 0x81;
 
-// The whitespace-separated tokens of one command line. No command or reply
-// has more than kMaxTokens, so only that many are kept; all are counted, so a
-// line with extra tokens fails its arity check.
+// The space-separated tokens of one command line: the protocol separates
+// them with the space byte alone, so this is not the text grammars'
+// whitespace tokenizer (src/common/text.h). No command or reply has more than
+// kMaxTokens, so only that many are kept; all are counted, so a line with
+// extra tokens fails its arity check.
 struct Tokens {
   static constexpr usize kMaxTokens = 5;
   std::array<std::string_view, kMaxTokens> token{};
   usize count = 0;
 };
 
-Tokens Tokenize(std::string_view line) {
+Tokens SplitOnSpaces(std::string_view line) {
   Tokens tokens;
   usize pos = 0;
   while (pos < line.size()) {
@@ -87,27 +90,6 @@ class AsciiText {
   usize numbers_used_ = 0;
   usize size_ = 0;
 };
-
-// A decimal number no larger than `max` (a flags or exptime field holds 32
-// bits): real memcached rejects a larger one rather than reading it modulo
-// the field's width.
-Expected<u64> ParseU64(std::string_view text, u64 max = ~u64{0}) {
-  if (text.empty()) {
-    return InvalidArgument("empty number");
-  }
-  u64 value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return InvalidArgument("non-digit in number");
-    }
-    const u64 digit = static_cast<u64>(c - '0');
-    if (value > (max - digit) / 10) {
-      return InvalidArgument("number out of range");
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
 
 // Finds the first CRLF at or after `from`; npos-like usize(-1) when absent.
 usize FindCrlf(std::span<const u8> data, usize from) {
@@ -335,7 +317,7 @@ Expected<McRequest> ParseMcAsciiRequest(std::span<const u8> data) {
   if (eol == static_cast<usize>(-1)) {
     return MalformedPacket("missing CRLF");
   }
-  const Tokens tokens = Tokenize(LineView(data, 0, eol));
+  const Tokens tokens = SplitOnSpaces(LineView(data, 0, eol));
   if (tokens.count == 0) {
     return MalformedPacket("empty command");
   }
@@ -363,9 +345,9 @@ Expected<McRequest> ParseMcAsciiRequest(std::span<const u8> data) {
     }
     request.op = McOpcode::kSet;
     request.key.assign(tokens.token[1]);
-    auto flags = ParseU64(tokens.token[2], 0xffffffff);
-    auto expiry = ParseU64(tokens.token[3], 0xffffffff);
-    auto bytes = ParseU64(tokens.token[4]);
+    auto flags = text::ParseU64(tokens.token[2], 0xffffffff);
+    auto expiry = text::ParseU64(tokens.token[3], 0xffffffff);
+    auto bytes = text::ParseU64(tokens.token[4]);
     if (!flags.ok() || !expiry.ok() || !bytes.ok()) {
       return MalformedPacket("bad numeric field in set");
     }
@@ -392,7 +374,7 @@ Expected<McResponse> ParseMcAsciiResponse(std::span<const u8> data) {
   if (eol == static_cast<usize>(-1)) {
     return MalformedPacket("missing CRLF");
   }
-  const Tokens tokens = Tokenize(LineView(data, 0, eol));
+  const Tokens tokens = SplitOnSpaces(LineView(data, 0, eol));
   if (tokens.count == 0) {
     return MalformedPacket("empty response");
   }
@@ -409,8 +391,8 @@ Expected<McResponse> ParseMcAsciiResponse(std::span<const u8> data) {
     }
     response.op = McOpcode::kGet;
     response.key.assign(tokens.token[1]);
-    auto flags = ParseU64(tokens.token[2], 0xffffffff);
-    auto bytes = ParseU64(tokens.token[3]);
+    auto flags = text::ParseU64(tokens.token[2], 0xffffffff);
+    auto bytes = text::ParseU64(tokens.token[3]);
     if (!flags.ok() || !bytes.ok()) {
       return MalformedPacket("bad numeric field in VALUE");
     }

@@ -3,20 +3,11 @@
 #include <charconv>
 #include <cstdio>
 
+#include "src/common/text.h"
 #include "src/core/metrics.h"
 
 namespace emu::obs {
 namespace {
-
-std::string_view Trim(std::string_view text) {
-  while (!text.empty() && (text.front() == ' ' || text.front() == '\t' || text.front() == '\r')) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() && (text.back() == ' ' || text.back() == '\t' || text.back() == '\r')) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
 
 bool ValidMetricName(std::string_view name) {
   if (name.empty()) {
@@ -43,7 +34,7 @@ SloParseResult ParseSloSpec(std::string_view spec) {
     while (end < spec.size() && spec[end] != ';' && spec[end] != '\n') {
       ++end;
     }
-    const std::string_view raw = Trim(spec.substr(pos, end - pos));
+    const std::string_view raw = text::Trim(spec.substr(pos, end - pos));
     pos = end + 1;
     if (raw.empty()) {
       if (end >= spec.size()) {
@@ -67,12 +58,12 @@ SloParseResult ParseSloSpec(std::string_view spec) {
       fail("expected \"<=\" or \">=\"");
       return result;
     }
-    const std::string_view metric = Trim(raw.substr(0, op));
+    const std::string_view metric = text::Trim(raw.substr(0, op));
     if (!ValidMetricName(metric)) {
       fail("bad metric name");
       return result;
     }
-    const std::string_view number = Trim(raw.substr(op + 2));
+    const std::string_view number = text::Trim(raw.substr(op + 2));
     double bound = 0.0;
     const std::from_chars_result parsed =
         std::from_chars(number.data(), number.data() + number.size(), bound);

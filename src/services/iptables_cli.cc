@@ -3,42 +3,17 @@
 #include <string>
 #include <vector>
 
+#include "src/common/text.h"
+
 namespace emu {
 namespace {
 
-std::vector<std::string_view> Tokenize(std::string_view text) {
-  std::vector<std::string_view> tokens;
-  usize pos = 0;
-  while (pos < text.size()) {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) {
-      ++pos;
-    }
-    const usize start = pos;
-    while (pos < text.size() && text[pos] != ' ' && text[pos] != '\t') {
-      ++pos;
-    }
-    if (pos > start) {
-      tokens.push_back(text.substr(start, pos - start));
-    }
-  }
-  return tokens;
-}
-
-Expected<u16> ParsePort(std::string_view text) {
-  if (text.empty() || text.size() > 5) {
+Expected<u16> ParsePort(std::string_view digits) {
+  const Expected<u64> port = text::ParseU64(digits, 65535);
+  if (!port.ok()) {
     return InvalidArgument("bad port");
   }
-  u32 value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return InvalidArgument("non-digit in port");
-    }
-    value = value * 10 + static_cast<u32>(c - '0');
-  }
-  if (value > 65535) {
-    return InvalidArgument("port out of range");
-  }
-  return static_cast<u16>(value);
+  return static_cast<u16>(*port);
 }
 
 Expected<PortRange> ParsePortRange(std::string_view text) {
@@ -67,28 +42,17 @@ Expected<PortRange> ParsePortRange(std::string_view text) {
 }
 
 // "10.0.0.0/24" or bare "10.0.0.1" (treated as /32).
-Status ParseAddressSpec(std::string_view text, Ipv4Address* base, u32* prefix) {
-  const usize slash = text.find('/');
-  std::string_view addr_text = text;
+Status ParseAddressSpec(std::string_view spec, Ipv4Address* base, u32* prefix) {
+  const usize slash = spec.find('/');
   u32 prefix_len = 32;
   if (slash != std::string_view::npos) {
-    addr_text = text.substr(0, slash);
-    const std::string_view prefix_text = text.substr(slash + 1);
-    if (prefix_text.empty() || prefix_text.size() > 2) {
+    const Expected<u64> parsed = text::ParseU64(spec.substr(slash + 1), 32);
+    if (!parsed.ok()) {
       return InvalidArgument("bad prefix length");
     }
-    prefix_len = 0;
-    for (char c : prefix_text) {
-      if (c < '0' || c > '9') {
-        return InvalidArgument("non-digit prefix length");
-      }
-      prefix_len = prefix_len * 10 + static_cast<u32>(c - '0');
-    }
-    if (prefix_len > 32) {
-      return InvalidArgument("prefix length > 32");
-    }
+    prefix_len = static_cast<u32>(*parsed);
   }
-  auto addr = Ipv4Address::Parse(std::string(addr_text));
+  auto addr = Ipv4Address::Parse(spec.substr(0, slash));
   if (!addr.ok()) {
     return addr.status();
   }
@@ -107,10 +71,7 @@ Expected<FilterRule::Action> ParseAction(std::string_view text) {
   return InvalidArgument("unknown target (expected ACCEPT or DROP)");
 }
 
-}  // namespace
-
-Expected<FilterRule> ParseIptablesRule(std::string_view command) {
-  const auto tokens = Tokenize(command);
+Expected<FilterRule> ParseRule(const std::vector<std::string>& tokens) {
   FilterRule rule;
   bool have_action = false;
   usize i = 0;
@@ -124,7 +85,7 @@ Expected<FilterRule> ParseIptablesRule(std::string_view command) {
       if (i + 1 >= tokens.size()) {
         return InvalidArgument(std::string("missing value after ") + std::string(flag));
       }
-      return tokens[++i];
+      return std::string_view(tokens[++i]);
     };
     if (flag == "-A" || flag == "-I") {
       auto chain = NextValue();
@@ -210,48 +171,37 @@ Expected<FilterRule> ParseIptablesRule(std::string_view command) {
   return rule;
 }
 
+}  // namespace
+
+Expected<FilterRule> ParseIptablesRule(std::string_view command) {
+  return ParseRule(text::Tokenize(command));
+}
+
 Expected<IptablesRuleset> ParseIptablesScript(std::string_view script) {
   IptablesRuleset ruleset;
-  usize pos = 0;
-  while (pos <= script.size()) {
-    usize eol = script.find('\n', pos);
-    if (eol == std::string_view::npos) {
-      eol = script.size();
-    }
-    std::string_view line = script.substr(pos, eol - pos);
-    pos = eol + 1;
-    // Strip comments.
-    const usize hash = line.find('#');
-    if (hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    const auto tokens = Tokenize(line);
-    if (tokens.empty()) {
-      if (eol == script.size()) {
-        break;
-      }
-      continue;
-    }
+  for (const text::Entry& entry : text::SplitEntries(script)) {
+    const auto fail = [&entry](const Status& status) {
+      return Status(status.code(), "iptables script line " + std::to_string(entry.line) + ": " +
+                                       status.message());
+    };
+    const std::vector<std::string>& tokens = entry.tokens;
     if (tokens[0] == "-P" || (tokens.size() > 1 && tokens[1] == "-P")) {
       // Default policy: "-P FORWARD DROP".
       const usize base = tokens[0] == "-P" ? 0 : 1;
       if (tokens.size() < base + 3) {
-        return InvalidArgument("-P needs chain and target");
+        return fail(InvalidArgument("-P needs chain and target"));
       }
       auto action = ParseAction(tokens[base + 2]);
       if (!action.ok()) {
-        return action.status();
+        return fail(action.status());
       }
       ruleset.default_action = *action;
     } else {
-      auto rule = ParseIptablesRule(line);
+      auto rule = ParseRule(tokens);
       if (!rule.ok()) {
-        return rule.status();
+        return fail(rule.status());
       }
       ruleset.rules.push_back(*rule);
-    }
-    if (eol == script.size()) {
-      break;
     }
   }
   return ruleset;

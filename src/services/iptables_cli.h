@@ -9,8 +9,9 @@
 //   [--sport LO[:HI]] [--dport LO[:HI]] -j ACCEPT|DROP
 //
 // ParseIptablesRule handles one rule; ParseIptablesScript handles one rule
-// per line ('#' comments and blank lines allowed) and also accepts a
-// "-P CHAIN ACCEPT|DROP" default-policy line.
+// per line or ';'-separated entry ('#' comments and blank lines allowed, as
+// in every text grammar: src/common/text.h), names the line in its errors,
+// and also accepts a "-P CHAIN ACCEPT|DROP" default-policy line.
 #ifndef SRC_SERVICES_IPTABLES_CLI_H_
 #define SRC_SERVICES_IPTABLES_CLI_H_
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "src/common/fatal.h"
 #include "src/core/metrics.h"
 #include "src/core/protocol_wrappers.h"
 #include "src/fault/fault_registry.h"
@@ -23,7 +24,10 @@ u64 KeyHash(const std::string& key) {
 }  // namespace
 
 MemcachedService::MemcachedService(MemcachedConfig config) : config_(config) {
-  assert(config_.cores >= 1 && config_.cores <= kNetFpgaPortCount);
+  // The dispatcher picks a core as src_port % cores.
+  if (config_.cores < 1 || config_.cores > kNetFpgaPortCount) {
+    Fatal("MemcachedService", "cores=%zu, want 1..%zu", config_.cores, kNetFpgaPortCount);
+  }
 }
 
 MemcachedService::~MemcachedService() = default;

@@ -37,12 +37,6 @@ Picoseconds Link::MinTransitPs() const {
 }
 
 void Link::Transmit(Packet frame, bool to_b) {
-  if (to_b ? gate_to_b_ : gate_to_a_) {
-    // Partitioned direction: the frame never reaches the wire, so it charges
-    // no occupancy and leaves the busy window untouched.
-    ++gated_dropped_;
-    return;
-  }
   EventScheduler& clock = SchedulerFor(to_b);
   const u64 bits = static_cast<u64>(frame.size() + 24) * 8;  // preamble+FCS+IFG
   const Picoseconds serialization =
@@ -122,7 +116,6 @@ void Link::RegisterMetrics(MetricsRegistry& metrics, const std::string& prefix) 
   metrics.Register(prefix + ".dropped", [this] { return dropped(); });
   metrics.Register(prefix + ".corrupted", [this] { return corrupted(); });
   metrics.Register(prefix + ".duplicated", [this] { return duplicated(); });
-  metrics.Register(prefix + ".gated_dropped", [this] { return gated_dropped(); });
 }
 
 }  // namespace emu

@@ -72,16 +72,6 @@ class Link {
     return to_b ? impairer_to_b_.get() : impairer_to_a_.get();
   }
 
-  // --- Partition gate (emu-gossip) ---
-  // While a direction's gate is closed every frame submitted on it is
-  // dropped (and counted) instead of transmitted — an asymmetric cable cut.
-  // Gating is checked sender-side in Transmit, so on a cross-shard link the
-  // gate must only be toggled from the sending shard (schedule the toggle on
-  // the sender's EventScheduler); the toggle then falls at the same point of
-  // the sender's event order, and the counts match, at any thread count.
-  void SetGate(bool to_b, bool blocked) { (to_b ? gate_to_b_ : gate_to_a_) = blocked; }
-  bool gated(bool to_b) const { return to_b ? gate_to_b_ : gate_to_a_; }
-
   // Shard-boundary routing for the `to_b` direction: transmissions complete
   // into `sink` instead of the local event queue, and Transmit reads the
   // clock from `sender` (the sending shard's scheduler). The receiving shard
@@ -104,7 +94,6 @@ class Link {
   u64 dropped() const { return dropped_; }
   u64 corrupted() const { return corrupted_; }
   u64 duplicated() const { return duplicated_; }
-  u64 gated_dropped() const { return gated_dropped_; }
 
   // Registers delivered/dropped/corrupted/duplicated as counters under
   // `prefix` (e.g. "link.uplink0").
@@ -131,12 +120,9 @@ class Link {
   Picoseconds busy_until_a_to_b_ = 0;
   Picoseconds busy_until_b_to_a_ = 0;
   u64 delivered_ = 0;  // bumped by the receiving end
-  u64 dropped_ = 0;    // these four sender-side, in Transmit
+  u64 dropped_ = 0;    // these three sender-side, in Transmit
   u64 corrupted_ = 0;
   u64 duplicated_ = 0;
-  u64 gated_dropped_ = 0;
-  bool gate_to_b_ = false;  // partition gates, per direction
-  bool gate_to_a_ = false;
   RemoteRoute remote_a_;  // deliveries toward end A
   RemoteRoute remote_b_;  // deliveries toward end B
   std::unique_ptr<FrameImpairer> impairer_to_b_;

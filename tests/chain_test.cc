@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -150,6 +151,72 @@ TEST(ScenarioSpecTest, RejectsDuplicateHostsWithTheirLine) {
   ASSERT_FALSE(spec.ok());
   EXPECT_EQ(spec.status().message(),
             "scenario spec line 2: duplicate host 'h1': host h1");
+}
+
+TEST(ScenarioSpec, RejectsSignedAndOverflowingNumbers) {
+  for (const char* text : {
+           // -10^6 ps: BuildScenario aborted on a zero-lookahead link.
+           "topology hub hosts=2 link_delay=-1us",
+           "topology hub hosts=2 link_delay=9223372037s",  // above INT64_MAX ps
+           "topology hub hosts=2 link_rate=-1G",  // read as 18446744072709551616 b/s
+           "topology hub hosts=2 link_rate=18446744074G",  // the scaling wraps
+           "topology hub hosts=-2",
+           "topology hub hosts=2\nstage s kind=nat host=h0 delay=-5ms",
+           "topology hub hosts=2\nstage s kind=nat host=h0 queue=-4",
+           "topology hub hosts=2\nhost x mac=0x-0",
+           "topology hub hosts=2\nhost x mac=0x1000000000000",
+           "topology hub hosts=2\nhost x ip=10.0.0.-1",
+       }) {
+    const Expected<ScenarioSpec> spec = ParseScenarioSpec(text);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_TRUE(spec.status().message().starts_with("scenario spec line "))
+        << spec.status().ToString();
+  }
+  // The largest values each operand takes.
+  const Expected<ScenarioSpec> spec = ParseScenarioSpec(
+      "topology hub hosts=64 link_rate=18446744073G link_delay=9223372036854775807\n"
+      "stage s kind=nat host=h0 queue=4096 delay=9223372s\n"
+      "host x mac=0xffffffffffff ip=255.255.255.255\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec->link_bits_per_second, 18'446'744'073'000'000'000u);
+  EXPECT_EQ(spec->link_delay, INT64_MAX);
+  EXPECT_EQ(spec->stages[0].queue, 4096u);
+  EXPECT_EQ(spec->stages[0].delay, 9'223'372 * kPicosPerSecond);
+  EXPECT_EQ(spec->hosts.back().mac, MacAddress::Broadcast());
+}
+
+TEST(StageFactory, RejectsOutOfRangeAttributes) {
+  const std::vector<std::tuple<std::string, std::string, std::string>> rejected = {
+      {"memcached", "cores", "0"},  // SIGFPE on the first frame
+      {"memcached", "cores", "6"},  // passed the assert that NDEBUG compiles out
+      {"l1cache", "cores", "-1"},
+      {"memcached", "capacity", "0"},
+      {"memcached", "capacity", "65537"},
+      {"l1cache", "capacity", "18446744073709551616"},
+      {"l1cache", "host_port", "4"},
+      {"nat", "max_mappings", "-1"},  // hung in HashCam's RoundUpPow2
+      {"nat", "max_mappings", "4611686018427387905"},  // above 2^62: hung too
+      {"nat", "max_mappings", "0"},
+      {"nat", "timeout", "-1"},
+      {"filter", "drop_dst_port", "70000"},  // became port 4464
+      {"dns", "records", "201"},
+  };
+  for (const auto& [kind, key, value] : rejected) {
+    const auto service = MakeStageService(kind, {{key, value}});
+    ASSERT_FALSE(service.ok()) << kind << " " << key << "=" << value;
+    EXPECT_NE(service.status().message().find("stage attribute " + key + "=" + value + ":"),
+              std::string::npos)
+        << service.status().ToString();
+  }
+  const std::vector<std::tuple<std::string, std::string, std::string>> accepted = {
+      {"memcached", "cores", "4"},         {"memcached", "capacity", "65536"},
+      {"l1cache", "host_port", "3"},       {"nat", "max_mappings", "65536"},
+      {"nat", "timeout", "18446744073709551615"}, {"filter", "drop_dst_port", "65535"},
+      {"dns", "records", "200"},
+  };
+  for (const auto& [kind, key, value] : accepted) {
+    EXPECT_TRUE(MakeStageService(kind, {{key, value}}).ok()) << kind << " " << key << "=" << value;
+  }
 }
 
 // --- Chain shape (LinearChainOrder / BuildScenario) --------------------------

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/bit_util.h"
 #include "src/common/hexdump.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/common/text.h"
 #include "src/common/wide_word.h"
 
 namespace emu {
@@ -253,6 +256,114 @@ TEST(Expected, HoldsError) {
   EXPECT_FALSE(e.ok());
   EXPECT_EQ(e.status().code(), ErrorCode::kNotFound);
   EXPECT_EQ(e.value_or(7), 7);
+}
+
+// --- Text: the lexical layer of every text grammar ---------------------------
+
+TEST(Text, DecimalParserTakesDigitsOnly) {
+  EXPECT_EQ(*text::ParseU64("0"), 0u);
+  EXPECT_EQ(*text::ParseU64("007"), 7u);
+  EXPECT_EQ(*text::ParseU64("18446744073709551615"), ~u64{0});
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3", "1.0", "1_000"}) {
+    EXPECT_FALSE(text::ParseU64(bad).ok()) << "'" << bad << "'";
+  }
+}
+
+TEST(Text, DecimalParserRejectsOverflowAndValuesAboveMax) {
+  EXPECT_FALSE(text::ParseU64("18446744073709551616").ok());
+  EXPECT_FALSE(text::ParseU64("18446744073709551617").ok());  // would wrap to 1
+  EXPECT_FALSE(text::ParseU64("99999999999999999999999999").ok());
+  EXPECT_EQ(*text::ParseU64("65535", 65535), 65535u);
+  EXPECT_FALSE(text::ParseU64("65536", 65535).ok());
+  EXPECT_EQ(*text::ParseU64("0", 0), 0u);
+  EXPECT_FALSE(text::ParseU64("1", 0).ok());
+  // A bound below 9 must not wrap the per-digit check.
+  EXPECT_EQ(*text::ParseU64("4", 4), 4u);
+  EXPECT_FALSE(text::ParseU64("5", 4).ok());
+  EXPECT_FALSE(text::ParseU64("9", 4).ok());
+  EXPECT_FALSE(text::ParseU64("33", 32).ok());
+  EXPECT_FALSE(text::ParseU64("39", 32).ok());
+}
+
+TEST(Text, TimesScaleBySuffixAndStayWithinPicoseconds) {
+  EXPECT_EQ(*text::ParseTimePs("1500"), 1500);
+  EXPECT_EQ(*text::ParseTimePs("2ns"), 2 * kPicosPerNano);
+  EXPECT_EQ(*text::ParseTimePs("500us"), 500 * kPicosPerMicro);
+  EXPECT_EQ(*text::ParseTimePs("4ms"), 4 * kPicosPerMilli);
+  EXPECT_EQ(*text::ParseTimePs("1s"), kPicosPerSecond);
+  // The INT64_MAX ps cap, bare and after scaling.
+  EXPECT_EQ(*text::ParseTimePs("9223372036854775807"), INT64_MAX);
+  EXPECT_FALSE(text::ParseTimePs("9223372036854775808").ok());
+  EXPECT_EQ(*text::ParseTimePs("9223372s"), 9223372 * kPicosPerSecond);
+  EXPECT_FALSE(text::ParseTimePs("9223373s").ok());
+  EXPECT_FALSE(text::ParseTimePs("18446744073709551615ns").ok());
+  for (const char* bad : {"", "us", "-1us", "+5ms", "5 ms", "5xs", "5usec", "5US", "1.5ms"}) {
+    EXPECT_FALSE(text::ParseTimePs(bad).ok()) << "'" << bad << "'";
+  }
+}
+
+TEST(Text, RatesScaleBySuffixWithoutWrapping) {
+  EXPECT_EQ(*text::ParseRate("100"), 100u);
+  EXPECT_EQ(*text::ParseRate("10k"), 10'000u);
+  EXPECT_EQ(*text::ParseRate("10K"), 10'000u);
+  EXPECT_EQ(*text::ParseRate("25M"), 25'000'000u);
+  EXPECT_EQ(*text::ParseRate("10G"), 10'000'000'000u);
+  EXPECT_EQ(*text::ParseRate("18446744073G"), 18'446'744'073'000'000'000u);
+  EXPECT_FALSE(text::ParseRate("18446744074G").ok());  // the product passes 2^64
+  EXPECT_FALSE(text::ParseRate("-1G").ok());
+  EXPECT_FALSE(text::ParseRate("10T").ok());
+}
+
+TEST(Text, ProbabilitiesAreDecimalFractionsInTheUnitInterval) {
+  EXPECT_EQ(*text::ParseProbability("0"), 0.0);
+  EXPECT_EQ(*text::ParseProbability("1"), 1.0);
+  EXPECT_EQ(*text::ParseProbability("1.0"), 1.0);
+  EXPECT_EQ(*text::ParseProbability("0.1"), 0.1);  // rounded as strtod rounds
+  EXPECT_EQ(*text::ParseProbability("0.0053"), 0.0053);
+  EXPECT_EQ(*text::ParseProbability(".5"), 0.5);
+  const std::vector<std::string> bad_inputs = {
+      "",     ".",    "-0",   "-0.1", "+0.5",  "1.5",   "2", "1e-3", "0x0.8",
+      "inf",  "nan",  "0.5 ", "0..5", "0.5.1", "1" + std::string(400, '0')};
+  for (const std::string& bad : bad_inputs) {
+    EXPECT_FALSE(text::ParseProbability(bad).ok()) << "'" << bad << "'";
+  }
+}
+
+TEST(Text, TrimAndTokenizeSplitOnEveryWhitespaceByte) {
+  EXPECT_EQ(text::Trim(" \t\r a b \n\v\f"), "a b");
+  EXPECT_EQ(text::Trim(" \t "), "");
+  EXPECT_EQ(text::Tokenize("  print\tx \r\n y "), (std::vector<std::string>{"print", "x", "y"}));
+  EXPECT_TRUE(text::Tokenize(" \t ").empty());
+}
+
+TEST(Text, KeyValueSplitsAtTheFirstEquals) {
+  const std::optional<text::KeyValue> kv = text::SplitKeyValue("impair=a=b");
+  ASSERT_TRUE(kv.has_value());
+  EXPECT_EQ(kv->key, "impair");
+  EXPECT_EQ(kv->value, "a=b");
+  EXPECT_FALSE(text::SplitKeyValue("key").has_value());
+  EXPECT_FALSE(text::SplitKeyValue("=value").has_value());
+  EXPECT_FALSE(text::SplitKeyValue("key=").has_value());
+}
+
+TEST(Text, CommentsRunToEndOfLineBeforeEntriesSplit) {
+  const std::vector<text::Entry> entries = text::SplitEntries(
+      "# header; not an entry\n"
+      "a 1 ; b 2 # off for now; c 3\n"
+      "\n"
+      " ; ;\n"
+      "d#e\n"
+      "last");
+  ASSERT_EQ(entries.size(), 4u);
+  EXPECT_EQ(entries[0].line, 2u);
+  EXPECT_EQ(entries[0].text, "a 1");
+  EXPECT_EQ(entries[0].tokens, (std::vector<std::string>{"a", "1"}));
+  EXPECT_EQ(entries[1].line, 2u);
+  EXPECT_EQ(entries[1].text, "b 2");
+  EXPECT_EQ(entries[2].line, 5u);
+  EXPECT_EQ(entries[2].tokens, (std::vector<std::string>{"d"}));
+  EXPECT_EQ(entries[3].line, 6u);
+  EXPECT_EQ(entries[3].text, "last");
 }
 
 // --- Rng --------------------------------------------------------------------

@@ -211,6 +211,17 @@ TEST(CommandParser, RejectsMalformed) {
   EXPECT_FALSE(ParseDirectionCommand("watch x if y ~= 3").ok());
 }
 
+TEST(DirectionCommand, RejectsOverflowingConstant) {
+  // 2^64 + 1 used to wrap to 1 and arm "hits > 1".
+  EXPECT_FALSE(ParseDirectionCommand("break main if hits > 18446744073709551617").ok());
+  EXPECT_FALSE(ParseDirectionCommand("watch x if x == 99999999999999999999").ok());
+  EXPECT_FALSE(ParseDirectionCommand("break main if hits > -1").ok());
+  EXPECT_FALSE(ParseDirectionCommand("trace start csum 18446744073709551617").ok());
+  const auto largest = ParseDirectionCommand("break main if hits > 18446744073709551615");
+  ASSERT_TRUE(largest.ok());
+  EXPECT_EQ(largest->condition->constant, ~u64{0});
+}
+
 TEST(CommandParser, FormatRoundTrips) {
   for (const char* text :
        {"print csum", "break main_loop if gets > 100", "trace start csum 64",

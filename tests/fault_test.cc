@@ -93,6 +93,62 @@ TEST(FaultPlan, SemicolonEntriesShareTheLineNumber) {
   EXPECT_NE(plan.status().ToString().find("unknown schedule mode"), std::string::npos);
 }
 
+TEST(FaultPlan, SemicolonInCommentStartsNoEntry) {
+  // The ';' belongs to the comment, so the crash after it stays disarmed.
+  const auto plan =
+      ParseFaultPlan("link.drop bernoulli 0.1 # off for now; crash host=h0 at=1ms\n");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->entries.size(), 1u);
+  EXPECT_EQ(plan->entries[0].pattern, "link.drop");
+  EXPECT_TRUE(plan->topo_events.empty());
+}
+
+TEST(FaultPlan, RejectsSignedAndOverflowingNumbers) {
+  for (const char* text : {
+           "crash host=h0 at=-1ms",  // read as 2^64 - 10^9 ps, then fired at time 0
+           "restart host=h0 at=9223372036854775808",  // above INT64_MAX ps
+           "crash host=h0 at=9223372037s",            // the scaling passes INT64_MAX ps
+           "partition {h0}|{h1} from=-1ms to=2ms",
+           "link.delay bernoulli 1 -1",  // magnitude 2^64 - 1: NextBelow(0), SIGFPE
+           "link.delay bernoulli 1 18446744073709551615",
+           "link.delay bernoulli 1 18446744073709551616",
+           "p oneshot -5",
+           "p oneshot 18446744073709551617",  // would wrap to 1
+           "p burst 0 18446744073709551617 0.5",
+           "p bernoulli -0",
+           "p bernoulli +0.5",
+           "p bernoulli 1e-3",
+       }) {
+    const auto plan = ParseFaultPlan(text);
+    ASSERT_FALSE(plan.ok()) << text;
+    EXPECT_TRUE(plan.status().message().starts_with("fault plan line 1: "))
+        << plan.status().ToString();
+  }
+  // The largest values each operand takes.
+  const auto plan = ParseFaultPlan(
+      "link.delay bernoulli 1 9223372036854775807; p oneshot 18446744073709551615\n"
+      "crash host=h0 at=9223372036854775807; restart host=h0 at=9223372s");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->entries[0].schedule.magnitude, 9'223'372'036'854'775'807u);
+  EXPECT_EQ(plan->entries[1].schedule.at, ~u64{0});
+  EXPECT_EQ(plan->topo_events[0].at, 9'223'372'036'854'775'807u);
+  EXPECT_EQ(plan->topo_events[1].at, 9'223'372'000'000'000'000u);
+}
+
+TEST(FaultPlan, ScheduleTextParsesBack) {
+  // chaos_soak arms "bernoulli 0.00001", which %g printed as 1e-05.
+  for (const char* text : {"p bernoulli 0.00001", "p burst 10 20 0.25 8", "p oneshot 7",
+                           "p bernoulli 1", "p bernoulli 0.0053 17"}) {
+    const auto plan = ParseFaultPlan(text);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const std::string printed = plan->entries[0].schedule.ToString();
+    EXPECT_EQ("p " + printed, text);
+    const auto reparsed = ParseFaultPlan("p " + printed);
+    ASSERT_TRUE(reparsed.ok()) << printed;
+    EXPECT_EQ(reparsed->entries[0].schedule.probability, plan->entries[0].schedule.probability);
+  }
+}
+
 TEST(FaultPlan, PatternMatching) {
   EXPECT_TRUE(FaultPatternMatches("nat.table_full", "nat.table_full"));
   EXPECT_TRUE(FaultPatternMatches("nat.*", "nat.table_full"));

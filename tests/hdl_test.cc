@@ -154,6 +154,32 @@ TEST(PauseFor, ZeroCyclesIsNoOp) {
   EXPECT_EQ(out.Read(), 7u);
 }
 
+// --- Requested wakes ----------------------------------------------------------
+
+// Parks on a predicate that reads the clock. No state a wake tracks changes,
+// so every window before `until` is quiescent.
+HwProcess ClockWaiter(Simulator& sim, Cycle until, Cycle& woke_at) {
+  co_await WaitUntil([&sim, until] { return sim.now() >= until; });
+  woke_at = sim.now();
+}
+
+TEST(RequestWakeAt, ResumesAParkedPredicateAcrossAQuiescentWindow) {
+  Simulator sim;
+  Cycle woke_at = 0;
+  sim.AddProcess(ClockWaiter(sim, 50, woke_at), "waiter");
+  sim.RequestWakeAt(50);
+  sim.Run(200);
+  EXPECT_EQ(woke_at, 50u);
+
+  // Without the requested wake the fast path jumps past cycle 50 and the
+  // predicate is never polled again.
+  Simulator unwoken;
+  Cycle never = 0;
+  unwoken.AddProcess(ClockWaiter(unwoken, 50, never), "waiter");
+  unwoken.Run(200);
+  EXPECT_EQ(never, 0u);
+}
+
 // --- Handshake between processes (Fig. 5 style) ------------------------------
 
 struct Handshake {

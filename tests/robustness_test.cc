@@ -3,12 +3,22 @@
 // services.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "src/analysis/finding.h"
+#include "src/chain/scenario_spec.h"
+#include "src/chain/stage_factory.h"
 #include "src/common/fnv.h"
 #include "src/common/rng.h"
 #include "src/core/targets.h"
+#include "src/fault/fault_plan.h"
 #include "src/fault/frame_impairer.h"
+#include "src/debug/command_parser.h"
 #include "src/debug/controller.h"
 #include "src/debug/direction_packet.h"
 #include "src/net/arp.h"
@@ -17,6 +27,7 @@
 #include "src/net/tcp.h"
 #include "src/net/udp.h"
 #include "src/net/vlan.h"
+#include "src/obs/slo.h"
 #include "src/services/dns_service.h"
 #include "src/services/iptables_cli.h"
 #include "src/services/learning_switch.h"
@@ -216,6 +227,122 @@ TEST_P(ParserFuzz, ServicePipelineSurvivesGarbageFrames) {
   target.Run(300'000);  // must terminate; garbage is dropped
   EXPECT_EQ(target.egress().size(), 0u);
   EXPECT_GT(service.dropped(), 0u);
+}
+
+// The text grammars on mutants of the inputs they really get: the checked-in
+// scenario specs, the soaks' plans, CI's --slo clause sets, emu_lint
+// suppressions and sample direction commands. A mutant flips a byte, swaps a
+// digit for '-' or splices a long digit run into a number. Each must end in
+// a value or a diagnostic that names its line (clause, for SLO), and every
+// stage of a spec that parses must construct and instantiate.
+std::string Mutate(Rng& rng, std::string text) {
+  const u64 edits = 1 + rng.NextBelow(3);
+  for (u64 e = 0; e < edits; ++e) {
+    const usize at = rng.NextBelow(text.size());
+    const usize digit = text.find_first_of("0123456789", at);
+    switch (rng.NextBelow(3)) {
+      case 0:
+        text[at] = static_cast<char>(text[at] ^ (1 << rng.NextBelow(8)));
+        break;
+      case 1:
+        if (digit != std::string::npos) {
+          text[digit] = '-';
+        }
+        break;
+      default: {
+        std::string run(1 + rng.NextBelow(30), '9');
+        for (char& c : run) {
+          c = static_cast<char>('0' + rng.NextBelow(10));
+        }
+        text.insert(digit == std::string::npos ? at : digit, run);
+      }
+    }
+  }
+  return text;
+}
+
+TEST_P(ParserFuzz, TextGrammarsEndInAValueOrALineNumberedDiagnostic) {
+  Rng rng(GetParam() + 4);
+  std::vector<std::string> specs;
+  for (const auto& file :
+       std::filesystem::directory_iterator(std::string(EMU_TEST_SOURCE_DIR) + "/../specs")) {
+    if (file.path().extension() == ".spec") {
+      std::ifstream in(file.path());
+      specs.emplace_back(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+  }
+  ASSERT_GE(specs.size(), 2u);
+  const std::vector<std::string> plans = {
+      // gossip_soak's default plan.
+      "crash host=h2 at=20ms; restart host=h2 at=120ms; "
+      "partition {h0,h1}|{h3,h4} from=40ms to=70ms",
+      // The shape of chaos_soak's per-seed plan.
+      "ingress.drop bernoulli 0.0053; ingress.corrupt bernoulli 0.0071; "
+      "ingress.dup bernoulli 0.0012; ingress.reorder bernoulli 0.0030; "
+      "ingress.delay bernoulli 0.0100 17; nat.table_full burst 271802 418205 0.8; "
+      "nat.flows bernoulli 0.00001; dns.table bernoulli 0.00001; "
+      "memcached.queue* burst 271802 418205 0.0021 907; memcached.csum.fold oneshot 500000",
+      // CI's emu_lint --faults plan, one entry per line with a comment.
+      "ingress.drop bernoulli 0.05\n# queues stall mid-run\ningress.corrupt bernoulli 0.05\n"
+      "nat.table_full burst 2000 8000 0.8\nmemcached.queue* burst 2000 8000 0.05 200\n"
+      "memcached.csum.fold oneshot 4000\n"};
+  const std::vector<std::string> slos = {
+      "chain.source.rtt_us.p99 <= 10000; chain.loss_rate <= 0.10",
+      "gossip.detection_latency_us.p99 <= 60000; gossip.violations_total <= 0; "
+      "gossip.runs_total >= 1",
+      "chaos.recovered >= 1; chaos.faults_fired >= 1; chaos.loss_rate <= 0.9"};
+  const std::vector<std::string> suppressions = {
+      "DEADSIGNAL:dbg_*,COMBRACE", "COMBLOOP, COMBRACE:a\n# wire ring\nMULTIDRIVEN:x"};
+  const std::vector<std::string> commands = {
+      "break main_loop if gets > 100", "trace start csum 8 if csum == 0",
+      "watch x if x >= 3",             "count reads csum",
+      "print csum",                    "unbreak main_loop"};
+
+  usize stages_built = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const std::string spec_text = Mutate(rng, specs[rng.NextBelow(specs.size())]);
+    const Expected<ScenarioSpec> spec = ParseScenarioSpec(spec_text);
+    if (!spec.ok()) {
+      // A spec whose topology line is gone gets the one whole-spec diagnostic.
+      const std::string& message = spec.status().message();
+      EXPECT_TRUE(message.starts_with("scenario spec line ") ||
+                  message == "scenario spec: missing topology line")
+          << message;
+    } else {
+      for (const SpecStage& stage : spec->stages) {
+        Expected<std::unique_ptr<Service>> service = MakeStageService(stage.kind, stage.attrs);
+        if (service.ok()) {
+          CpuTarget target(**service);
+          ++stages_built;
+        }
+      }
+    }
+
+    const Expected<FaultPlan> plan =
+        ParseFaultPlan(Mutate(rng, plans[rng.NextBelow(plans.size())]));
+    if (!plan.ok()) {
+      EXPECT_TRUE(plan.status().message().starts_with("fault plan line "))
+          << plan.status().ToString();
+    }
+
+    const obs::SloParseResult slo =
+        obs::ParseSloSpec(Mutate(rng, slos[rng.NextBelow(slos.size())]));
+    if (!slo.ok) {
+      EXPECT_TRUE(slo.error.starts_with("slo clause ")) << slo.error;
+    }
+
+    for (const Suppression& suppression :
+         ParseSuppressions(Mutate(rng, suppressions[rng.NextBelow(suppressions.size())]))) {
+      EXPECT_FALSE(suppression.check.empty());
+    }
+
+    const Expected<DirectionCommand> command =
+        ParseDirectionCommand(Mutate(rng, commands[rng.NextBelow(commands.size())]));
+    if (!command.ok()) {
+      EXPECT_FALSE(command.status().message().empty());
+    }
+  }
+  EXPECT_GT(stages_built, 0u);  // the slice reaches the factory, not only the parser
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Values(17u, 9001u));

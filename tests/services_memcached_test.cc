@@ -296,6 +296,14 @@ TEST(MemcachedMultiCore, SetsReplicateGetsPartition) {
   EXPECT_EQ(service.get_hits(), 4u);
 }
 
+TEST(MemcachedServiceDeathTest, ZeroCoresAborts) {
+  // The dispatcher picks a core as src_port % cores: zero cores would divide
+  // by zero on the first frame.
+  MemcachedConfig config;
+  config.cores = 0;
+  EXPECT_DEATH(MemcachedService{config}, "emu: fatal: MemcachedService: cores=0, want 1..4");
+}
+
 TEST(MemcachedDram, DramBackendStillCorrect) {
   MemcachedConfig config;
   config.protocol = McProtocol::kBinary;

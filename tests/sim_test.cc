@@ -619,24 +619,6 @@ TEST(SimHostLifecycle, CrashIsIdempotentAndRestartOfUpHostPowerCycles) {
   EXPECT_EQ(p.a.restarts(), 1u);
 }
 
-TEST(LinkGate, BlocksOneDirectionOnly) {
-  Pair p;
-  p.link.SetGate(/*to_b=*/true, /*blocked=*/true);
-  EXPECT_TRUE(p.link.gated(true));
-  EXPECT_FALSE(p.link.gated(false));
-  p.a.Send(p.Frame(kMacB, kMacA));  // gated: dropped at the sender
-  p.b.Send(p.Frame(kMacA, kMacB));  // reverse direction still open
-  p.sched.Run();
-  EXPECT_EQ(p.b_got, 0u);
-  EXPECT_EQ(p.a_got, 1u);
-  EXPECT_EQ(p.link.gated_dropped(), 1u);
-
-  p.link.SetGate(/*to_b=*/true, /*blocked=*/false);
-  p.a.Send(p.Frame(kMacB, kMacA));
-  p.sched.Run();
-  EXPECT_EQ(p.b_got, 1u);
-}
-
 std::vector<HostSpec> HubSpecs(usize n) {
   std::vector<HostSpec> specs;
   for (usize i = 0; i < n; ++i) {
