@@ -1,6 +1,6 @@
 // SWIM membership (emu-gossip) throughput benchmark.
 //
-// Sweeps a gossip cluster over hosts x threads: every host of a HubTopology
+// Sweeps a gossip cluster over hosts x threads: every host of a hub topology
 // runs a SwimPeer for a fixed span of simulated time under a small chaos
 // plan (one crash + restart, one partition window), and the wall time,
 // executed events, conservative epochs, and parallel-vs-serial speedup are
@@ -64,7 +64,8 @@ bench::SweepRun RunCell(usize hosts, usize threads, u64 run_ms, u64 seed) {
   }
   StarTopologyConfig net;
   net.link_delay = 50 * kPicosPerMicro;
-  HubTopology topo(specs, net);
+  TopologyBuilder topo;
+  topo.BuildHub(specs, net);
 
   FaultRegistry registry(seed);
   ChaosDirector director(topo, &registry);

@@ -67,7 +67,8 @@ bench::SweepRun RunCluster(usize nodes, usize threads, usize requests_per_host) 
                      MacAddress::FromU48(0x02'00'00'00'c1'00ULL + i),
                      Ipv4Address(10, 0, 0, static_cast<u8>(50 + i))});
   }
-  ShardedTopology topo(service_ptrs, specs, topo_config);
+  TopologyBuilder topo;
+  topo.BuildCluster(service_ptrs, specs, topo_config);
 
   std::vector<u64> digests(nodes, fnv::kOffset);
   std::vector<u64> replies(nodes, 0);

@@ -92,7 +92,7 @@ struct SoakOptions {
   // time: queues visibly fill (nonzero decomposition queue rows) while the
   // source's credit window keeps it from shedding in steady state.
   u64 gap_us = 25;
-  std::string spec_text = kDefaultSpec;
+  ScenarioSpec spec;  // parsed and checked once by Main
 };
 
 // Source telemetry fills the base's series (capacity 2048), snapshot and
@@ -112,19 +112,9 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt,
                    const soak::SoakHarness& harness) {
   RunOutcome out;
   FaultRegistry registry(seed);
-  Expected<std::unique_ptr<Scenario>> built =
-      BuildScenarioFromText(opt.spec_text, &registry);
-  if (!built.ok()) {
-    out.ok = false;
-    out.detail = built.status().ToString();
-    return out;
-  }
+  // CheckSpec already built this spec once, so this build cannot fail.
+  Expected<std::unique_ptr<Scenario>> built = BuildScenario(opt.spec, &registry);
   Scenario& scenario = **built;
-  if (!scenario.has_chain) {
-    out.ok = false;
-    out.detail = "spec declares no chain";
-    return out;
-  }
 
   obs::TraceSession trace;
   trace.Install();
@@ -235,6 +225,20 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt,
   return out;
 }
 
+// A spec every run can use: it builds and declares a chain. Checked once,
+// before the first run, so a bad spec prints one diagnostic.
+Status CheckSpec(const ScenarioSpec& spec) {
+  FaultRegistry registry(0);
+  const Expected<std::unique_ptr<Scenario>> built = BuildScenario(spec, &registry);
+  if (!built.ok()) {
+    return built.status();
+  }
+  if (!(*built)->has_chain) {
+    return InvalidArgument("spec declares no chain");
+  }
+  return Status::Ok();
+}
+
 // Flow, findings and decomposition on the threads run; the harness judges
 // run failures and determinism.
 std::vector<std::string> CheckInvariants(const RunOutcome& run) {
@@ -308,6 +312,7 @@ int Main(int argc, char** argv) {
   if (opt.requests == 0 || opt.gap_us == 0) {
     return harness.Usage();
   }
+  std::string spec_text = kDefaultSpec;
   if (!spec_path.empty()) {
     std::ifstream in(spec_path);
     if (!in) {
@@ -316,8 +321,17 @@ int Main(int argc, char** argv) {
     }
     std::ostringstream text;
     text << in.rdbuf();
-    opt.spec_text = text.str();
+    spec_text = text.str();
   }
+  Expected<ScenarioSpec> spec = ParseScenarioSpec(spec_text);
+  const Status checked = spec.ok() ? CheckSpec(*spec) : spec.status();
+  if (!checked.ok()) {
+    std::fprintf(stderr, "chain_soak: --spec %s: %s\n",
+                 spec_path.empty() ? "(built-in)" : spec_path.c_str(),
+                 checked.ToString().c_str());
+    return 2;
+  }
+  opt.spec = std::move(*spec);
   const soak::SoakConfig& cfg = harness.config();
 
   std::printf("chain_soak: %s requests=%llu (+%zu prewarm)\n", harness.SeedRange().c_str(),

@@ -361,7 +361,9 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt, const soak::SoakConfig& 
     emit(held->first, std::move(held->second), target.sim().now());
   }
 
-  // --- Recovery: disarm everything, drain, then fresh requests must flow. ---
+  // --- Recovery: disarm everything, drain, then fresh requests must flow.
+  // The injection log is taken first, so it shows the schedules that ran. ---
+  out.injection_log = registry.Summary();
   registry.DisarmAll();
   target.Run(300'000);  // covers the longest stall magnitude plus queue drain
 
@@ -373,7 +375,6 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt, const soak::SoakConfig& 
       metrics.TryGet(c.dropped_metric).value_or(*base_svc_drop) - *base_svc_drop;
   out.faults_fired = registry.fired_total();
   out.fault_digest = registry.LogDigest();
-  out.injection_log = registry.Summary();
   out.series.Record(static_cast<Picoseconds>(target.sim().now()) * kPicosPerNano,
                     metrics.Snapshot());
   out.final_metrics = metrics.Snapshot();
@@ -418,7 +419,7 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt, const soak::SoakConfig& 
                   std::to_string(kProbes) + " probes answered\n";
   }
   if (cfg.verbose) {
-    std::printf("%s", registry.Summary().c_str());
+    std::printf("%s", out.injection_log.c_str());
     std::printf("%s", metrics.Format().c_str());
   }
   return out;

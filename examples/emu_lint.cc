@@ -283,7 +283,8 @@ void LintShardedNat(DesignRun& run) {
   const std::vector<HostSpec> specs = {
       {"ext", MacAddress::FromU48(0x02ffffffff01), Ipv4Address(8, 8, 8, 8)},
       {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)}};
-  ShardedTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.BuildStar(service, specs);
   run.Check(topo.node(0).target().sim(), "sharded_nat.node0");
   elab::CheckShardCuts(topo.runner(), "sharded_nat", run.findings);
 }

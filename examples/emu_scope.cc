@@ -30,6 +30,7 @@
 #include "src/net/ethernet.h"
 #include "src/net/ipv4.h"
 #include "src/net/udp.h"
+#include "src/obs/decompose.h"
 #include "src/obs/pulse.h"
 #include "src/obs/sampler.h"
 #include "src/obs/trace.h"
@@ -69,30 +70,26 @@ RunResult RunOnce(usize threads) {
   MemcachedConfig mc_config;
   MemcachedService mc_service(mc_config);
 
-  // Unlike ShardedTopology's star and cluster shapes, the nodes here run
-  // different services AND have different host counts; every element still
-  // gets its own shard.
+  // Three stars side by side: the nodes run different services and have
+  // different host counts, and every element gets its own shard.
   TopologyBuilder topo;
-  ServiceNode& sw = topo.AddServiceNode(switch_service);
-  ServiceNode& nat = topo.AddServiceNode(nat_service);
-  ServiceNode& mc = topo.AddServiceNode(mc_service);
-  const auto add_host = [&topo](ServiceNode& node, u8 port, const HostSpec& spec) -> SimHost& {
-    SimHost& host = topo.AddHost(spec);
-    topo.LinkHostToNode(host, node, port, StarTopologyConfig{});
-    return host;
-  };
-
-  SimHost& s0 = add_host(sw, 0, {"s0", MacAddress::FromU48(0x02'00'00'00'0a'01),
-                                 Ipv4Address(10, 0, 0, 1)});
-  SimHost& s1 = add_host(sw, 1, {"s1", MacAddress::FromU48(0x02'00'00'00'0a'02),
-                                 Ipv4Address(10, 0, 0, 2)});
+  ServiceNode& sw = topo.BuildStar(
+      switch_service,
+      {{"s0", MacAddress::FromU48(0x02'00'00'00'0a'01), Ipv4Address(10, 0, 0, 1)},
+       {"s1", MacAddress::FromU48(0x02'00'00'00'0a'02), Ipv4Address(10, 0, 0, 2)}});
   // NAT convention: port 0 faces the external network, port 1 the internal.
-  SimHost& ext = add_host(nat, 0, {"ext", MacAddress::FromU48(0x02'ff'ff'ff'ff'01),
-                                   Ipv4Address(8, 8, 8, 8)});
-  SimHost& internal = add_host(nat, 1, {"int", MacAddress::FromU48(0x02'00'00'00'11'10),
-                                        Ipv4Address(192, 168, 1, 10)});
+  ServiceNode& nat = topo.BuildStar(
+      nat_service,
+      {{"ext", MacAddress::FromU48(0x02'ff'ff'ff'ff'01), Ipv4Address(8, 8, 8, 8)},
+       {"int", MacAddress::FromU48(0x02'00'00'00'11'10), Ipv4Address(192, 168, 1, 10)}});
   const MacAddress client_mac = MacAddress::FromU48(0x02'00'00'00'c1'00);
-  SimHost& client = add_host(mc, 0, {"client", client_mac, Ipv4Address(10, 0, 0, 50)});
+  ServiceNode& mc =
+      topo.BuildStar(mc_service, {{"client", client_mac, Ipv4Address(10, 0, 0, 50)}});
+  SimHost& s0 = topo.host(0);
+  SimHost& s1 = topo.host(1);
+  SimHost& ext = topo.host(2);
+  SimHost& internal = topo.host(3);
+  SimHost& client = topo.host(4);
 
   for (SimHost* h : {&s0, &s1, &internal, &client}) {
     h->SetApp([](SimHost&, Packet) {});
@@ -204,51 +201,35 @@ RunResult RunOnce(usize threads) {
 // Table-4-style decomposition, read off the trace: mean duration of every
 // complete span plus mean end-to-end flight time from the async pairs.
 void PrintDecomposition(const std::vector<obs::MergedEvent>& events) {
-  struct Acc {
-    u64 count = 0;
-    Picoseconds total = 0;
-  };
-  std::map<std::string, Acc> stages;
   std::map<u64, Picoseconds> flight_begin;
-  Acc flight;
+  u64 flights = 0;
+  Picoseconds flight_total = 0;
   for (const obs::MergedEvent& e : events) {
-    switch (e.phase) {
-      case obs::Phase::kComplete: {
-        Acc& acc = stages[std::string(e.name)];
-        ++acc.count;
-        acc.total += e.dur;
-        break;
+    if (e.name != "pkt.flight") {
+      continue;
+    }
+    if (e.phase == obs::Phase::kAsyncBegin) {
+      flight_begin.emplace(e.id, e.ts);
+    } else if (e.phase == obs::Phase::kAsyncEnd) {
+      // A broadcast ends its flight at several hosts; count the first.
+      auto it = flight_begin.find(e.id);
+      if (it != flight_begin.end()) {
+        ++flights;
+        flight_total += e.ts - it->second;
+        flight_begin.erase(it);
       }
-      case obs::Phase::kAsyncBegin:
-        if (e.name == "pkt.flight") {
-          flight_begin.emplace(e.id, e.ts);
-        }
-        break;
-      case obs::Phase::kAsyncEnd:
-        if (e.name == "pkt.flight") {
-          // A broadcast ends its flight at several hosts; count the first.
-          auto it = flight_begin.find(e.id);
-          if (it != flight_begin.end()) {
-            ++flight.count;
-            flight.total += e.ts - it->second;
-            flight_begin.erase(it);
-          }
-        }
-        break;
-      default:
-        break;
     }
   }
   std::printf("stage decomposition (mean over the run):\n");
-  for (const auto& [name, acc] : stages) {
-    std::printf("  %-18s %6llu spans   %10.3f ns mean\n", name.c_str(),
-                static_cast<unsigned long long>(acc.count),
-                static_cast<double>(acc.total) / static_cast<double>(acc.count) / 1000.0);
+  for (const obs::SpanStats& stats : obs::AggregateCompleteSpans(events)) {
+    std::printf("  %-18s %6llu spans   %10.3f ns mean\n", stats.name.c_str(),
+                static_cast<unsigned long long>(stats.count),
+                static_cast<double>(stats.total) / static_cast<double>(stats.count) / 1000.0);
   }
-  if (flight.count > 0) {
+  if (flights > 0) {
     std::printf("  %-18s %6llu flights %10.3f us mean end-to-end\n", "pkt.flight",
-                static_cast<unsigned long long>(flight.count),
-                static_cast<double>(flight.total) / static_cast<double>(flight.count) /
+                static_cast<unsigned long long>(flights),
+                static_cast<double>(flight_total) / static_cast<double>(flights) /
                     static_cast<double>(kPicosPerMicro));
   }
 }

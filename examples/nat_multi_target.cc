@@ -5,7 +5,7 @@
 // same NatService source on all three and shows the identical translation
 // decision on each:
 //   1. CpuTarget      — plain software semantics (the x86 dev/test loop)
-//   2. StarTopology   — the event-driven network simulator (Mininet stand-in)
+//   2. a star topology — the event-driven network simulator (Mininet stand-in)
 //   3. FpgaTarget     — the cycle-accurate NetFPGA pipeline
 #include <cstdio>
 
@@ -61,7 +61,8 @@ int main() {
     std::vector<HostSpec> hosts = {
         {"external", MacAddress::Parse("02:ff:ff:ff:ff:01").value(), Ipv4Address(8, 8, 8, 8)},
         {"internal", host_mac, host_ip}};
-    StarTopology topo(service, hosts);
+    TopologyBuilder topo;
+    topo.BuildStar(service, hosts);
     Packet seen;
     topo.host(0).SetApp([&](SimHost&, Packet frame) { seen = std::move(frame); });
     topo.host(1).Send(OutboundUdp(config, host_mac, host_ip));

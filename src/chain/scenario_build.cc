@@ -135,38 +135,29 @@ Expected<std::unique_ptr<Scenario>> BuildScenario(const ScenarioSpec& spec,
     scenario->services.push_back(std::move(*service));
   }
 
+  std::vector<HostSpec> hosts;
+  for (const SpecHost& host : spec.hosts) {
+    hosts.push_back({host.name, host.mac, host.ip});
+  }
   TopologyBuilder& topo = scenario->topology;
   switch (spec.topology) {
-    case SpecTopology::kHub: {
-      HubNode& hub = topo.AddHub(spec.hosts.size());
-      for (usize i = 0; i < spec.hosts.size(); ++i) {
-        SimHost& host = topo.AddHost({spec.hosts[i].name, spec.hosts[i].mac, spec.hosts[i].ip});
-        topo.LinkHostToHub(host, hub, i, link_config);
-      }
+    case SpecTopology::kHub:
+      topo.BuildHub(hosts, link_config);
       break;
-    }
-    case SpecTopology::kStar: {
-      ServiceNode& node = topo.AddServiceNode(*scenario->services[0]);
-      for (usize i = 0; i < spec.hosts.size(); ++i) {
-        SimHost& host = topo.AddHost({spec.hosts[i].name, spec.hosts[i].mac, spec.hosts[i].ip});
-        topo.LinkHostToNode(host, node, static_cast<u8>(i), link_config);
-      }
+    case SpecTopology::kStar:
+      topo.BuildStar(*scenario->services[0], hosts, link_config);
       break;
-    }
     case SpecTopology::kCluster: {
-      for (usize i = 0; i < spec.hosts.size(); ++i) {
-        ServiceNode& node = topo.AddServiceNode(*scenario->services[i]);
-        SimHost& host = topo.AddHost({spec.hosts[i].name, spec.hosts[i].mac, spec.hosts[i].ip});
-        topo.LinkHostToNode(host, node, /*port=*/0, link_config);
+      std::vector<Service*> services;
+      for (const std::unique_ptr<Service>& service : scenario->services) {
+        services.push_back(service.get());
       }
+      topo.BuildCluster(services, hosts, link_config);
       break;
     }
   }
   if (!spec.impair_prefix.empty()) {
-    for (usize i = 0; i < topo.host_count(); ++i) {
-      topo.EnableLinkImpairment(*topo.uplink(i), *registry,
-                                spec.impair_prefix + "." + spec.hosts[i].name);
-    }
+    topo.EnableAllUplinkImpairment(*registry, spec.impair_prefix);
   }
 
   if (!order->empty()) {

@@ -32,7 +32,7 @@ class FaultRegistry;
 
 struct Scenario {
   ScenarioSpec spec;
-  TopologyBuilder topology{TopologyBuilder::Mode::kSharded};
+  TopologyBuilder topology;
   // Stage services in spec.stages order; the runtime holds raw pointers.
   std::vector<std::unique_ptr<Service>> services;
   ChainRuntime chain;       // wired iff has_chain

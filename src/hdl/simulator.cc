@@ -10,7 +10,6 @@
 #include "src/core/metrics.h"
 #include "src/fault/fault_registry.h"
 #include "src/obs/trace_hooks.h"
-#include "src/sim/event_scheduler.h"
 
 namespace emu {
 
@@ -359,14 +358,6 @@ Cycle Simulator::QuiescentWindow(Cycle budget) {
       return 0;
     }
     budget = std::min(budget, first - now_);
-  }
-  if (event_scheduler_ != nullptr && !event_scheduler_->Empty()) {
-    const Cycle event_cycle =
-        static_cast<Cycle>(event_scheduler_->NextEventTime() / cycle_period_ps_);
-    if (event_cycle <= now_) {
-      return 0;
-    }
-    budget = std::min(budget, event_cycle - now_);
   }
   // Buffered writes (testbench code mutating a Reg/FIFO/BRAM/CAM between Run
   // calls, or a process's writes from the edge it went to sleep on) need a

@@ -56,8 +56,7 @@
 //   - the earliest PauseFor expiry (min over slot wake cycles),
 //   - forced wakes (RequestWakeAt: FIFO stall expiries),
 //   - the next tick an attached FaultRegistry must sample (armed
-//     callback targets, see FaultRegistry::NextTickDemand),
-//   - the next pending event of an attached sim::EventScheduler.
+//     callback targets, see FaultRegistry::NextTickDemand).
 // Anything that demands per-edge observation disables fast-forward
 // entirely: an attached HazardMonitor (EMU_ANALYSIS), attached
 // EdgeObservers (VCD tracers), or SetFastPath(false).
@@ -87,7 +86,6 @@
 
 namespace emu {
 
-class EventScheduler;
 class FaultRegistry;
 class HazardMonitor;
 class MetricsRegistry;
@@ -176,7 +174,7 @@ struct SimProfile {
   u64 edges_timed = 0;            // executed edges that carried phase clock pairs
   // Kernel phases (src/obs/pulse.h exports these as JSON):
   PhaseProfile resume_dispatch;   // SweepProcesses: resume + parked-poll sweep
-  PhaseProfile commit_sweep;      // CommitEdge: unconditional list + dirty queue
+  PhaseProfile commit_sweep;      // CommitEdge: drains the dirty queue
   PhaseProfile quiescence_scan;   // QuiescentWindow calls from Run/RunUntil
   PhaseProfile fast_forward;      // FastForward jumps (always timed when enabled)
   PhaseProfile flat_span;         // always zero: no kernel phase writes it (e2ebench reads it)
@@ -278,12 +276,6 @@ class Simulator {
   // attachment.
   void AttachFaultRegistry(FaultRegistry* registry);
   FaultRegistry* fault_registry() const { return fault_registry_; }
-
-  // Attaches an EventScheduler whose pending events gate fast-forwarding:
-  // the simulator never jumps past the fabric cycle of the next pending
-  // event, so a testbench interleaving the two clock domains observes the
-  // same interleaving with the fast path on or off. nullptr detaches.
-  void AttachEventScheduler(EventScheduler* scheduler) { event_scheduler_ = scheduler; }
 
   // --- Per-edge observers (VCD tracers, ...) ---
   void AttachEdgeObserver(EdgeObserver* observer);
@@ -387,7 +379,7 @@ class Simulator {
   // resume in a steady_clock pair (per-process wall attribution).
   void SweepProcesses(bool lazy, bool timed);
 
-  // Commits the unconditional list then drains the dirty queue.
+  // Commits every element on the dirty queue, then clears it.
   void CommitEdge();
 
   // One edge's sweep + commit with phase accounting (profiling_mode_ !=
@@ -471,7 +463,6 @@ class Simulator {
   u64 wake_epoch_ = 0;
   std::multiset<Cycle> forced_wakes_;
   FaultRegistry* fault_registry_ = nullptr;
-  EventScheduler* event_scheduler_ = nullptr;
   std::vector<EdgeObserver*> edge_observers_;
 
   // Profiler state. Counters (edges_run_ &c.) are always maintained; the

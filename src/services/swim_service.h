@@ -2,9 +2,10 @@
 // event-driven simulator, after Das, Gupta & Motivala's SWIM and the
 // membership-protocol assignment stack in SNIPPETS.md (EmulNet/MP1Node).
 //
-// One SwimPeer runs on every SimHost of a HubTopology. Each protocol period
-// the peer pings one member (randomized round-robin: a seed-stable shuffle
-// of the member list, reshuffled when exhausted); if no ack arrives within
+// One SwimPeer runs on every SimHost of a hub topology
+// (TopologyBuilder::BuildHub). Each protocol period the peer pings one
+// member (randomized round-robin: a seed-stable shuffle of the member list,
+// reshuffled when exhausted); if no ack arrives within
 // the direct timeout it asks `ping_req_fanout` random proxies to ping the
 // target on its behalf (indirect probe), and if the full probe window
 // closes unacked the target becomes *suspected*. Suspicion is gossiped;

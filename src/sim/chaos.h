@@ -1,6 +1,6 @@
 // ChaosDirector: applies a FaultPlan's topology-scoped events (host crash /
-// restart / partition windows, emu-gossip) to a TopologyBuilder-built
-// topology (HubTopology included).
+// restart / partition windows, emu-gossip) to a TopologyBuilder topology of
+// any shape; partitions need the hub shape (TopologyBuilder::BuildHub).
 //
 // The events are RNG-free and statically known, so Apply() does everything
 // determinism needs up front, before any shard thread runs:
@@ -32,12 +32,10 @@ namespace emu {
 class ChaosDirector {
  public:
   // `registry` may be null: events still apply, just unlogged. The director
-  // drives any TopologyBuilder-built topology; partitions additionally need
-  // a hub (host i on hub port i) to block port pairs on.
+  // drives any TopologyBuilder topology; partitions additionally need a hub
+  // (host i on hub port i) to block port pairs on.
   explicit ChaosDirector(TopologyBuilder& topo, FaultRegistry* registry = nullptr)
       : topo_(topo), registry_(registry) {}
-  explicit ChaosDirector(HubTopology& topo, FaultRegistry* registry = nullptr)
-      : ChaosDirector(topo.builder(), registry) {}
 
   // Boot window charged by every `restart` event (default 5 ms: a fast
   // kexec-style reboot on the simulated timeline).

@@ -79,8 +79,7 @@ class EventScheduler {
   usize pending() const { return queue_.size(); }
 
   // Absolute time of the earliest pending event; only valid when !Empty().
-  // The quiescence-aware Simulator (Simulator::AttachEventScheduler) uses
-  // this to avoid fast-forwarding past a pending event's fabric cycle.
+  // The parallel runner bounds each shard's earliest action with it.
   Picoseconds NextEventTime() const { return queue_.top().when; }
 
   // Runs a single event; returns false when the queue is empty.

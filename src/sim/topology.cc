@@ -5,20 +5,44 @@
 
 namespace emu {
 
-TopologyBuilder::TopologyBuilder(Mode mode) : mode_(mode) {
-  if (mode_ == Mode::kFlat) {
-    flat_scheduler_ = std::make_unique<EventScheduler>();
-  }
-}
-
 EventScheduler& TopologyBuilder::NewScheduler(usize& shard_out) {
-  if (mode_ == Mode::kFlat) {
-    shard_out = 0;
-    return *flat_scheduler_;
-  }
   schedulers_.push_back(std::make_unique<EventScheduler>());
   shard_out = runner_.AddShard(*schedulers_.back());
   return *schedulers_.back();
+}
+
+ServiceNode& TopologyBuilder::BuildStar(Service& service, const std::vector<HostSpec>& hosts,
+                                        const StarTopologyConfig& config) {
+  ServiceNode& node = AddServiceNode(service);
+  for (usize i = 0; i < hosts.size(); ++i) {
+    LinkHostToNode(AddHost(hosts[i]), node, static_cast<u8>(i), config);
+  }
+  return node;
+}
+
+void TopologyBuilder::BuildCluster(const std::vector<Service*>& services,
+                                   const std::vector<HostSpec>& hosts,
+                                   const StarTopologyConfig& config) {
+  if (services.size() != hosts.size()) {
+    Fatal("TopologyBuilder::BuildCluster", "%zu services for %zu hosts", services.size(),
+          hosts.size());
+  }
+  for (usize i = 0; i < hosts.size(); ++i) {
+    if (services[i] == nullptr) {
+      Fatal("TopologyBuilder::BuildCluster", "service %zu is null", i);
+    }
+    ServiceNode& node = AddServiceNode(*services[i]);
+    LinkHostToNode(AddHost(hosts[i]), node, /*port=*/0, config);
+  }
+}
+
+HubNode& TopologyBuilder::BuildHub(const std::vector<HostSpec>& hosts,
+                                   const StarTopologyConfig& config) {
+  HubNode& hub = AddHub(hosts.size());
+  for (usize i = 0; i < hosts.size(); ++i) {
+    LinkHostToHub(AddHost(hosts[i]), hub, i, config);
+  }
+  return hub;
 }
 
 ServiceNode& TopologyBuilder::AddServiceNode(Service& service) {
@@ -59,8 +83,8 @@ usize TopologyBuilder::HostIndex(const SimHost& host) const {
 }
 
 Link& TopologyBuilder::MakeUplink(SimHost& host, const StarTopologyConfig& config) {
-  // The link lives on the host's scheduler, host on end A — the StarTopology
-  // convention every shape (and ChaosDirector's gate scheduling) relies on.
+  // The link lives on the host's scheduler, host on end A — the convention
+  // every shape (and ChaosDirector's gate scheduling) relies on.
   links_.push_back(std::make_unique<Link>(host.scheduler(), config.link_bits_per_second,
                                           config.link_delay));
   Link& link = *links_.back();
@@ -70,9 +94,6 @@ Link& TopologyBuilder::MakeUplink(SimHost& host, const StarTopologyConfig& confi
 }
 
 void TopologyBuilder::RouteBothWays(Link& link, usize host_shard, usize peer_shard) {
-  if (mode_ == Mode::kFlat) {
-    return;
-  }
   runner_.ConnectDirection(link, /*to_b=*/true, host_shard, peer_shard);
   runner_.ConnectDirection(link, /*to_b=*/false, peer_shard, host_shard);
 }
@@ -128,22 +149,6 @@ usize TopologyBuilder::EnableAllUplinkImpairment(FaultRegistry& registry,
   return enabled;
 }
 
-u64 TopologyBuilder::Run(const ParallelRunOptions& opts) {
-  if (mode_ == Mode::kFlat) {
-    const u64 before = flat_scheduler_->executed();
-    flat_scheduler_->Run(opts.max_events);
-    return flat_scheduler_->executed() - before;
-  }
-  return runner_.Run(opts);
-}
-
-EventScheduler& TopologyBuilder::scheduler() {
-  if (mode_ != Mode::kFlat) {
-    Fatal("TopologyBuilder::scheduler", "a sharded topology has one scheduler per shard");
-  }
-  return *flat_scheduler_;
-}
-
 usize TopologyBuilder::FindHost(const std::string& name) const {
   for (usize i = 0; i < hosts_.size(); ++i) {
     if (hosts_[i]->name() == name) {
@@ -151,58 +156,6 @@ usize TopologyBuilder::FindHost(const std::string& name) const {
     }
   }
   return hosts_.size();
-}
-
-StarTopology::StarTopology(Service& service, std::vector<HostSpec> specs,
-                           StarTopologyConfig config)
-    : builder_(TopologyBuilder::Mode::kFlat) {
-  ServiceNode& node = builder_.AddServiceNode(service);
-  for (usize i = 0; i < specs.size(); ++i) {
-    SimHost& host = builder_.AddHost(specs[i]);
-    builder_.LinkHostToNode(host, node, static_cast<u8>(i), config);
-  }
-}
-
-void StarTopology::Run(usize max_events) {
-  ParallelRunOptions opts;
-  opts.max_events = max_events;
-  builder_.Run(opts);
-}
-
-ShardedTopology::ShardedTopology(Service& service, std::vector<HostSpec> specs,
-                                 StarTopologyConfig config)
-    : builder_(TopologyBuilder::Mode::kSharded) {
-  ServiceNode& node = builder_.AddServiceNode(service);
-  for (usize i = 0; i < specs.size(); ++i) {
-    SimHost& host = builder_.AddHost(specs[i]);
-    builder_.LinkHostToNode(host, node, static_cast<u8>(i), config);
-  }
-}
-
-ShardedTopology::ShardedTopology(const std::vector<Service*>& services,
-                                 std::vector<HostSpec> specs, StarTopologyConfig config)
-    : builder_(TopologyBuilder::Mode::kSharded) {
-  if (services.size() != specs.size()) {
-    Fatal("ShardedTopology::ShardedTopology", "%zu services for %zu hosts", services.size(),
-          specs.size());
-  }
-  for (usize i = 0; i < specs.size(); ++i) {
-    if (services[i] == nullptr) {
-      Fatal("ShardedTopology::ShardedTopology", "service %zu is null", i);
-    }
-    ServiceNode& node = builder_.AddServiceNode(*services[i]);
-    SimHost& host = builder_.AddHost(specs[i]);
-    builder_.LinkHostToNode(host, node, /*port=*/0, config);
-  }
-}
-
-HubTopology::HubTopology(std::vector<HostSpec> specs, StarTopologyConfig config)
-    : builder_(TopologyBuilder::Mode::kSharded) {
-  HubNode& hub = builder_.AddHub(specs.size());
-  for (usize i = 0; i < specs.size(); ++i) {
-    SimHost& host = builder_.AddHost(specs[i]);
-    builder_.LinkHostToHub(host, hub, i, config);
-  }
 }
 
 }  // namespace emu

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "src/common/hexdump.h"
 #include "src/net/arp.h"
@@ -135,38 +136,55 @@ Expected<std::vector<Packet>> ReadPcap(const std::string& path) {
     return MalformedPacket("bad pcap magic (only host-endian v2.4 supported)");
   }
   u32 scratch = 0;
-  get32(&scratch);  // version
-  get32(&scratch);  // zone
-  get32(&scratch);  // sigfigs
   u32 snaplen = 0;
-  get32(&snaplen);
   u32 linktype = 0;
-  if (!get32(&linktype) || linktype != 1) {
+  // Version, zone and sigfigs are not checked.
+  if (!get32(&scratch) || !get32(&scratch) || !get32(&scratch) || !get32(&snaplen) ||
+      !get32(&linktype)) {
+    return MalformedPacket("truncated pcap file header");
+  }
+  if (linktype != 1) {
     return UnsupportedProtocol("pcap linktype is not Ethernet");
   }
+  // The latest capture time whose ingress time fits in Picoseconds.
+  constexpr u64 kMaxMicros =
+      static_cast<u64>(std::numeric_limits<Picoseconds>::max() / kPicosPerMicro);
   std::vector<Packet> packets;
+  const auto malformed = [&packets](const std::string& what) {
+    return MalformedPacket("pcap record " + std::to_string(packets.size()) + ": " + what);
+  };
   for (;;) {
     u32 ts_sec = 0;
     if (!get32(&ts_sec)) {
-      break;  // clean EOF
+      if (file.gcount() == 0) {
+        break;  // clean EOF
+      }
+      return malformed("truncated header");
     }
     u32 ts_usec = 0;
     u32 incl = 0;
     u32 orig = 0;
     if (!get32(&ts_usec) || !get32(&incl) || !get32(&orig)) {
-      return MalformedPacket("truncated pcap record header");
+      return malformed("truncated header");
+    }
+    if (ts_usec >= 1'000'000) {
+      return malformed("microseconds field " + std::to_string(ts_usec) + " is not below 1000000");
+    }
+    const u64 micros = static_cast<u64>(ts_sec) * 1'000'000 + ts_usec;
+    if (micros > kMaxMicros) {
+      return malformed("capture time " + std::to_string(ts_sec) +
+                       " s is past the simulated clock's range");
     }
     if (incl > snaplen || incl > 1u << 20) {
-      return MalformedPacket("pcap record length implausible");
+      return malformed("length implausible");
     }
     std::vector<u8> data(incl);
     file.read(reinterpret_cast<char*>(data.data()), incl);
     if (!file) {
-      return MalformedPacket("truncated pcap record body");
+      return malformed("truncated body");
     }
     Packet packet(std::move(data));
-    packet.set_ingress_time(
-        (static_cast<Picoseconds>(ts_sec) * 1'000'000 + ts_usec) * kPicosPerMicro);
+    packet.set_ingress_time(static_cast<Picoseconds>(micros) * kPicosPerMicro);
     packets.push_back(std::move(packet));
   }
   return packets;

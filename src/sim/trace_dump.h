@@ -67,6 +67,10 @@ std::string DescribePacket(const Packet& packet);
 // Loads a classic libpcap file (as written by WritePcap, or any
 // host-endian v2.4 Ethernet capture). Each record's capture time lands in
 // the packet's ingress_time, so a loadgen can replay with original pacing.
+// A record whose microseconds field is not below 1,000,000, or whose time
+// does not fit in Picoseconds (about 106 days), is MalformedPacket naming
+// the record's index: a capture stamped in Unix-epoch seconds must be
+// rebased to start near zero first.
 Expected<std::vector<Packet>> ReadPcap(const std::string& path);
 
 }  // namespace emu

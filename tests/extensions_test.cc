@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
+#include <utility>
 
 #include "src/core/targets.h"
 #include "src/services/learning_switch.h"
@@ -211,16 +213,21 @@ TEST(PcapRoundTrip, WriteThenReadPreservesBytesAndTimes) {
   for (usize i = 0; i < b.size(); ++i) {
     b[i] = static_cast<u8>(i);
   }
+  // The latest whole microsecond that fits in Picoseconds.
+  const Picoseconds latest =
+      std::numeric_limits<Picoseconds>::max() / kPicosPerMicro * kPicosPerMicro;
   dump.Capture(250 * kPicosPerMicro, "a", a);
   dump.Capture(1'750'000 * kPicosPerMicro, "b", b);
+  dump.Capture(latest, "c", Packet(64));
   const std::string path = "/tmp/emu_roundtrip.pcap";
   ASSERT_TRUE(dump.WritePcap(path));
 
   auto packets = ReadPcap(path);
   ASSERT_TRUE(packets.ok()) << packets.status().ToString();
-  ASSERT_EQ(packets->size(), 2u);
+  ASSERT_EQ(packets->size(), 3u);
   EXPECT_EQ((*packets)[0].ingress_time(), 250 * kPicosPerMicro);
   EXPECT_EQ((*packets)[1].ingress_time(), 1'750'000 * kPicosPerMicro);
+  EXPECT_EQ((*packets)[2].ingress_time(), latest);
   ASSERT_EQ((*packets)[0].size(), a.size());
   for (usize i = 0; i < a.size(); ++i) {
     ASSERT_EQ((*packets)[0][i], a[i]);
@@ -234,6 +241,43 @@ TEST(PcapRoundTrip, RejectsGarbageFiles) {
   std::ofstream(path) << "this is not a capture";
   EXPECT_FALSE(ReadPcap(path).ok());
   EXPECT_FALSE(ReadPcap("/tmp/definitely_missing_file.pcap").ok());
+}
+
+// A host-endian v2.4 Ethernet capture with one 14-byte all-zero frame per
+// (ts_sec, ts_usec) stamp, written to `path`.
+void WriteRawPcap(const std::string& path, const std::vector<std::pair<u32, u32>>& stamps) {
+  std::ofstream file(path, std::ios::binary);
+  const auto put32 = [&file](u32 word) { file.write(reinterpret_cast<const char*>(&word), 4); };
+  for (const u32 word : {0xa1b2c3d4u, 0x00040002u, 0u, 0u, 65535u, 1u}) {
+    put32(word);
+  }
+  for (const auto& [sec, usec] : stamps) {
+    for (const u32 word : {sec, usec, 14u, 14u}) {
+      put32(word);
+    }
+    file.write(std::string(14, '\0').data(), 14);
+  }
+}
+
+// A capture stamped in Unix-epoch seconds does not fit a signed 64-bit
+// picosecond count, and a microseconds field of a whole second or more is
+// out of range: both are rejected, naming the record, rather than read as a
+// wrong ingress time.
+TEST(PcapRoundTrip, RejectsOutOfRangeTimestamps) {
+  const std::string path = ::testing::TempDir() + "emu_bad_stamp.pcap";
+  const struct {
+    std::vector<std::pair<u32, u32>> stamps;
+    const char* record;
+  } cases[] = {{{{0, 5}, {1'700'000'000, 0}}, "pcap record 1"},
+               {{{0, 5'000'000}}, "pcap record 0"}};
+  for (const auto& c : cases) {
+    WriteRawPcap(path, c.stamps);
+    const Expected<std::vector<Packet>> read = ReadPcap(path);
+    ASSERT_FALSE(read.ok()) << c.record;
+    EXPECT_EQ(read.status().code(), ErrorCode::kMalformedPacket);
+    EXPECT_NE(read.status().message().find(c.record), std::string::npos)
+        << read.status().ToString();
+  }
 }
 
 TEST(PcapRoundTrip, ReplayThroughSwitch) {

@@ -1,4 +1,4 @@
-// emu-gossip: SWIM membership over a HubTopology under node-level chaos.
+// emu-gossip: SWIM membership over the hub shape under node-level chaos.
 //
 // Each test builds a small cluster (one SwimPeer per SimHost around a
 // HubNode), optionally applies a topology-scoped fault plan through a
@@ -46,7 +46,7 @@ SwimConfig TestSwimConfig(u64 run_ms) {
 
 // A cluster under test: topology, chaos wiring, and one peer per host.
 struct Cluster {
-  std::unique_ptr<HubTopology> topo;
+  std::unique_ptr<TopologyBuilder> topo;
   std::unique_ptr<FaultRegistry> registry;
   std::unique_ptr<ChaosDirector> director;
   std::vector<std::unique_ptr<SwimPeer>> peers;
@@ -80,7 +80,8 @@ Cluster MakeCluster(usize hosts, u64 seed, u64 run_ms, const std::string& plan_t
   }
   StarTopologyConfig net;
   net.link_delay = 50 * kPicosPerMicro;  // SWIM runs at ms scale; fat lookahead
-  c.topo = std::make_unique<HubTopology>(specs, net);
+  c.topo = std::make_unique<TopologyBuilder>();
+  c.topo->BuildHub(specs, net);
   c.registry = std::make_unique<FaultRegistry>(seed);
   c.director = std::make_unique<ChaosDirector>(*c.topo, c.registry.get());
   c.director->set_boot_delay(kBootDelay);

@@ -91,7 +91,8 @@ TEST(DirectedInSimulator, DirectionPacketsWorkOverSimLinks) {
   std::vector<HostSpec> hosts = {
       {"client", kClientMac, kClientIp},
       {"director", MacAddress::FromU48(0x02'00'00'00'd0'02), Ipv4Address(10, 0, 0, 50)}};
-  StarTopology topo(directed, hosts);
+  TopologyBuilder topo;
+  topo.BuildStar(directed, hosts);
 
   // Client resolves a name through the simulator.
   bool resolved = false;
@@ -175,7 +176,8 @@ TEST(NatRoundTrip, SimHostsExchangeThroughGateway) {
       {"remote", MacAddress::FromU48(0x02'ff'ff'ff'ff'02), Ipv4Address(8, 8, 8, 8)},
       {"internal", MacAddress::FromU48(0x02'00'00'00'11'10), Ipv4Address(192, 168, 1, 10)}};
   NatService service(config);
-  StarTopology topo(service, hosts);
+  TopologyBuilder topo;
+  topo.BuildStar(service, hosts);
 
   // The remote host echoes any UDP payload it receives back to the sender.
   topo.host(0).SetApp([&](SimHost& self, Packet frame) {

@@ -353,15 +353,16 @@ TEST(TraceSession, PacketFlightsPairAcrossATopologyRun) {
   std::vector<HostSpec> specs = {
       {"h0", MacAddress::FromU48(0x020000000001), Ipv4Address(10, 0, 0, 1)},
       {"h1", MacAddress::FromU48(0x020000000002), Ipv4Address(10, 0, 0, 2)}};
-  StarTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.BuildStar(service, specs);
   for (usize i = 0; i < specs.size(); ++i) {
     topo.host(i).SetApp([](SimHost&, Packet) {});
   }
-  topo.scheduler().At(10 * kPicosPerMicro, [&topo] {
+  topo.host(0).scheduler().At(10 * kPicosPerMicro, [&topo] {
     topo.host(0).Send(MakeEthernetFrame(MacAddress::Broadcast(), topo.host(0).mac(),
                                         EtherType::kIpv4, std::vector<u8>{1}));
   });
-  topo.scheduler().At(50 * kPicosPerMicro, [&topo, &specs] {
+  topo.host(1).scheduler().At(50 * kPicosPerMicro, [&topo, &specs] {
     topo.host(1).Send(MakeUdpPacket({specs[0].mac, specs[1].mac,
                                      Ipv4Address(10, 0, 0, 2), Ipv4Address(10, 0, 0, 1),
                                      5000, 6000},

@@ -91,8 +91,7 @@ long TaskCount() {
   return count;
 }
 
-template <typename Topology>
-void CaptureHosts(Topology& topo, std::vector<HostLog>& logs, TopoDigest& d) {
+void CaptureHosts(TopologyBuilder& topo, std::vector<HostLog>& logs, TopoDigest& d) {
   for (usize i = 0; i < topo.host_count(); ++i) {
     d.host_digests.push_back(logs[i].digest);
     d.host_received.push_back(topo.host(i).received());
@@ -115,7 +114,8 @@ std::vector<HostSpec> FourHosts() {
 TopoDigest RunShardedSwitch(usize threads) {
   LearningSwitch service;
   const std::vector<HostSpec> specs = FourHosts();
-  ShardedTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.BuildStar(service, specs);
 
   std::vector<HostLog> logs(specs.size());
   for (usize i = 0; i < specs.size(); ++i) {
@@ -172,51 +172,6 @@ TEST(ParallelEquivalence, ShardedSwitchBitExactAcrossThreadCounts) {
   }
 }
 
-// The sharded build of the star is the same network as StarTopology: same
-// links, same latencies, same service. Frame counts must agree.
-TEST(ParallelEquivalence, ShardedStarMatchesUnshardedCounts) {
-  const std::vector<HostSpec> specs = FourHosts();
-
-  std::vector<u64> unsharded_received;
-  {
-    LearningSwitch service;
-    StarTopology topo(service, specs);
-    for (usize i = 0; i < specs.size(); ++i) {
-      topo.host(i).SetApp([](SimHost&, Packet) {});
-    }
-    for (usize i = 0; i < specs.size(); ++i) {
-      const Picoseconds at = static_cast<Picoseconds>(i + 1) * 10 * kPicosPerMicro;
-      topo.scheduler().At(at, [&topo, i] {
-        topo.host(i).Send(MakeEthernetFrame(MacAddress::Broadcast(), topo.host(i).mac(),
-                                            EtherType::kIpv4,
-                                            std::vector<u8>{static_cast<u8>(i)}));
-      });
-    }
-    topo.Run();
-    for (usize i = 0; i < specs.size(); ++i) {
-      unsharded_received.push_back(topo.host(i).received());
-    }
-  }
-
-  LearningSwitch service;
-  ShardedTopology topo(service, specs);
-  for (usize i = 0; i < specs.size(); ++i) {
-    topo.host(i).SetApp([](SimHost&, Packet) {});
-  }
-  for (usize i = 0; i < specs.size(); ++i) {
-    const Picoseconds at = static_cast<Picoseconds>(i + 1) * 10 * kPicosPerMicro;
-    topo.host(i).scheduler().At(at, [&topo, i] {
-      topo.host(i).Send(MakeEthernetFrame(MacAddress::Broadcast(), topo.host(i).mac(),
-                                          EtherType::kIpv4,
-                                          std::vector<u8>{static_cast<u8>(i)}));
-    });
-  }
-  topo.Run({.threads = 4});
-  for (usize i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(topo.host(i).received(), unsharded_received[i]) << "host " << i;
-  }
-}
-
 // --- Scenario 2: NAT ping-pong (long cross-shard causal chains) ---------------------
 
 // The NAT's fault registry seed, the plan armed on it (none when empty), and
@@ -237,7 +192,8 @@ TopoDigest RunShardedNat(usize threads, const NatFaults& faults = {}) {
   const std::vector<HostSpec> specs = {
       {"ext", MacAddress::FromU48(0x02ffffffff01), Ipv4Address(8, 8, 8, 8)},
       {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)}};
-  ShardedTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.BuildStar(service, specs);
 
   FaultRegistry registry(faults.seed);
   if (!faults.plan.empty()) {
@@ -335,30 +291,30 @@ TEST(ParallelEquivalence, ShardedNatWithArmedFaultPlanBitExact) {
 
 // --- Scenario 3: memcached cluster (one service node per host) ----------------------
 
-// `nodes` node/client pairs, wired through TopologyBuilder as the cluster
-// ShardedTopology wires them (node, then host, per pair). `drive` runs the
-// built topology and returns the events it executed; each client sends
-// `workload` requests after its prewarm.
+// `nodes` node/client pairs in the cluster shape. `drive` runs the built
+// topology and returns the events it executed; each client sends `workload`
+// requests after its prewarm.
 TopoDigest RunShardedMemcachedCluster(const std::function<u64(TopologyBuilder&)>& drive,
                                       usize workload = 24, usize nodes = 4) {
   constexpr usize kKeySpace = 24;
 
   std::vector<std::unique_ptr<MemcachedService>> services;
+  std::vector<Service*> service_ptrs;
   std::vector<HostSpec> specs;
   std::vector<MemcachedConfig> configs;
-  TopologyBuilder topo;
   for (usize i = 0; i < nodes; ++i) {
     MemcachedConfig config;
     config.mac = MacAddress::FromU48(0x02'00'00'00'ee'00ULL + i);
     config.ip = Ipv4Address(10, 0, 0, static_cast<u8>(200 + i));
     configs.push_back(config);
     services.push_back(std::make_unique<MemcachedService>(config));
+    service_ptrs.push_back(services.back().get());
     specs.push_back({"c" + std::to_string(i),
                      MacAddress::FromU48(0x02'00'00'00'c1'00ULL + i),
                      Ipv4Address(10, 0, 0, static_cast<u8>(50 + i))});
-    ServiceNode& node = topo.AddServiceNode(*services.back());
-    topo.LinkHostToNode(topo.AddHost(specs.back()), node, /*port=*/0, StarTopologyConfig{});
   }
+  TopologyBuilder topo;
+  topo.BuildCluster(service_ptrs, specs);
 
   std::vector<HostLog> logs(nodes);
   for (usize i = 0; i < nodes; ++i) {
@@ -570,8 +526,8 @@ TEST(ParallelEquivalence, ImpairedClusterSharingOneRegistryBitExact) {
 
 // --- Scenario 4: uneven link components ---------------------------------------------
 
-// Three components of different sizes on one builder: a memcached node with
-// two memaslap clients, a memcached node with one, and a NAT node between a
+// Three stars of different sizes on one builder: a memcached node with two
+// memaslap clients, a memcached node with one, and a NAT node between a
 // pinging internal host and an echoing external one (3 + 2 + 3 shards). No
 // frame crosses components, so each plans its own epochs; the budget splits
 // 3:2:3 between them. A TraceSession records the run, and the exported trace
@@ -598,24 +554,16 @@ UnevenRun RunUnevenComponents(usize threads, usize budget) {
     cache_configs.push_back(config);
     caches.push_back(std::make_unique<MemcachedService>(config));
   }
-  ServiceNode& big = topo.AddServiceNode(*caches[0]);
-  for (u8 port = 0; port < 2; ++port) {
-    topo.LinkHostToNode(topo.AddHost({"a" + std::to_string(port),
-                                      MacAddress::FromU48(0x02'00'00'00'c1'00ULL + port),
-                                      Ipv4Address(10, 0, 0, static_cast<u8>(50 + port))}),
-                        big, port, StarTopologyConfig{});
-  }
-  ServiceNode& small = topo.AddServiceNode(*caches[1]);
-  topo.LinkHostToNode(topo.AddHost({"b0", MacAddress::FromU48(0x02'00'00'00'c1'10ULL),
-                                    Ipv4Address(10, 0, 0, 60)}),
-                      small, 0, StarTopologyConfig{});
-  ServiceNode& nat = topo.AddServiceNode(nat_service);
-  SimHost& ext = topo.AddHost(
-      {"ext", MacAddress::FromU48(0x02ffffffff01), Ipv4Address(8, 8, 8, 8)});
-  topo.LinkHostToNode(ext, nat, 0, StarTopologyConfig{});
-  SimHost& internal = topo.AddHost(
-      {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)});
-  topo.LinkHostToNode(internal, nat, 1, StarTopologyConfig{});
+  topo.BuildStar(*caches[0],
+                 {{"a0", MacAddress::FromU48(0x02'00'00'00'c1'00ULL), Ipv4Address(10, 0, 0, 50)},
+                  {"a1", MacAddress::FromU48(0x02'00'00'00'c1'01ULL), Ipv4Address(10, 0, 0, 51)}});
+  topo.BuildStar(*caches[1],
+                 {{"b0", MacAddress::FromU48(0x02'00'00'00'c1'10ULL), Ipv4Address(10, 0, 0, 60)}});
+  topo.BuildStar(nat_service,
+                 {{"ext", MacAddress::FromU48(0x02ffffffff01), Ipv4Address(8, 8, 8, 8)},
+                  {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)}});
+  SimHost& ext = topo.host(3);
+  SimHost& internal = topo.host(4);
   logs.resize(topo.host_count());
   for (usize i = 0; i < topo.host_count(); ++i) {
     topo.host(i).SetApp(
@@ -788,7 +736,8 @@ TopoDigest RunHubChatter(usize threads, obs::RunnerPulse* pulse = nullptr,
     specs.push_back({"h" + std::to_string(i), MacAddress::FromU48(0x02'00'00'00'0a'00ULL + i),
                      Ipv4Address(10, 0, 1, static_cast<u8>(1 + i))});
   }
-  HubTopology topo(specs);
+  TopologyBuilder topo;
+  topo.BuildHub(specs);
   topo.runner().AttachPulse(pulse);
   std::vector<HostLog> logs(kHosts);
   for (usize i = 0; i < kHosts; ++i) {

@@ -1,8 +1,10 @@
-// Robustness: VLAN tagging, the pcap writer, parser fuzzing (no parser may
+// Robustness: VLAN tagging, the pcap writer and reader, parser fuzzing (no parser may
 // crash or over-read on arbitrary bytes), and live backtraces of stalled
 // services.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -346,6 +348,116 @@ TEST_P(ParserFuzz, TextGrammarsEndInAValueOrALineNumberedDiagnostic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Values(17u, 9001u));
+
+// --- pcap reader fuzzing ------------------------------------------------------------
+
+// Property: ReadPcap ends every mutant of a WritePcap capture in packets or a
+// Status, and a packet it returns has a non-negative, whole-microsecond
+// ingress time. The capture has three records, the last one stamped near the
+// end of the picosecond range.
+constexpr usize kPcapFileHeader = 24;
+constexpr usize kPcapRecordHeader = 16;
+const std::vector<usize> kPcapFrameSizes = {60, 14, 100};
+
+std::vector<u8> PcapCapture(const std::string& path) {
+  const Picoseconds times[] = {3 * kPicosPerMicro, 2'500'000 * kPicosPerMicro,
+                               9'000'000 * kPicosPerSecond + 7 * kPicosPerMicro};
+  TraceDump dump;
+  for (usize i = 0; i < kPcapFrameSizes.size(); ++i) {
+    Packet frame(kPcapFrameSizes[i]);
+    for (usize b = 0; b < frame.size(); ++b) {
+      frame[b] = static_cast<u8>(b + i);
+    }
+    dump.Capture(times[i], "tap", frame);
+  }
+  EXPECT_TRUE(dump.WritePcap(path));
+  std::ifstream file(path, std::ios::binary);
+  return std::vector<u8>(std::istreambuf_iterator<char>(file), {});
+}
+
+// Writes `bytes` to `path` and reads them back; true when they parse.
+bool ReadsAsPacketsOrStatus(const std::string& path, const std::vector<u8>& bytes) {
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+  const Expected<std::vector<Packet>> read = ReadPcap(path);
+  if (!read.ok()) {
+    EXPECT_FALSE(read.status().message().empty());
+    return false;
+  }
+  for (const Packet& packet : *read) {
+    EXPECT_GE(packet.ingress_time(), 0);
+    EXPECT_EQ(packet.ingress_time() % kPicosPerMicro, 0);
+  }
+  return true;
+}
+
+std::string PcapFuzzPath(const char* what) {
+  return ::testing::TempDir() + "emu_pcap_fuzz_" + what + ".pcap";
+}
+
+TEST(PcapFuzz, ByteFlipsEndInPacketsOrAStatus) {
+  const std::string path = PcapFuzzPath("flips");
+  const std::vector<u8> capture = PcapCapture(path);
+  ASSERT_TRUE(ReadsAsPacketsOrStatus(path, capture));
+  for (const u64 seed : {17u, 9001u}) {
+    Rng rng(seed);
+    for (int round = 0; round < 300; ++round) {
+      std::vector<u8> mutated = capture;
+      for (u64 flips = 1 + rng.NextBelow(3); flips > 0; --flips) {
+        mutated[rng.NextBelow(mutated.size())] ^= static_cast<u8>(1 + rng.NextBelow(255));
+      }
+      ReadsAsPacketsOrStatus(path, mutated);
+    }
+  }
+}
+
+// A prefix that ends on a record boundary is a shorter capture; any other
+// cut, inside a header field or a frame, is an error.
+TEST(PcapFuzz, TruncationAtEveryByteIsAShorterCaptureOrAStatus) {
+  const std::string path = PcapFuzzPath("truncation");
+  const std::vector<u8> capture = PcapCapture(path);
+  std::vector<usize> boundaries = {kPcapFileHeader};
+  for (const usize size : kPcapFrameSizes) {
+    boundaries.push_back(boundaries.back() + kPcapRecordHeader + size);
+  }
+  ASSERT_EQ(boundaries.back(), capture.size());
+  for (usize cut = 0; cut <= capture.size(); ++cut) {
+    const bool boundary = std::find(boundaries.begin(), boundaries.end(), cut) != boundaries.end();
+    EXPECT_EQ(ReadsAsPacketsOrStatus(path, std::vector<u8>(capture.begin(), capture.begin() + cut)),
+              boundary)
+        << "cut at byte " << cut;
+  }
+}
+
+// Every 32-bit header field, file and record alike, set to 0 and to 2^32-1.
+// A record's seconds or microseconds at 2^32-1 is out of range and rejected.
+TEST(PcapFuzz, HeaderFieldsAtZeroAndAllOnesEndInPacketsOrAStatus) {
+  const std::string path = PcapFuzzPath("fields");
+  const std::vector<u8> capture = PcapCapture(path);
+  std::vector<usize> fields;
+  for (usize offset = 0; offset < kPcapFileHeader; offset += 4) {
+    fields.push_back(offset);
+  }
+  std::vector<usize> stamps;  // each record's ts_sec and ts_usec offsets
+  usize record = kPcapFileHeader;
+  for (const usize size : kPcapFrameSizes) {
+    for (usize offset = 0; offset < kPcapRecordHeader; offset += 4) {
+      fields.push_back(record + offset);
+    }
+    stamps.insert(stamps.end(), {record, record + 4});
+    record += kPcapRecordHeader + size;
+  }
+  for (const usize field : fields) {
+    for (const u32 value : {0u, 0xffffffffu}) {
+      std::vector<u8> mutated = capture;
+      std::memcpy(mutated.data() + field, &value, sizeof(value));
+      const bool parsed = ReadsAsPacketsOrStatus(path, mutated);
+      if (value != 0 && std::find(stamps.begin(), stamps.end(), field) != stamps.end()) {
+        EXPECT_FALSE(parsed) << "field at byte " << field;
+      }
+    }
+  }
+}
 
 // --- Fault-layer frame fuzzing (emu-fault) -----------------------------------------
 

@@ -126,7 +126,8 @@ std::vector<HostSpec> TwoHosts() {
 
 TEST(SimTarget, SwitchFloodsThenUnicasts) {
   LearningSwitch service;
-  StarTopology topo(service, TwoHosts());
+  TopologyBuilder topo;
+  topo.BuildStar(service, TwoHosts());
 
   usize h1_received = 0;
   topo.host(1).SetApp([&](SimHost&, Packet) { ++h1_received; });
@@ -156,7 +157,8 @@ TEST(SimTarget, FloodDeliversIntactCopiesToEveryPort) {
   std::vector<HostSpec> specs = TwoHosts();
   specs.push_back({"h2", MacAddress::FromU48(0x020000000003), Ipv4Address(10, 0, 0, 3)});
   specs.push_back({"h3", MacAddress::FromU48(0x020000000004), Ipv4Address(10, 0, 0, 4)});
-  StarTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.BuildStar(service, specs);
   std::vector<std::vector<u8>> got(specs.size());
   for (usize i = 0; i < specs.size(); ++i) {
     topo.host(i).SetApp([&got, i](SimHost&, Packet frame) {
@@ -172,13 +174,14 @@ TEST(SimTarget, FloodDeliversIntactCopiesToEveryPort) {
   for (usize i = 1; i < specs.size(); ++i) {
     EXPECT_EQ(got[i], want) << "host " << i;
   }
-  EXPECT_EQ(topo.service_node().forwarded(), 3u);
+  EXPECT_EQ(topo.node().forwarded(), 3u);
 }
 
 TEST(SimTarget, IcmpEchoServiceAnswersInSimulator) {
   IcmpEchoConfig config;
   IcmpEchoService service(config);
-  StarTopology topo(service, TwoHosts());
+  TopologyBuilder topo;
+  topo.BuildStar(service, TwoHosts());
 
   bool got_reply = false;
   topo.host(0).SetApp([&](SimHost&, Packet frame) {
@@ -202,7 +205,8 @@ TEST(SimTarget, NatRunsInSimulatorToo) {
   std::vector<HostSpec> hosts = {
       {"ext", MacAddress::FromU48(0x02ffffffff01), Ipv4Address(8, 8, 8, 8)},
       {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)}};
-  StarTopology topo(service, hosts);
+  TopologyBuilder topo;
+  topo.BuildStar(service, hosts);
 
   bool external_saw_translated = false;
   topo.host(0).SetApp([&](SimHost&, Packet frame) {
@@ -630,7 +634,8 @@ std::vector<HostSpec> HubSpecs(usize n) {
 }
 
 TEST(HubTopologyTest, LearningSwitchFloodsUnknownThenForwardsLearned) {
-  HubTopology topo(HubSpecs(3));
+  TopologyBuilder topo;
+  topo.BuildHub(HubSpecs(3));
   std::vector<u64> got(3, 0);
   for (usize i = 0; i < 3; ++i) {
     topo.host(i).SetApp([&got, i](SimHost&, Packet) { ++got[i]; });
@@ -655,8 +660,8 @@ TEST(HubTopologyTest, LearningSwitchFloodsUnknownThenForwardsLearned) {
 }
 
 TEST(HubTopologyTest, CountedBlocksComposeAcrossOverlappingWindows) {
-  HubTopology topo(HubSpecs(2));
-  HubNode& hub = topo.hub();
+  TopologyBuilder topo;
+  HubNode& hub = topo.BuildHub(HubSpecs(2));
   // Two overlapping partition windows cover the same pair: connectivity
   // returns only after BOTH close.
   hub.SetBlocked(0, 1, true);
@@ -670,7 +675,8 @@ TEST(HubTopologyTest, CountedBlocksComposeAcrossOverlappingWindows) {
 }
 
 TEST(HubTopologyTest, PartitionDropsAreCounted) {
-  HubTopology topo(HubSpecs(2));
+  TopologyBuilder topo;
+  topo.BuildHub(HubSpecs(2));
   u64 got1 = 0;
   topo.host(1).SetApp([&](SimHost&, Packet) { ++got1; });
   // Block h0 -> h1 on the hub's own scheduler (shard safety contract).
@@ -683,7 +689,8 @@ TEST(HubTopologyTest, PartitionDropsAreCounted) {
 }
 
 TEST(HubTopologyTest, FindHostByName) {
-  HubTopology topo(HubSpecs(3));
+  TopologyBuilder topo;
+  topo.BuildHub(HubSpecs(3));
   EXPECT_EQ(topo.FindHost("h0"), 0u);
   EXPECT_EQ(topo.FindHost("h2"), 2u);
   EXPECT_EQ(topo.FindHost("nope"), topo.host_count());
@@ -735,8 +742,9 @@ TEST(TopologyDeathTest, LinkingToAHubOfAnotherBuilderAborts) {
 TEST(TopologyDeathTest, SecondHubAborts) {
   EXPECT_DEATH(
       {
-        HubTopology topo(HubSpecs(2));
-        topo.builder().AddHub(2);
+        TopologyBuilder topo;
+        topo.BuildHub(HubSpecs(2));
+        topo.AddHub(2);
       },
       "emu: fatal: TopologyBuilder::AddHub: one hub per topology");
 }
@@ -768,8 +776,8 @@ TEST(TopologyDeathTest, HubPortPastLastPortAborts) {
 TEST(TopologyDeathTest, HubBlockPastLastPortAborts) {
   EXPECT_DEATH(
       {
-        HubTopology topo(HubSpecs(2));
-        topo.hub().SetBlocked(0, 2, true);
+        TopologyBuilder topo;
+        topo.BuildHub(HubSpecs(2)).SetBlocked(0, 2, true);
       },
       "emu: fatal: HubNode::SetBlocked: port pair \\(0, 2\\) out of range \\(2 ports\\)");
 }
@@ -777,41 +785,34 @@ TEST(TopologyDeathTest, HubBlockPastLastPortAborts) {
 TEST(TopologyDeathTest, UnbalancedHubUnblockAborts) {
   EXPECT_DEATH(
       {
-        HubTopology topo(HubSpecs(2));
-        topo.hub().SetBlocked(0, 1, true);
-        topo.hub().SetBlocked(0, 1, false);
-        topo.hub().SetBlocked(0, 1, false);
+        TopologyBuilder topo;
+        HubNode& hub = topo.BuildHub(HubSpecs(2));
+        hub.SetBlocked(0, 1, true);
+        hub.SetBlocked(0, 1, false);
+        hub.SetBlocked(0, 1, false);
       },
       "emu: fatal: HubNode::SetBlocked: unblock of port pair \\(0, 1\\), which is not "
       "blocked");
-}
-
-TEST(TopologyDeathTest, SchedulerOfAShardedBuilderAborts) {
-  EXPECT_DEATH(
-      {
-        TopologyBuilder builder(TopologyBuilder::Mode::kSharded);
-        builder.scheduler();
-      },
-      "emu: fatal: TopologyBuilder::scheduler: a sharded topology has one scheduler per "
-      "shard");
 }
 
 TEST(TopologyDeathTest, ClusterWithFewerServicesThanHostsAborts) {
   EXPECT_DEATH(
       {
         LearningSwitch service;
-        ShardedTopology topo(std::vector<Service*>{&service}, HubSpecs(2));
+        TopologyBuilder topo;
+        topo.BuildCluster({&service}, HubSpecs(2));
       },
-      "emu: fatal: ShardedTopology::ShardedTopology: 1 services for 2 hosts");
+      "emu: fatal: TopologyBuilder::BuildCluster: 1 services for 2 hosts");
 }
 
 TEST(TopologyDeathTest, ClusterWithANullServiceAborts) {
   EXPECT_DEATH(
       {
         LearningSwitch service;
-        ShardedTopology topo(std::vector<Service*>{&service, nullptr}, HubSpecs(2));
+        TopologyBuilder topo;
+        topo.BuildCluster({&service, nullptr}, HubSpecs(2));
       },
-      "emu: fatal: ShardedTopology::ShardedTopology: service 1 is null");
+      "emu: fatal: TopologyBuilder::BuildCluster: service 1 is null");
 }
 
 TEST(TopologyDeathTest, SendFromAHostWithNoUplinkAborts) {
@@ -824,21 +825,26 @@ TEST(TopologyDeathTest, SendFromAHostWithNoUplinkAborts) {
 }
 
 // A star has one ServiceNode with four ports; the fifth host's link aborts
-// in ServiceNode::AttachPort, flat or sharded.
+// in ServiceNode::AttachPort.
 TEST(TopologyDeathTest, StarWithFiveHostsAborts) {
   EXPECT_DEATH(
       {
         LearningSwitch service;
-        StarTopology topo(service, HubSpecs(5));
+        TopologyBuilder topo;
+        topo.BuildStar(service, HubSpecs(5));
       },
       "emu: fatal: ServiceNode::AttachPort: port 4 out of range \\(4 ports\\)");
 }
 
+// The same cap holds for a star built beside another shape, whose node is
+// not the builder's first shard.
 TEST(TopologyDeathTest, ShardedStarWithFiveHostsAborts) {
   EXPECT_DEATH(
       {
         LearningSwitch service;
-        ShardedTopology topo(service, HubSpecs(5));
+        TopologyBuilder topo;
+        topo.BuildHub(HubSpecs(2));
+        topo.BuildStar(service, HubSpecs(5));
       },
       "emu: fatal: ServiceNode::AttachPort: port 4 out of range \\(4 ports\\)");
 }

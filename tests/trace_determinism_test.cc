@@ -38,7 +38,8 @@ std::string RunTracedSwitch(usize threads) {
       {"h0", MacAddress::FromU48(0x020000000001), Ipv4Address(10, 0, 0, 1)},
       {"h1", MacAddress::FromU48(0x020000000002), Ipv4Address(10, 0, 0, 2)},
       {"h2", MacAddress::FromU48(0x020000000003), Ipv4Address(10, 0, 0, 3)}};
-  ShardedTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.BuildStar(service, specs);
   for (usize i = 0; i < specs.size(); ++i) {
     topo.host(i).SetApp([](SimHost&, Packet) {});
   }
